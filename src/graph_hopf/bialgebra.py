@@ -22,7 +22,6 @@ from functools import lru_cache
 
 from .graphs import (
     Graph,
-    Partition,
     admissible_partitions,
     canonical_form,
     connected_components,
@@ -34,7 +33,7 @@ from .graphs import (
     forest_evaluate,
     restrict,
 )
-from .linear import Fraction, LinComb
+from .linear import Fraction, LinComb, bilinear
 
 UNIT = ()
 
@@ -99,10 +98,8 @@ def _bipartitions(n):
 def delta_big_graph(G, indexed=False):
     """Sum of G|I (x) G|J over ordered bipartitions V = I ⊔ J (2^n terms)."""
     proj = (lambda g: g) if indexed else iso
-    out = LinComb.zero()
-    for left, right in _bipartitions(G.n):
-        out = out + LinComb.term((proj(restrict(G, left)), proj(restrict(G, right))))
-    return out
+    return LinComb(((proj(restrict(G, left)), proj(restrict(G, right))), 1)
+                   for left, right in _bipartitions(G.n))
 
 
 def delta_big(x):
@@ -125,10 +122,8 @@ def counit_big(x):
 def delta_small_graph(G, indexed=False):
     """Sum of (G/p) (x) (G|p) over admissible partitions p."""
     proj = (lambda g: g) if indexed else iso
-    out = LinComb.zero()
-    for p in admissible_partitions(G):
-        out = out + LinComb.term((proj(contract(G, p)), proj(extract(G, p))))
-    return out
+    return LinComb(((proj(contract(G, p)), proj(extract(G, p))), 1)
+                   for p in admissible_partitions(G))
 
 
 def delta_small(x):
@@ -156,11 +151,10 @@ def counit_small(x, indexed=False):
 def antipode_forest(G):
     """Antipode of a connected graph with >= 2 vertices, by the nested-forest sum."""
     _require_antipode_arg(G)
-    out = LinComb.zero()
-    for forest in nested_forests(G):
-        mono = strip_units(tuple(sorted(canonical_form(f) for f in forest_evaluate(G, forest))))
-        out = out + LinComb.term(mono, Fraction(-1) ** len(forest))
-    return out
+    return LinComb(
+        (strip_units(tuple(sorted(canonical_form(f) for f in forest_evaluate(G, forest)))),
+         (-1) ** len(forest))
+        for forest in nested_forests(G))
 
 
 def antipode_recursive(G):
@@ -176,25 +170,20 @@ def _require_antipode_arg(G):
 
 @lru_cache(maxsize=None)
 def _antipode_rec(C):
-    out = LinComb.term(strip_units(iso(C)), -1)
-    for p in admissible_partitions(C):
-        if len(p) == C.n or len(p) == 1:
-            continue
-        factor = LinComb.term(strip_units(iso(contract(C, p))))
-        inner = LinComb.term(UNIT)
+    def peel(p):
+        # one contraction level: C/p times the antipodes of the nontrivial blocks
+        out = LinComb.term(strip_units(iso(contract(C, p))))
         for block in p.blocks:
             if len(block) >= 2:
-                inner = mono_element_mul(inner, _antipode_rec(canonical_form(restrict(C, block))))
-        out = out - mono_element_mul(factor, inner)
-    return out
+                out = mono_element_mul(out, _antipode_rec(canonical_form(restrict(C, block))))
+        return out
+
+    proper = LinComb((p, 1) for p in admissible_partitions(C) if 1 < len(p) < C.n)
+    return -(LinComb.term(strip_units(iso(C))) + proper.bind(peel))
 
 
 def mono_element_mul(a, b):
-    out = LinComb.zero()
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            out = out + LinComb.term(mono_mul(ka, kb), va * vb)
-    return out
+    return bilinear(a, b, mono_mul)
 
 
 def antipode_element(x):
@@ -215,43 +204,38 @@ def cointeraction_lhs(x, indexed=False):
     """Route one: split first, then contract-extract each side and merge the
     extraction legs (a1 (x) b1 (x) a2 (x) b2 -> a1 (x) a2 (x) b1 b2)."""
     proj = (lambda g: g) if indexed else iso
-    mul = disjoint_union
 
-    def on_graph(G):
-        out = LinComb.zero()
+    def terms(G):
         for left, right in _bipartitions(G.n):
             GL, GR = restrict(G, left), restrict(G, right)
-            parts_R = list(admissible_partitions(GR))
+            legs_R = [(proj(contract(GR, pr)), extract(GR, pr)) for pr in admissible_partitions(GR)]
             for pl in admissible_partitions(GL):
-                a1, b1 = contract(GL, pl), extract(GL, pl)
-                for pr in parts_R:
-                    a2, b2 = contract(GR, pr), extract(GR, pr)
-                    out = out + LinComb.term((proj(a1), proj(a2), proj(mul(b1, b2))))
-        return out
+                a1, b1 = proj(contract(GL, pl)), extract(GL, pl)
+                for a2, b2 in legs_R:
+                    yield (a1, a2, proj(disjoint_union(b1, b2))), 1
 
-    if indexed:
-        return as_element(x, indexed=True).bind(on_graph)
-    return as_element(x).bind(lambda mono: on_graph(mono_graph(mono)))
+    return _extend_over_graphs(x, indexed, terms)
 
 
 def cointeraction_rhs(x, indexed=False):
     """Route two: contract-extract first, then split the contracted leg."""
     proj = (lambda g: g) if indexed else iso
 
-    def on_graph(G):
-        out = LinComb.zero()
+    def terms(G):
         for p in admissible_partitions(G):
-            contracted, extracted = contract(G, p), extract(G, p)
+            contracted, extracted = contract(G, p), proj(extract(G, p))
             for left, right in _bipartitions(contracted.n):
-                out = out + LinComb.term(
-                    (proj(restrict(contracted, left)),
-                     proj(restrict(contracted, right)),
-                     proj(extracted)))
-        return out
+                yield (proj(restrict(contracted, left)), proj(restrict(contracted, right)),
+                       extracted), 1
 
+    return _extend_over_graphs(x, indexed, terms)
+
+
+def _extend_over_graphs(x, indexed, terms):
+    """Linear extension of a graph -> (key, coeff) term stream to elements of either basis."""
     if indexed:
-        return as_element(x, indexed=True).bind(on_graph)
-    return as_element(x).bind(lambda mono: on_graph(mono_graph(mono)))
+        return as_element(x, indexed=True).bind(lambda G: LinComb(terms(G)))
+    return as_element(x).bind(lambda mono: LinComb(terms(mono_graph(mono))))
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +249,6 @@ def varpi(x):
 def rho(x):
     """Coaction: contract-extract, then project the extraction leg."""
     def on_graph(G):
-        out = LinComb.zero()
-        for p in admissible_partitions(G):
-            out = out + LinComb.term((contract(G, p), iso(extract(G, p))))
-        return out
+        return LinComb(((contract(G, p), iso(extract(G, p))), 1) for p in admissible_partitions(G))
 
     return as_element(x, indexed=True).bind(on_graph)

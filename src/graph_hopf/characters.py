@@ -18,7 +18,8 @@ polynomial at 0 on connected graphs).
 
 from __future__ import annotations
 
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 
 from .graphs import (
     Graph,
@@ -121,11 +122,8 @@ def invert_character(lam):
 def act(phi, lam):
     """Right action of a character on a graph-to-algebra morphism."""
     def acted(G):
-        total = None
-        for p in admissible_partitions(G):
-            term = phi(contract(G, p)) * lam(extract(G, p))
-            total = term if total is None else total + term
-        return total
+        return reduce(operator.add, (phi(contract(G, p)) * lam(extract(G, p))
+                                     for p in admissible_partitions(G)))
 
     return acted
 

@@ -30,11 +30,6 @@ def is_valid_coloring(G, f):
     return all(f[i - 1] != f[j - 1] for i, j in G.edges)
 
 
-def is_packed_coloring(f):
-    """Packed: the image is exactly {1..k} for some k >= 0."""
-    return set(f) == set(range(1, (max(f) if f else 0) + 1))
-
-
 def independent_partitions(G):
     """Partitions of [n] whose blocks are independent (induce no edge)."""
     for p in set_partitions(G.n):
@@ -44,10 +39,7 @@ def independent_partitions(G):
 
 def pchr_partition(G):
     """Chromatic polynomial as the sum of falling factorials over independent partitions."""
-    out = Polynomial.zero()
-    for p in independent_partitions(G):
-        out = out + falling_factorial(len(p))
-    return out
+    return sum((falling_factorial(len(p)) for p in independent_partitions(G)), Polynomial.zero())
 
 
 def pchr_deletion_contraction(G):
@@ -72,10 +64,8 @@ def pchr_character_formula(G):
     from .characters import LAMBDA_CHR
     from .graphs import admissible_partitions, extract
 
-    out = Polynomial.zero()
-    for p in admissible_partitions(G):
-        out = out + Polynomial.x() ** len(p) * LAMBDA_CHR(extract(G, p))
-    return out
+    return sum((Polynomial.x() ** len(p) * LAMBDA_CHR(extract(G, p))
+                for p in admissible_partitions(G)), Polynomial.zero())
 
 
 ENGINES = {

@@ -17,7 +17,6 @@ cache idempotent pure results.
 from __future__ import annotations
 
 import itertools
-import random
 from functools import lru_cache
 
 
@@ -43,9 +42,6 @@ class Graph:
 
     def has_edge(self, i, j):
         return ((i, j) if i < j else (j, i)) in self._eset
-
-    def _edge_set(self):
-        return self._eset
 
     def neighbors(self, v):
         out = []
@@ -271,25 +267,8 @@ def extract(G, p):
 
 
 def _subset_connected(G, block):
-    """Is the subgraph induced on `block` connected?  Empty blocks don't occur."""
-    block = set(block)
-    if not block:
-        return False
-    start = min(block)
-    seen = {start}
-    stack = [start]
-    adj = {v: [] for v in block}
-    for i, j in G.edges:
-        if i in block and j in block:
-            adj[i].append(j)
-            adj[j].append(i)
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen == block
+    """Is the subgraph induced on `block` connected?  Empty blocks are not."""
+    return len(components_within(G, block)) == 1
 
 
 def is_admissible(G, p):
@@ -343,7 +322,7 @@ def admissible_partitions(G):
 def _require_edge(G, e):
     i, j = e
     key = (min(i, j), max(i, j))
-    if key not in G._edge_set():
+    if key not in G._eset:
         raise ValueError(f"edge {i}-{j} not in graph")
     return key
 
@@ -366,28 +345,34 @@ def is_bridge(G, e):
 # ---------------------------------------------------------------------------
 # components and grading
 
-def connected_components(G):
-    """Vertex sets of the components, each sorted, listed by minimal element."""
-    seen = set()
-    comps = []
-    adj = {v: [] for v in range(1, G.n + 1)}
+def components_within(G, vertices):
+    """Components of the subgraph induced on `vertices`: sorted vertex tuples,
+    listed by minimal element."""
+    remaining = set(vertices)
+    adj = {v: [] for v in remaining}
     for i, j in G.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    for v in range(1, G.n + 1):
-        if v in seen:
-            continue
-        comp = {v}
+        if i in remaining and j in remaining:
+            adj[i].append(j)
+            adj[j].append(i)
+    comps = []
+    while remaining:
+        v = min(remaining)
+        remaining.discard(v)
+        comp = [v]
         stack = [v]
         while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
+            for w in adj[stack.pop()]:
+                if w in remaining:
+                    remaining.discard(w)
+                    comp.append(w)
                     stack.append(w)
-        seen |= comp
         comps.append(tuple(sorted(comp)))
     return comps
+
+
+def connected_components(G):
+    """Vertex sets of the components, each sorted, listed by minimal element."""
+    return components_within(G, range(1, G.n + 1))
 
 
 def cc(G):

@@ -12,6 +12,7 @@ from .graphs import (
     Partition,
     admissible_partitions,
     components_partition,
+    components_within,
     contract,
     extract,
     is_admissible,
@@ -67,13 +68,9 @@ class AdmissibleLattice:
     def meet(self, p, q):
         """Greatest lower bound: connected components of pairwise block intersections."""
         self.index(p), self.index(q)
-        blocks = []
-        for a in p.blocks:
-            for b in q.blocks:
-                inter = sorted(set(a) & set(b))
-                if inter:
-                    blocks.extend(_components_within(self.G, inter))
-        return Partition(self.G.n, blocks)
+        inters = (set(a) & set(b) for a in p.blocks for b in q.blocks)
+        return Partition(self.G.n, [comp for inter in inters if inter
+                                    for comp in components_within(self.G, inter)])
 
     def join(self, p, q):
         """Least upper bound: transitive closure of the union of the two relations."""
@@ -121,30 +118,6 @@ class AdmissibleLattice:
         if not self.leq[i][j]:
             raise ValueError("empty interval: p <= q fails")
         return [k for k in range(len(self.elements)) if self.leq[i][k] and self.leq[k][j]]
-
-
-def _components_within(G, subset):
-    subset = set(subset)
-    out = []
-    remaining = set(subset)
-    while remaining:
-        v = min(remaining)
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for a, b in G.edges:
-                w = None
-                if a == u and b in subset:
-                    w = b
-                elif b == u and a in subset:
-                    w = a
-                if w is not None and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        out.append(tuple(sorted(comp)))
-        remaining -= comp
-    return out
 
 
 def build_lattice(G):

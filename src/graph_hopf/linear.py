@@ -37,10 +37,12 @@ class LinComb:
         items = terms.items() if isinstance(terms, dict) else terms
         for key, coeff in items:
             coeff = Fraction(coeff)
+            if key in c:
+                coeff += c[key]
             if coeff:
-                c[key] = c.get(key, Fraction(0)) + coeff
-                if not c[key]:
-                    del c[key]
+                c[key] = coeff
+            else:
+                c.pop(key, None)
         self._c = c
 
     @classmethod
@@ -103,10 +105,7 @@ class LinComb:
 
     def bind(self, fn):
         """Linear extension of a key-level map fn: key -> LinComb."""
-        out = LinComb.zero()
-        for k, v in self._c.items():
-            out = out + fn(k) * v
-        return out
+        return LinComb((key, v * c) for k, v in self._c.items() for key, c in fn(k)._c.items())
 
     def __eq__(self, other):
         return isinstance(other, LinComb) and self._c == other._c
@@ -118,21 +117,14 @@ class LinComb:
         return "LinComb(" + " + ".join(parts) + ")"
 
 
-def tensor(a, b):
-    """Tensor product: keys are (key_a, key_b) pairs, coefficients multiply."""
-    return LinComb(((ka, kb), va * vb) for ka, va in a.items() for kb, vb in b.items())
-
-
 def bilinear(a, b, fn):
     """Bilinear extension of fn(key_a, key_b), which may return a key or a LinComb."""
-    out = LinComb.zero()
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            product = fn(ka, kb)
-            if not isinstance(product, LinComb):
-                product = LinComb.term(product)
-            out = out + product * (va * vb)
-    return out
+    def terms(product):
+        return product._c.items() if isinstance(product, LinComb) else ((product, 1),)
+
+    return LinComb((key, va * vb * c)
+                   for ka, va in a._c.items() for kb, vb in b._c.items()
+                   for key, c in terms(fn(ka, kb)))
 
 
 class Polynomial:
@@ -157,10 +149,6 @@ class Polynomial:
     @classmethod
     def x(cls):
         return cls([0, 1])
-
-    @classmethod
-    def constant(cls, c):
-        return cls([c])
 
     @property
     def degree(self):

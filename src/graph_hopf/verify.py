@@ -31,8 +31,8 @@ from .graphs import (
     delete_edge,
     disjoint_union,
     format_graph,
-    graph_isoclasses,
     is_bridge,
+    isoclasses_up_to,
     restrict,
     set_partitions,
 )
@@ -40,11 +40,6 @@ from .linear import LinComb, bilinear
 
 # the indexed path whose two cointeraction routes genuinely disagree
 INDEXED_PATH_WITNESS = Graph(3, [(1, 3), (2, 3)])
-
-
-def _isoclasses_up_to(n):
-    for k in range(n + 1):
-        yield from graph_isoclasses(k)
 
 
 def _connected_up_to(n, start=1):
@@ -61,13 +56,10 @@ def is_forest(G):
 
 def _coassoc_sides(cop, G):
     first = cop(G)
-    left = LinComb.zero()
-    right = LinComb.zero()
-    for (a, b), c in first.items():
-        for (a1, a2), c2 in cop(LinComb.term(a)).items():
-            left = left + LinComb.term((a1, a2, b), c * c2)
-        for (b1, b2), c2 in cop(LinComb.term(b)).items():
-            right = right + LinComb.term((a, b1, b2), c * c2)
+    left = LinComb(((a1, a2, b), c * c2) for (a, b), c in first.items()
+                   for (a1, a2), c2 in cop(LinComb.term(a)).items())
+    right = LinComb(((a, b1, b2), c * c2) for (a, b), c in first.items()
+                    for (b1, b2), c2 in cop(LinComb.term(b)).items())
     return left, right
 
 
@@ -85,7 +77,7 @@ def _swap_legs(x):
 
 def check_coassociativity(max_n):
     out = []
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         for name, cop in (("restriction", bi.delta_big), ("contraction-extraction", bi.delta_small)):
             left, right = _coassoc_sides(cop, G)
             if left != right:
@@ -95,7 +87,7 @@ def check_coassociativity(max_n):
 
 def check_cocommutativity(max_n):
     out = []
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         if _swap_legs(bi.delta_big(G)) != bi.delta_big(G):
             out.append(f"restriction coproduct not cocommutative on {format_graph(G)}")
     # the contraction-extraction coproduct must NOT be cocommutative; the
@@ -109,16 +101,13 @@ def check_cocommutativity(max_n):
 
 def check_counit_laws(max_n):
     out = []
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         ident = LinComb.term(bi.iso(G))
         for name, cop, counit in (("restriction", bi.delta_big, bi.counit_big),
                                   ("contraction-extraction", bi.delta_small, bi.counit_small)):
             pairs = cop(G)
-            left = LinComb.zero()
-            right = LinComb.zero()
-            for (a, b), c in pairs.items():
-                left = left + LinComb.term(b, c * counit(LinComb.term(a)))
-                right = right + LinComb.term(a, c * counit(LinComb.term(b)))
+            left = LinComb((b, c * counit(LinComb.term(a))) for (a, b), c in pairs.items())
+            right = LinComb((a, c * counit(LinComb.term(b))) for (a, b), c in pairs.items())
             if left != ident or right != ident:
                 out.append(f"counit law fails for {name} coproduct on {format_graph(G)}")
     return out
@@ -126,7 +115,7 @@ def check_counit_laws(max_n):
 
 def check_multiplicativity(max_n):
     out = []
-    reps = list(_isoclasses_up_to(max_n))
+    reps = list(isoclasses_up_to(max_n))
     for G in reps:
         for H in reps:
             if G.n + H.n > max_n or G.n == 0 or H.n == 0:
@@ -142,7 +131,7 @@ def check_multiplicativity(max_n):
 
 def check_grading(max_n):
     out = []
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         for (a, b), _ in bi.delta_big(G).items():
             if bi.mono_vertices(a) + bi.mono_vertices(b) != G.n:
                 out.append(f"vertex grading broken in restriction coproduct of {format_graph(G)}")
@@ -156,7 +145,7 @@ def check_grading(max_n):
 
 def check_cointeraction(max_n):
     out = []
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         if bi.cointeraction_lhs(G) != bi.cointeraction_rhs(G):
             out.append(f"cointeraction identity fails on {format_graph(G)}")
     if max_n >= 3:
@@ -177,11 +166,10 @@ def check_antipode_engines(max_n):
 def check_antipode_law(max_n):
     out = []
     for G in _connected_up_to(max_n, start=2):
-        total = LinComb.zero()
-        for (a, b), c in bi.delta_small(G).items():
-            sa = bi.antipode_element(LinComb.term(bi.strip_units(a)))
-            total = total + bi.mono_element_mul(sa, LinComb.term(bi.strip_units(b))) * c
-        if total != LinComb.zero():
+        total = bi.delta_small(G).bind(lambda k: bi.mono_element_mul(
+            bi.antipode_element(LinComb.term(bi.strip_units(k[0]))),
+            LinComb.term(bi.strip_units(k[1]))))
+        if total:
             out.append(f"antipode convolution law fails on {format_graph(G)}")
     return out
 
@@ -191,7 +179,7 @@ def check_antipode_law(max_n):
 
 def check_chromatic_engines(max_n, color_bound=4):
     out = []
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         polys = {name: engine(G) for name, engine in chrom.ENGINES.items()}
         if len(set(polys.values())) != 1:
             out.append(f"chromatic engines disagree on {format_graph(G)}")
@@ -230,7 +218,7 @@ def check_monoid_laws(max_n):
     """Associativity of convolution with unit the counit, on small graphs."""
     out = []
     chars = [ch.EPSILON_PRIME, ch.LAMBDA_ZERO, ch.LAMBDA_CHR]
-    graphs = list(_isoclasses_up_to(max_n))
+    graphs = list(isoclasses_up_to(max_n))
     for G in graphs:
         for lam in chars:
             if ch.convolve_value(ch.EPSILON_PRIME, lam, G) != lam(G) \
@@ -249,7 +237,7 @@ def check_action_axioms(max_n):
     out = []
     pairs = [(ch.LAMBDA_ZERO, ch.LAMBDA_CHR), (ch.LAMBDA_CHR, ch.LAMBDA_CHR),
              (ch.LAMBDA_CHR, ch.LAMBDA_ZERO)]
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         if ch.act(chrom.phi_zero, ch.EPSILON_PRIME)(G) != chrom.phi_zero(G):
             out.append(f"acting by the counit is not the identity on {format_graph(G)}")
         for lam, mu in pairs:
@@ -265,7 +253,7 @@ def check_action_axioms(max_n):
 
 def check_rota_signs(max_n):
     out = []
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         P = chrom.pchr_deletion_contraction(G)
         lo, hi = cc(G), G.n
         for i in range(hi + 2):
@@ -284,7 +272,7 @@ def check_rota_signs(max_n):
 
 def check_sign_positivity(max_n):
     out = []
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         if ch.LAMBDA_CHR_TILDE(G) < 1:
             out.append(f"signed chromatic character < 1 on {format_graph(G)}")
     return out
@@ -292,7 +280,7 @@ def check_sign_positivity(max_n):
 
 def check_eval_at_one(max_n):
     out = []
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         if chrom.pchr_deletion_contraction(G)(1) != ch.EPSILON_PRIME(G):
             out.append(f"chromatic polynomial at 1 != counit on {format_graph(G)}")
     return out
@@ -314,7 +302,7 @@ def check_monotonicity(max_n):
     """Adding one edge never lowers |chromatic character|; single-edge steps
     compose to the full subset relation."""
     out = []
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         present = set(G.edges)
         for e in complete(G.n).edges:
             if e in present:
@@ -327,7 +315,7 @@ def check_monotonicity(max_n):
 
 def check_forest_lambda(max_n):
     out = []
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         if (abs(ch.LAMBDA_CHR(G)) == 1) != is_forest(G):
             out.append(f"|character| = 1 misclassifies {format_graph(G)}")
     return out
@@ -335,7 +323,7 @@ def check_forest_lambda(max_n):
 
 def check_bridge_lemma(max_n):
     out = []
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         for e in G.edges:
             if not is_bridge(G, e):
                 continue
@@ -347,7 +335,7 @@ def check_bridge_lemma(max_n):
 
 def check_zeta(max_n):
     out = []
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         parts = list(admissible_partitions(G))
         images = [lat.zeta(G, p) for p in parts]
         for (p, zp), (q, zq) in itertools.combinations(zip(parts, images), 2):
@@ -368,7 +356,7 @@ def check_zeta(max_n):
 
 def check_stanley(max_n, ks=(1, 2, 3)):
     out = []
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         P = chrom.pchr_deletion_contraction(G)
         for k in ks:
             expected = (-1) ** G.n * P(-k)
@@ -388,7 +376,7 @@ def check_stanley(max_n, ks=(1, 2, 3)):
 
 def check_lattice_laws(max_n):
     out = []
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         L = lat.build_lattice(G)
         n = len(L)
         meet_t = [[L.index(L.meet(L.elements[i], L.elements[j])) for j in range(n)]
@@ -423,7 +411,7 @@ def check_lattice_laws(max_n):
 
 def check_lattice_grading(max_n):
     out = []
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         L = lat.build_lattice(G)
         for i, j in L.covers():
             if L.rank(L.elements[j]) != L.rank(L.elements[i]) + 1:
@@ -450,7 +438,7 @@ def check_mobius_values(max_n):
 
 def check_lattice_product(max_n):
     out = []
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         size = len(lat.build_lattice(G))
         expected = 1
         for comp in connected_components(G):
@@ -462,7 +450,7 @@ def check_lattice_product(max_n):
 
 def check_lattice_bridge(max_n):
     out = []
-    for G in _isoclasses_up_to(max_n):
+    for G in isoclasses_up_to(max_n):
         for e in G.edges:
             if is_bridge(G, e):
                 if len(lat.build_lattice(G)) != 2 * len(lat.build_lattice(contract_edge(G, e))):
@@ -584,9 +572,8 @@ def check_wsym_coalgebra_morphism(max_n):
     out = []
     for G in _labeled_up_to(max_n):
         left = ws.wsym_element_coproduct(ws.pchr_nc(G))
-        right = LinComb.zero()
-        for (A, B), c in bi.delta_big_indexed(G).items():
-            right = right + bilinear(ws.pchr_nc(A), ws.pchr_nc(B), lambda x, y: (x, y)) * c
+        right = bi.delta_big_indexed(G).bind(
+            lambda k: bilinear(ws.pchr_nc(k[0]), ws.pchr_nc(k[1]), lambda x, y: (x, y)))
         if left != right:
             out.append(f"noncommutative chromatic not a coalgebra morphism on {format_graph(G)}")
     return out
@@ -603,9 +590,7 @@ def check_wsym_action(max_n):
 def check_wsym_words(max_n):
     out = []
     for G in _labeled_up_to(max_n):
-        direct = LinComb.zero()
-        for f in ws.packed_valid_colorings(G):
-            direct = direct + LinComb.term(tuple(f))
+        direct = LinComb((tuple(f), 1) for f in ws.packed_valid_colorings(G))
         if ws.expand(ws.pchr_nc(G)) != direct:
             out.append(f"word expansion != packed valid colorings on {format_graph(G)}")
     return out

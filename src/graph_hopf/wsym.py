@@ -26,7 +26,7 @@ import math
 from functools import lru_cache
 
 from .chromatic import independent_partitions
-from .graphs import Partition, set_partitions
+from .graphs import Graph, Partition, connected_components, set_partitions
 from .linear import Fraction, LinComb, Polynomial, bilinear, hilbert
 
 
@@ -54,13 +54,11 @@ def partition_of_word(w):
 
 def expand_W(p):
     """The W basis element of a set partition: all block labelings as words."""
-    k = len(p)
-    out = LinComb.zero()
-    for sigma in itertools.permutations(range(1, k + 1)):
-        label = {block: sigma[i] for i, block in enumerate(p.blocks)}
-        word = tuple(label[p.block_of(v)] for v in range(1, p.n + 1))
-        out = out + LinComb.term(word)
-    return out
+    def word(sigma):
+        label = dict(zip(p.blocks, sigma))
+        return tuple(label[p.block_of(v)] for v in range(1, p.n + 1))
+
+    return LinComb((word(sigma), 1) for sigma in itertools.permutations(range(1, len(p) + 1)))
 
 
 def expand(x):
@@ -76,33 +74,21 @@ def wsym_product(p, q):
     restrictions to the first k and last l positions recover the factors."""
     k, l = p.n, q.n
     first, last = range(1, k + 1), range(k + 1, k + l + 1)
-    out = LinComb.zero()
-    for r in set_partitions(k + l):
-        if r.packed_restriction(first) == p and r.packed_restriction(last) == q:
-            out = out + LinComb.term(r)
-    return out
+    return LinComb((r, 1) for r in set_partitions(k + l)
+                   if r.packed_restriction(first) == p and r.packed_restriction(last) == q)
 
 
 def wsym_element_product(x, y):
     return bilinear(x, y, wsym_product)
 
 
-def _pack_blocks(blocks):
-    support = sorted(v for b in blocks for v in b)
-    relabel = {v: i + 1 for i, v in enumerate(support)}
-    return Partition(len(support), [[relabel[v] for v in b] for b in blocks])
-
-
 def wsym_coproduct(p):
     """Coproduct on the W basis: split the block set and pack each side."""
-    k = len(p)
-    out = LinComb.zero()
-    for r in range(k + 1):
-        for chosen in itertools.combinations(range(k), r):
-            left = _pack_blocks([p.blocks[i] for i in chosen])
-            right = _pack_blocks([p.blocks[i] for i in range(k) if i not in chosen])
-            out = out + LinComb.term((left, right))
-    return out
+    everything = set(range(1, p.n + 1))
+    lefts = (set().union(*chosen)
+             for r in range(len(p) + 1) for chosen in itertools.combinations(p.blocks, r))
+    return LinComb(((p.packed_restriction(left), p.packed_restriction(everything - left)), 1)
+                   for left in lefts)
 
 
 def wsym_element_coproduct(x):
@@ -115,10 +101,7 @@ def wsym_element_coproduct(x):
 @lru_cache(maxsize=None)
 def pchr_nc(G):
     """Noncommutative chromatic element: sum of W over independent partitions."""
-    out = LinComb.zero()
-    for p in independent_partitions(G):
-        out = out + LinComb.term(p)
-    return out
+    return LinComb((p, 1) for p in independent_partitions(G))
 
 
 @lru_cache(maxsize=None)
@@ -144,38 +127,18 @@ def packed_valid_colorings(G):
 
 def coloring_fiber_partition(G, f):
     """Blocks are the connected components of the color fibers of f."""
-    adj = {v: [] for v in range(1, G.n + 1)}
-    for i, j in G.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    blocks = []
-    for color in sorted(set(f)):
-        fiber = {v for v in range(1, G.n + 1) if f[v - 1] == color}
-        while fiber:
-            v = min(fiber)
-            comp = {v}
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w in fiber and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            fiber -= comp
-            blocks.append(tuple(sorted(comp)))
-    return Partition(G.n, blocks)
+    return Partition(G.n, connected_components(
+        Graph(G.n, [(i, j) for i, j in G.edges if f[i - 1] == f[j - 1]])))
 
 
 @lru_cache(maxsize=None)
 def phi0_nc(G):
     """Packed-coloring morphism: for each packed coloring f, contract the
     connected components of its fibers and read off the induced word."""
-    out = LinComb.zero()
-    for f in packed_colorings(G):
-        p = coloring_fiber_partition(G, f)
-        word = tuple(f[block[0] - 1] for block in p.blocks)
-        out = out + LinComb.term(word)
-    return out
+    def word(f):
+        return tuple(f[block[0] - 1] for block in coloring_fiber_partition(G, f).blocks)
+
+    return LinComb((word(f), 1) for f in packed_colorings(G))
 
 
 def act_nc(G, lam):
@@ -199,7 +162,4 @@ def hilbert_morphism(x):
         else:
             k = max(key) if key else 0
         weights[k] = weights.get(k, Fraction(0)) + coeff
-    out = Polynomial.zero()
-    for k, coeff in sorted(weights.items()):
-        out = out + hilbert(k) * coeff
-    return out
+    return sum((hilbert(k) * coeff for k, coeff in sorted(weights.items())), Polynomial.zero())

@@ -23,6 +23,7 @@ from graph_hopf import wsym as ws
 from graph_hopf.graphs import (
     complete,
     connected_isoclasses,
+    isoclasses_up_to,
     path_graph,
     random_graph,
 )
@@ -70,7 +71,7 @@ def test_criterion_01_chromatic_character_ground_truth():
 def test_criterion_02_chromatic_engine_agreement():
     with _Criterion(2, 120, "three polynomial engines and brute-force counts"):
         count5 = 0
-        for G in verify._isoclasses_up_to(5):
+        for G in isoclasses_up_to(5):
             if G.n == 5:
                 count5 += 1
             polys = {name: engine(G) for name, engine in chrom.ENGINES.items()}

@@ -11,7 +11,6 @@ from graph_hopf.linear import (
     format_rational,
     hilbert,
     parse_rational,
-    tensor,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -38,15 +37,23 @@ class TestLinComb:
     def test_collection(self):
         assert LinComb([("a", 1), ("a", 2)]) == LinComb.term("a", 3)
 
-    def test_tensor_bilinearity(self):
-        a = LinComb.term("u", 2)
-        b = LinComb.term("v", 3)
-        assert tensor(a, b) == LinComb.term(("u", "v"), 6)
-
     def test_bilinear_with_expanding_product(self):
         out = bilinear(LinComb.term("a", 2), LinComb.term("b", 3),
                        lambda x, y: LinComb.term(x + y) + LinComb.term(y + x))
         assert out == LinComb.term("ab", 6) + LinComb.term("ba", 6)
+        # a key-valued fn: the tensor product, keyed by pairs
+        a = LinComb([("u", 2), ("w", -1)])
+        b = LinComb.term("v", 3)
+        assert bilinear(a, b, lambda x, y: (x, y)) == LinComb([(("u", "v"), 6), (("w", "v"), -3)])
+
+    def test_bind_drops_cancelled_images(self):
+        x = LinComb([("a", 1), ("b", 1)])
+        images = {"a": LinComb([("p", 1), ("q", 2)]), "b": LinComb([("p", -1), ("q", -2)])}
+        out = x.bind(images.__getitem__)
+        assert out == LinComb.zero()
+        assert not out and len(out) == 0
+        half = LinComb([("a", 1), ("b", Fraction(1, 2))]).bind(images.__getitem__)
+        assert half.items() == [("p", Fraction(1, 2)), ("q", Fraction(1))]
 
     def test_deterministic_iteration(self):
         x = LinComb([("b", 1), ("a", 2), ("c", 3)])
