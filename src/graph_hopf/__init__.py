@@ -12,13 +12,13 @@ from .graphs import (
     path_graph,
     disjoint_union,
 )
-from .linear import Fraction, LinComb, Polynomial, falling_factorial, hilbert
+from .linear import LinComb, Polynomial, falling_factorial, hilbert
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "Partition", "parse_graph", "format_graph",
     "complete", "cycle_graph", "edgeless", "path_graph", "disjoint_union",
-    "Fraction", "LinComb", "Polynomial", "falling_factorial", "hilbert",
+    "LinComb", "Polynomial", "falling_factorial", "hilbert",
     "__version__",
 ]

@@ -33,7 +33,7 @@ from .graphs import (
     forest_evaluate,
     restrict,
 )
-from .linear import Fraction, LinComb, bilinear
+from .linear import LinComb, bilinear
 
 UNIT = ()
 
@@ -137,7 +137,7 @@ def delta_small_indexed(x):
 def counit_small(x, indexed=False):
     """1 on totally disconnected basis keys, 0 elsewhere, extended linearly."""
     x = as_element(x, indexed=indexed)
-    total = Fraction(0)
+    total = 0
     for key, coeff in x.items():
         disconnected = (not key.edges) if isinstance(key, Graph) else mono_totally_disconnected(key)
         if disconnected:

@@ -19,6 +19,7 @@ polynomial at 0 on connected graphs).
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .graphs import (
@@ -36,7 +37,6 @@ from .graphs import (
     nested_forests,
     restrict,
 )
-from .linear import Fraction
 
 K1 = Graph(1)
 
@@ -60,7 +60,7 @@ class Character:
     def of_connected(self, G):
         C = canonical_form(G)
         if C not in self._memo:
-            self._memo[C] = Fraction(self._fn(C))
+            self._memo[C] = self._fn(C)
         return self._memo[C]
 
     def __call__(self, x):
@@ -68,7 +68,7 @@ class Character:
             factors = [restrict(x, comp) for comp in connected_components(x)]
         else:
             factors = list(x)
-        value = Fraction(1)
+        value = 1
         for f in factors:
             value *= self.of_connected(f)
         return value
@@ -83,7 +83,7 @@ LAMBDA_ZERO = Character(lambda G: 1, "all-ones")
 
 def convolve_value(lam, mu, G):
     """The convolution sum evaluated directly on any graph."""
-    total = Fraction(0)
+    total = 0
     for p in admissible_partitions(G):
         total += lam(contract(G, p)) * mu(extract(G, p))
     return total
@@ -106,14 +106,14 @@ def invert_character(lam):
 
     def value(G):
         if G.n == 1:
-            return 1 / c
-        total = Fraction(0)
+            return Fraction(1) / c
+        total = 0
         for p in admissible_partitions(G):
             if len(p) == 1:
                 continue
             total += lam(contract(G, p)) * inv(extract(G, p))
         # counit vanishes on connected graphs with an edge
-        return -total / c
+        return Fraction(-total) / c
 
     inv = Character(value, f"{lam.name}^-1")
     return inv
@@ -148,8 +148,8 @@ def chr_forest(G):
     if not is_connected(G):
         raise ValueError("chromatic character engines take a connected graph")
     if G.n == 1:
-        return Fraction(1)
-    return Fraction(sum((-1) ** len(forest) for forest in nested_forests(G)))
+        return 1
+    return sum((-1) ** len(forest) for forest in nested_forests(G))
 
 
 def chr_delcon(G):
@@ -161,7 +161,7 @@ def chr_delcon(G):
 @lru_cache(maxsize=None)
 def _chr_delcon(C):
     if not C.edges:
-        return Fraction(1)  # connected and edgeless means one vertex
+        return 1  # connected and edgeless means one vertex
     e = C.edges[0]
     contracted = canonical_form(contract_edge(C, e))
     if is_bridge(C, e):
@@ -170,5 +170,5 @@ def _chr_delcon(C):
 
 
 LAMBDA_CHR = Character(chr_delcon, "chromatic")
-LAMBDA_CHR_TILDE = Character(lambda G: Fraction(-1) ** degree(G) * chr_delcon(G),
+LAMBDA_CHR_TILDE = Character(lambda G: (-1) ** degree(G) * chr_delcon(G),
                              "signed-chromatic")

@@ -21,7 +21,7 @@ from . import chromatic as chrom
 from . import lattice as lat
 from . import wsym as ws
 from .graphs import format_graph, is_connected, parse_graph
-from .linear import Fraction, format_rational
+from .linear import format_rational, parse_rational
 from .verify import SUITES
 
 
@@ -48,7 +48,7 @@ def cmd_chromatic(args):
         return 0
     obj = {"poly": P.to_json()}
     if args.eval is not None:
-        obj["value"] = format_rational(P(Fraction(args.eval)))
+        obj["value"] = format_rational(P(parse_rational(args.eval)))
     _emit(obj)
     return 0
 

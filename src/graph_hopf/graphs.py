@@ -460,24 +460,6 @@ def canonical_form(G):
     return out
 
 
-def canonical_key(G):
-    """Opaque byte string identifying the isomorphism class of a connected graph."""
-    if not is_connected(G):
-        raise ValueError("canonical_key requires a connected graph")
-    C = canonical_form(G)
-    nslots = C.n * (C.n - 1) // 2
-    slots = _slot_table(C.n)
-    mask = 0
-    for e in C.edges:
-        mask |= 1 << slots[e]
-    return bytes([C.n]) + mask.to_bytes((nslots + 7) // 8 or 1, "big")
-
-
-def monomial_key(G):
-    """Sorted multiset of component keys: the commutative monomial of G."""
-    return tuple(sorted(canonical_key(restrict(G, comp)) for comp in connected_components(G)))
-
-
 # ---------------------------------------------------------------------------
 # enumeration of isomorphism classes
 

@@ -17,7 +17,6 @@ from .graphs import (
     extract,
     is_admissible,
 )
-from .linear import Fraction
 
 
 class AdmissibleLattice:
@@ -103,12 +102,11 @@ class AdmissibleLattice:
         if (i, j) in self._mobius:
             return self._mobius[(i, j)]
         if i == j:
-            value = Fraction(1)
+            value = 1
         else:
-            value = -sum((self._mobius_idx(i, k)
-                          for k in range(len(self.elements))
-                          if k != j and self.leq[i][k] and self.leq[k][j]),
-                         Fraction(0))
+            value = -sum(self._mobius_idx(i, k)
+                         for k in range(len(self.elements))
+                         if k != j and self.leq[i][k] and self.leq[k][j])
         self._mobius[(i, j)] = value
         return value
 
@@ -122,16 +120,6 @@ class AdmissibleLattice:
 
 def build_lattice(G):
     return AdmissibleLattice(G)
-
-
-def meet(G, p, q):
-    _require_admissible(G, p, q)
-    return build_lattice(G).meet(p, q)
-
-
-def join(G, p, q):
-    _require_admissible(G, p, q)
-    return build_lattice(G).join(p, q)
 
 
 def _require_admissible(G, *parts):

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
 LinComb is a finite formal linear combination over arbitrary ordered,
-hashable basis keys with Fraction coefficients; Polynomial is a dense exact
-univariate polynomial.  Both two-variable expansions P(X+Y) and P(XY) are
-returned as sparse coefficient dicts keyed by (i, j) monomial exponents.
+hashable basis keys; Polynomial is a dense univariate polynomial.  Their
+coefficients are exact: `int`, or `Fraction` after division.  Both
+two-variable expansions P(X+Y) and P(XY) are returned as sparse coefficient
+dicts keyed by (i, j) monomial exponents.
 """
 
 from __future__ import annotations
@@ -20,11 +21,16 @@ def format_rational(q):
 
 
 def parse_rational(s):
-    return Fraction(s)
+    """Parse "p/q", an integer or a decimal; malformed text raises ValueError."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 class LinComb:
-    """Finite formal sum of basis keys with nonzero Fraction coefficients.
+    """Finite formal sum of basis keys with nonzero exact coefficients:
+    `int`, or `Fraction` after division.
 
     Keys must be hashable and mutually orderable; iteration is always in
     sorted key order, which makes every downstream output deterministic.
@@ -36,7 +42,6 @@ class LinComb:
         c = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for key, coeff in items:
-            coeff = Fraction(coeff)
             if key in c:
                 coeff += c[key]
             if coeff:
@@ -54,7 +59,7 @@ class LinComb:
         return cls()
 
     def coeff(self, key):
-        return self._c.get(key, Fraction(0))
+        return self._c.get(key, 0)
 
     def items(self):
         return sorted(self._c.items())
@@ -74,7 +79,7 @@ class LinComb:
     def __add__(self, other):
         out = dict(self._c)
         for key, coeff in other._c.items():
-            s = out.get(key, Fraction(0)) + coeff
+            s = out.get(key, 0) + coeff
             if s:
                 out[key] = s
             else:
@@ -92,7 +97,6 @@ class LinComb:
         return self + (-other)
 
     def __mul__(self, scalar):
-        scalar = Fraction(scalar)
         res = LinComb.__new__(LinComb)
         res._c = {} if not scalar else {k: v * scalar for k, v in self._c.items()}
         return res
@@ -128,12 +132,13 @@ def bilinear(a, b, fn):
 
 
 class Polynomial:
-    """Dense univariate polynomial with exact rational coefficients."""
+    """Dense univariate polynomial with exact coefficients: `int`, or
+    `Fraction` after division."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = list(coeffs)
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
@@ -155,7 +160,7 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def coeff(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -176,8 +181,8 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            return Polynomial([c * Fraction(other) for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
+            return Polynomial([c * other for c in self.coeffs])
+        out = [0] * (len(self.coeffs) + len(other.coeffs))
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -196,7 +201,7 @@ class Polynomial:
     def __call__(self, q):
         """Exact evaluation at a rational point (Horner)."""
         q = Fraction(q)
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * q + c
         return acc
@@ -212,7 +217,7 @@ class Polynomial:
                 continue
             for i in range(d + 1):
                 key = (i, d - i)
-                out[key] = out.get(key, Fraction(0)) + a * math.comb(d, i)
+                out[key] = out.get(key, 0) + a * math.comb(d, i)
         return {k: v for k, v in out.items() if v}
 
     def compose_prod(self):

@@ -458,44 +458,19 @@ def check_lattice_bridge(max_n):
     return out
 
 
-def _poset_isomorphic(leqA, leqB):
-    n = len(leqA)
-    if n != len(leqB):
-        return False
-
-    def profile(leq, i):
-        return (sum(leq[k][i] for k in range(n)), sum(leq[i][k] for k in range(n)))
-
-    profA = [profile(leqA, i) for i in range(n)]
-    profB = [profile(leqB, i) for i in range(n)]
-    if sorted(profA) != sorted(profB):
-        return False
-    assignment = {}
-    used = set()
-
-    def backtrack(i):
-        if i == n:
-            return True
-        for j in range(n):
-            if j in used or profA[i] != profB[j]:
-                continue
-            ok = all(leqA[k][i] == leqB[assignment[k]][j] and leqA[i][k] == leqB[j][assignment[k]]
-                     for k in assignment)
-            if ok:
-                assignment[i] = j
-                used.add(j)
-                if backtrack(i + 1):
-                    return True
-                del assignment[i]
-                used.discard(j)
-        return False
-
-    return backtrack(0)
+def _quotient_partition(r, p):
+    """r/p for r >= p: the partition of the blocks of p, numbered as `contract`
+    numbers them, that groups the p-blocks lying in one block of r."""
+    groups = {}
+    for i, b in enumerate(p.blocks):
+        groups.setdefault(r.block_of(b[0]), []).append(i + 1)
+    return Partition(len(p), groups.values())
 
 
-def check_interval_isomorphism(max_n, size_cap=10):
-    """Intervals are order-isomorphic to the lattice of their quotient graph;
-    checked structurally for small intervals, by size and Mobius value always."""
+def check_interval_isomorphism(max_n):
+    """Intervals [p, q] are order-isomorphic to the lattice of (G|q)/p through
+    the explicit map r -> r/p, checked to be a bijection that preserves and
+    reflects order on every interval."""
     out = []
     for G in _connected_up_to(max_n):
         L = lat.build_lattice(G)
@@ -505,14 +480,14 @@ def check_interval_isomorphism(max_n, size_cap=10):
                     continue
                 inside = L.interval(p, q)
                 M = lat.build_lattice(lat.interval_quotient(G, p, q))
-                if len(inside) != len(M):
-                    out.append(f"interval size mismatch on {format_graph(G)}")
-                    continue
-                if len(inside) <= size_cap:
-                    sub = [[L.leq[a][b] for b in inside] for a in inside]
-                    if not _poset_isomorphic(sub, M.leq):
-                        out.append(f"interval not order-isomorphic to quotient lattice "
-                                   f"on {format_graph(G)} at [{p}, {q}]")
+                image = [_quotient_partition(L.elements[a], p) for a in inside]
+                if sorted(image) == M.elements:
+                    at = [M.index(r) for r in image]
+                    if all(L.leq[a][b] == M.leq[x][y]
+                           for a, x in zip(inside, at) for b, y in zip(inside, at)):
+                        continue
+                out.append(f"r -> r/p is not an order isomorphism onto the quotient lattice "
+                           f"on {format_graph(G)} at [{p}, {q}]")
     return out
 
 

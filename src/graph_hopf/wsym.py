@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .chromatic import independent_partitions
 from .graphs import Graph, Partition, connected_components, set_partitions
-from .linear import Fraction, LinComb, Polynomial, bilinear, hilbert
+from .linear import LinComb, Polynomial, bilinear, hilbert
 
 
 def pack(word):
@@ -161,5 +161,5 @@ def hilbert_morphism(x):
             coeff = coeff * math.factorial(k)
         else:
             k = max(key) if key else 0
-        weights[k] = weights.get(k, Fraction(0)) + coeff
+        weights[k] = weights.get(k, 0) + coeff
     return sum((hilbert(k) * coeff for k, coeff in sorted(weights.items())), Polynomial.zero())

@@ -112,6 +112,12 @@ class TestContract:
         r = run_cli("chromatic", "--graph", "3: 1-2, 2-1")
         assert r.returncode == 2
 
+    def test_zero_denominator_eval_exits_2(self):
+        r = run_cli("chromatic", "--graph", "2: 1-2", "--eval", "1/0")
+        assert r.returncode == 2
+        assert r.stdout == b""
+        assert r.stderr.startswith(b"error:")
+
     def test_unknown_flag_exits_2(self):
         r = run_cli("chromatic", "--nope")
         assert r.returncode == 2

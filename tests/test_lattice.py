@@ -59,8 +59,6 @@ class TestMeetJoin:
         L = lat.build_lattice(P3)
         with pytest.raises(ValueError):
             L.meet(Partition(3, [(1, 3), (2,)]), L.bottom)
-        with pytest.raises(ValueError):
-            lat.meet(P3, Partition(3, [(1, 3), (2,)]), Partition.singletons(3))
 
     def test_lattice_laws_small(self):
         assert not verify.check_lattice_laws(4)

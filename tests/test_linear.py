@@ -27,6 +27,11 @@ class TestRationalFormat:
         for s in ["0", "7", "-7", "3/5", "-11/2"]:
             assert format_rational(parse_rational(s)) == s
 
+    def test_parse_rejects_malformed_text(self):
+        for s in ["1/0", "abc", "1/2/3"]:
+            with pytest.raises(ValueError):
+                parse_rational(s)
+
 
 class TestLinComb:
     def test_cancellation(self):
