@@ -43,18 +43,6 @@ class Graph:
     def has_edge(self, i, j):
         return ((i, j) if i < j else (j, i)) in self._eset
 
-    def neighbors(self, v):
-        out = []
-        for i, j in self.edges:
-            if i == v:
-                out.append(j)
-            elif j == v:
-                out.append(i)
-        return tuple(sorted(out))
-
-    def degree_of(self, v):
-        return len(self.neighbors(v))
-
     def sort_key(self):
         return (self.n, self.edges)
 
@@ -396,11 +384,18 @@ def components_partition(G):
 # ---------------------------------------------------------------------------
 # isomorphism canonicalization
 #
-# Exact scheme for desk-scale graphs (n <= 10): minimize the upper-triangular
-# adjacency bitstring over vertex relabelings.  Candidate relabelings are cut
-# down by an isomorphism-invariant vertex signature (degree, neighbor degrees,
-# triangle count); the minimum over the remaining labelings is still a
-# canonical representative because the candidate set itself is invariant.
+# The representative minimizes the upper-triangular adjacency bitstring (edge
+# (i, j) sets bit _slot_table(n)[(i, j)]) over the relabelings that list the
+# vertex-signature classes (degree, neighbor degrees, triangle count) in
+# sorted order.  That candidate set is isomorphism-invariant, so its minimum
+# is canonical.  Row p, the slots (p, q) with q > p, outweighs every row below
+# it, so the minimum is found row by row: fill positions n, n-1, ..., 1 from
+# the class that owns each, keep only the partial labelings whose new row is
+# least, and carry ties forward (after McKay-Piperno's search tree, with
+# lexicographic leaves).  Twin rule: if unplaced u and v have equal
+# neighborhoods apart from each other, swapping them is an automorphism fixing
+# every placed vertex, so only one of them is tried.  The search reaches the
+# same minimum as sweeping every labeling, so the representative is unchanged.
 
 @lru_cache(maxsize=None)
 def _slot_table(n):
@@ -413,12 +408,13 @@ def _slot_table(n):
     return table
 
 
-def _vertex_signature(G):
-    degs = {v: G.degree_of(v) for v in range(1, G.n + 1)}
+def _vertex_signature(adj):
+    """Per-vertex invariants from adjacency bitmasks (bit u of adj[v] is edge v-u)."""
+    degs = [a.bit_count() for a in adj]
     sig = {}
-    for v in range(1, G.n + 1):
-        nbrs = G.neighbors(v)
-        tri = sum(1 for a, b in itertools.combinations(nbrs, 2) if G.has_edge(a, b))
+    for v in range(1, len(adj)):
+        nbrs = [u for u in range(1, len(adj)) if adj[v] >> u & 1]
+        tri = sum((adj[u] & adj[v]).bit_count() for u in nbrs) // 2
         sig[v] = (degs[v], tuple(sorted(degs[u] for u in nbrs)), tri)
     return sig
 
@@ -426,23 +422,34 @@ def _vertex_signature(G):
 def _canonical_connected(G):
     n = G.n
     slots = _slot_table(n)
-    sig = _vertex_signature(G)
+    adj = [0] * (n + 1)
+    for i, j in G.edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    sig = _vertex_signature(adj)
     classes = {}
     for v in range(1, n + 1):
         classes.setdefault(sig[v], []).append(v)
-    ordered_classes = [classes[s] for s in sorted(classes)]
-    best = None
-    for parts in itertools.product(*(itertools.permutations(c) for c in ordered_classes)):
-        order = [v for part in parts for v in part]
-        pos = {v: i + 1 for i, v in enumerate(order)}
-        mask = 0
-        for i, j in G.edges:
-            a, b = pos[i], pos[j]
-            mask |= 1 << slots[(a, b) if a < b else (b, a)]
-        if best is None or mask < best:
-            best = mask
-    edges = [e for e, k in _slot_table(n).items() if best >> k & 1]
-    return Graph(n, edges)
+    owner = [None] + [classes[s] for s in sorted(classes) for _ in classes[s]]
+    mask, states = 0, [()]  # the tied labelings' vertices at positions p+1..n
+    for p in range(n, 0, -1):
+        best, ties = None, []
+        for placed in states:
+            tried = []
+            for v in owner[p]:
+                if v in placed or any(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in tried):
+                    continue
+                tried.append(v)
+                row = mask
+                for q, w in enumerate(placed, p + 1):
+                    if adj[v] >> w & 1:
+                        row |= 1 << slots[(p, q)]
+                if best is None or row < best:
+                    best, ties = row, []
+                if row == best:
+                    ties.append((v,) + placed)
+        mask, states = best, ties
+    return Graph(n, [e for e, k in slots.items() if mask >> k & 1])
 
 
 @lru_cache(maxsize=None)

@@ -10,18 +10,27 @@ dicts keyed by (i, j) monomial exponents.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
+# an integer, "p/q" or a plain decimal: no exponent, since Fraction computes 10**exp
+_RATIONAL = re.compile(r"\s*[-+]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*")
+
 
 def format_rational(q):
-    """Serialize as "p/q", or "p" when the denominator is 1."""
+    """Serialize an `int` or `Fraction` as "p/q", or "p" when the denominator is 1.
+    Anything else, a float included, raises TypeError rather than print inexactly."""
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"not an exact rational: {q!r}")
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def parse_rational(s):
-    """Parse "p/q", an integer or a decimal; malformed text raises ValueError."""
+    """Parse an integer, "p/q" or a plain decimal; other text raises ValueError."""
+    if not _RATIONAL.fullmatch(s):
+        raise ValueError(f"not an integer, p/q or plain decimal: {s!r}")
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -232,7 +241,7 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data):
-        return cls([Fraction(s) for s in data])
+        return cls([parse_rational(s) for s in data])
 
     def pretty(self):
         """Readable form like "X^3 - 3X^2 + 2X"."""

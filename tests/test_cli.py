@@ -118,6 +118,13 @@ class TestContract:
         assert r.stdout == b""
         assert r.stderr.startswith(b"error:")
 
+    def test_exponent_eval_exits_2(self):
+        # an exponent would make Fraction build 10**exp first
+        r = run_cli("chromatic", "--graph", "2: 1-2", "--eval", "1e5")
+        assert r.returncode == 2
+        assert r.stdout == b""
+        assert r.stderr.startswith(b"error:")
+
     def test_unknown_flag_exits_2(self):
         r = run_cli("chromatic", "--nope")
         assert r.returncode == 2

@@ -1,8 +1,8 @@
 """Property test: every coefficient and value is exact, `int` or `Fraction`.
 
 Coefficients stay plain ints until a division; a float anywhere means an
-int `/` int slipped in.  `format_rational` prints 0.5 as "1/2", so output
-comparisons alone would not notice.
+int `/` int slipped in.  `format_rational` refuses floats, but only for the
+values that reach the output; this test checks the intermediate ones too.
 """
 
 from fractions import Fraction

@@ -32,6 +32,25 @@ class TestRationalFormat:
             with pytest.raises(ValueError):
                 parse_rational(s)
 
+    def test_parse_accepts_plain_decimals(self):
+        assert parse_rational("-0.25") == Fraction(-1, 4)
+        assert parse_rational(" .5 ") == Fraction(1, 2)
+
+    def test_parse_rejects_exponents(self):
+        # Fraction would compute 10**exp, unbounded for outside text
+        for s in ["1e5", "2.5E-3", "1e+2"]:
+            with pytest.raises(ValueError):
+                parse_rational(s)
+
+    def test_polynomial_from_json_uses_the_same_parser(self):
+        with pytest.raises(ValueError):
+            Polynomial.from_json(["1e5"])
+
+    def test_format_rejects_inexact_values(self):
+        for q in [0.5, 2.0, "1/2", None]:
+            with pytest.raises(TypeError):
+                format_rational(q)
+
 
 class TestLinComb:
     def test_cancellation(self):
