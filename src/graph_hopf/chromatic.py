@@ -33,7 +33,7 @@ def is_valid_coloring(G, f):
 def independent_partitions(G):
     """Partitions of [n] whose blocks are independent (induce no edge)."""
     for p in set_partitions(G.n):
-        if all(not restrict(G, b).edges for b in p.blocks):
+        if all(p.block_of(i) is not p.block_of(j) for i, j in G.edges):
             yield p
 
 

@@ -76,6 +76,10 @@ class LinComb:
     def keys(self):
         return sorted(self._c)
 
+    def terms(self):
+        """The (key, coeff) pairs unsorted, for sums whose order does not matter."""
+        return self._c.items()
+
     def __len__(self):
         return len(self._c)
 

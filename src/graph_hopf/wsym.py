@@ -24,8 +24,9 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import itemgetter
 
-from .chromatic import independent_partitions
+from .chromatic import independent_partitions, is_valid_coloring
 from .graphs import Graph, Partition, connected_components, set_partitions
 from .linear import LinComb, Polynomial, bilinear, hilbert
 
@@ -52,13 +53,20 @@ def partition_of_word(w):
     return Partition(len(w), fibers)
 
 
-def expand_W(p):
-    """The W basis element of a set partition: all block labelings as words."""
-    def word(sigma):
-        label = dict(zip(p.blocks, sigma))
-        return tuple(label[p.block_of(v)] for v in range(1, p.n + 1))
+def _block_numberings(p, positions):
+    """For each numbering of p's blocks by 1..k, in `itertools.permutations`
+    order, the word it reads at `positions`: the number of each position's block."""
+    index = {b: i for i, b in enumerate(p.blocks)}
+    at = [index[p.block_of(v)] for v in positions]
+    # itemgetter returns a bare item for one index and needs at least one
+    read = itemgetter(*at) if len(at) > 1 else lambda sigma: tuple(sigma[i] for i in at)
+    return map(read, itertools.permutations(range(1, len(p) + 1)))
 
-    return LinComb((word(sigma), 1) for sigma in itertools.permutations(range(1, len(p) + 1)))
+
+def expand_W(p):
+    """The W basis element of a set partition p with k blocks: the sum of the
+    k! packed words whose fiber partition is p, one per numbering of p's blocks."""
+    return LinComb((w, 1) for w in _block_numberings(p, range(1, p.n + 1)))
 
 
 def expand(x):
@@ -106,21 +114,20 @@ def pchr_nc(G):
 
 @lru_cache(maxsize=None)
 def _packed_words(n):
-    """All packed words of length n (one per ordered set partition)."""
+    """All packed words of length n (one per ordered set partition).
+
+    Kept as a filter of all n^n words on purpose: through
+    `packed_valid_colorings` it is the side of `verify.check_wsym_words` that
+    does not go through `_block_numberings`, which `expand_W` and `phi0_nc` share.
+    """
     if n == 0:
         return ((),)
     return tuple(f for f in itertools.product(range(1, n + 1), repeat=n) if is_packed(f))
 
 
-def packed_colorings(G):
-    """All packed colorings of G (image exactly 1..k for some k)."""
-    yield from _packed_words(G.n)
-
-
 def packed_valid_colorings(G):
-    from .chromatic import is_valid_coloring
-
-    for f in packed_colorings(G):
+    """The packed colorings of G (image exactly 1..k for some k) that are valid."""
+    for f in _packed_words(G.n):
         if is_valid_coloring(G, f):
             yield f
 
@@ -134,11 +141,19 @@ def coloring_fiber_partition(G, f):
 @lru_cache(maxsize=None)
 def phi0_nc(G):
     """Packed-coloring morphism: for each packed coloring f, contract the
-    connected components of its fibers and read off the induced word."""
-    def word(f):
-        return tuple(f[block[0] - 1] for block in coloring_fiber_partition(G, f).blocks)
+    connected components of its fibers and read off the induced word, the
+    color of each component in the order of their minima.
 
-    return LinComb((word(f), 1) for f in packed_colorings(G))
+    A packed coloring is a fiber partition p together with a numbering of
+    p's blocks by 1..k.  The components depend on p alone, so they are found
+    once per set partition and then read through every numbering.
+    """
+    def words(p):
+        by_block = [p.block_of(v) for v in range(1, G.n + 1)]  # each vertex colored by its block
+        minima = [c[0] for c in coloring_fiber_partition(G, by_block).blocks]
+        return _block_numberings(p, minima)
+
+    return LinComb((w, 1) for p in set_partitions(G.n) for w in words(p))
 
 
 def act_nc(G, lam):
@@ -155,7 +170,7 @@ def hilbert_morphism(x):
     """Linear projection to polynomials: word w -> H_max(w); W element of a
     k-block partition -> k! H_k.  Accepts word-space or W-basis elements."""
     weights = {}
-    for key, coeff in x.items():
+    for key, coeff in x.terms():
         if isinstance(key, Partition):
             k = len(key)
             coeff = coeff * math.factorial(k)

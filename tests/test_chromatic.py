@@ -10,6 +10,7 @@ from graph_hopf.graphs import (
     Partition,
     acyclic_orientation_count,
     admissible_partitions,
+    all_graphs,
     complete,
     cycle_graph,
     disjoint_union,
@@ -19,12 +20,18 @@ from graph_hopf.graphs import (
     path_graph,
     random_graph,
     restrict,
+    set_partitions,
 )
 from graph_hopf.linear import Polynomial, falling_factorial
 
 K1, K2, K3, K4 = complete(1), complete(2), complete(3), complete(4)
 P3 = path_graph(3)
 X = Polynomial.x()
+
+
+def independent_by_restriction(G):
+    """Oracle: the partitions whose induced subgraphs on every block have no edge."""
+    return [p for p in set_partitions(G.n) if all(not restrict(G, b).edges for b in p.blocks)]
 
 
 class TestPartitionEngine:
@@ -41,6 +48,13 @@ class TestPartitionEngine:
     def test_independent_partitions_of_path(self):
         got = set(chrom.independent_partitions(P3))
         assert got == {Partition.singletons(3), Partition(3, [(1, 3), (2,)])}
+
+    def test_independent_partitions_match_restriction_filter(self):
+        rng = random.Random(5)
+        graphs = [G for n in range(6) for G in all_graphs(n)]
+        graphs += [random_graph(n, rng, p) for n in (6, 7, 8) for p in (0.2, 0.5)]
+        for G in graphs:
+            assert list(chrom.independent_partitions(G)) == independent_by_restriction(G)
 
 
 class TestDeletionContractionEngine:

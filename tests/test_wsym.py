@@ -1,9 +1,20 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graph_hopf import characters as ch
 from graph_hopf import verify
 from graph_hopf import wsym as ws
-from graph_hopf.graphs import Graph, Partition, complete, edgeless, path_graph
+from graph_hopf.graphs import (
+    Graph,
+    Partition,
+    all_graphs,
+    complete,
+    cycle_graph,
+    edgeless,
+    path_graph,
+    random_graph,
+    set_partitions,
+)
 from graph_hopf.linear import LinComb, Polynomial
 
 K1, K2, K3 = complete(1), complete(2), complete(3)
@@ -46,6 +57,14 @@ class TestWBasis:
 
     def test_empty(self):
         assert ws.expand_W(Partition(0, [])) == LinComb.term(())
+
+    def test_matches_packed_words_by_fiber_partition(self):
+        for n in range(7):
+            fibers = {}
+            for w in ws._packed_words(n):
+                fibers.setdefault(ws.partition_of_word(w), []).append(w)
+            for p in set_partitions(n):
+                assert ws.expand_W(p) == LinComb((w, 1) for w in fibers[p])
 
 
 class TestHopfStructure:
@@ -105,7 +124,38 @@ class TestChromaticElement:
         assert not verify.check_wsym_triangularity(4)
 
 
+def phi0_nc_per_word(G):
+    """Oracle: the packed-coloring morphism as defined, one packed word at a time."""
+    def word(f):
+        return tuple(f[block[0] - 1] for block in ws.coloring_fiber_partition(G, f).blocks)
+
+    return LinComb((word(f), 1) for f in ws._packed_words(G.n))
+
+
 class TestColoringMorphism:
+    def test_matches_per_word_oracle_up_to_4(self):
+        for n in range(5):
+            for G in all_graphs(n):
+                assert ws.phi0_nc(G) == phi0_nc_per_word(G)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(5, 6), st.randoms(use_true_random=False), st.floats(0, 1))
+    def test_matches_per_word_oracle_on_5_to_6(self, n, rng, p):
+        G = random_graph(n, rng, p)
+        assert ws.phi0_nc(G) == phi0_nc_per_word(G)
+
+    def test_components_found_once_per_set_partition(self, monkeypatch):
+        calls = []
+        find = ws.coloring_fiber_partition
+
+        def counted(G, f):
+            calls.append(f)
+            return find(G, f)
+
+        monkeypatch.setattr(ws, "coloring_fiber_partition", counted)
+        ws.phi0_nc.__wrapped__(cycle_graph(7))
+        assert len(calls) == 877  # Bell(7); one call per packed word would be 47,293
+
     def test_point(self):
         assert ws.phi0_nc(K1) == LinComb.term((1,))
 
