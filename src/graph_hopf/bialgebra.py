@@ -23,8 +23,9 @@ from functools import lru_cache
 from .graphs import (
     Graph,
     admissible_partitions,
+    block_map,
     canonical_form,
-    connected_components,
+    component_graphs,
     contract,
     disjoint_union,
     extract,
@@ -40,7 +41,7 @@ UNIT = ()
 
 def iso(G):
     """Project an indexed graph to its commutative monomial of component isoclasses."""
-    return tuple(sorted(canonical_form(restrict(G, comp)) for comp in connected_components(G)))
+    return tuple(sorted(canonical_form(H) for H in component_graphs(G)))
 
 
 def mono_mul(a, b):
@@ -120,9 +121,14 @@ def counit_big(x):
 # the contraction-extraction coproduct
 
 def delta_small_graph(G, indexed=False):
-    """Sum of (G/p) (x) (G|p) over admissible partitions p."""
-    proj = (lambda g: g) if indexed else iso
-    return LinComb(((proj(contract(G, p)), proj(extract(G, p))), 1)
+    """Sum of (G/p) (x) (G|p) over admissible partitions p.
+
+    On monomials, iso(G|p) is the sorted canonical forms of p's blocks (see
+    `block_map`)."""
+    if indexed:
+        return LinComb(((contract(G, p), extract(G, p)), 1) for p in admissible_partitions(G))
+    form = block_map(G, canonical_form)
+    return LinComb(((iso(contract(G, p)), tuple(sorted(map(form, p.blocks)))), 1)
                    for p in admissible_partitions(G))
 
 

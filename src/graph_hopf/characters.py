@@ -18,25 +18,25 @@ polynomial at 0 on connected graphs).
 
 from __future__ import annotations
 
-import operator
+import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .graphs import (
     Graph,
     admissible_partitions,
+    block_map,
     canonical_form,
-    connected_components,
+    component_graphs,
     contract,
     contract_edge,
     degree,
     delete_edge,
-    extract,
     is_bridge,
     is_connected,
     nested_forests,
-    restrict,
 )
+from .linear import LinComb
 
 K1 = Graph(1)
 
@@ -64,12 +64,8 @@ class Character:
         return self._memo[C]
 
     def __call__(self, x):
-        if isinstance(x, Graph):
-            factors = [restrict(x, comp) for comp in connected_components(x)]
-        else:
-            factors = list(x)
         value = 1
-        for f in factors:
+        for f in component_graphs(x) if isinstance(x, Graph) else x:
             value *= self.of_connected(f)
         return value
 
@@ -82,11 +78,11 @@ LAMBDA_ZERO = Character(lambda G: 1, "all-ones")
 
 
 def convolve_value(lam, mu, G):
-    """The convolution sum evaluated directly on any graph."""
-    total = 0
-    for p in admissible_partitions(G):
-        total += lam(contract(G, p)) * mu(extract(G, p))
-    return total
+    """The convolution sum evaluated directly on any graph; mu(G|p) is the
+    product of mu over p's blocks (see `block_map`)."""
+    mu_of = block_map(G, mu.of_connected)
+    return sum(lam(contract(G, p)) * math.prod(map(mu_of, p.blocks))
+               for p in admissible_partitions(G))
 
 
 def convolve(lam, mu):
@@ -107,11 +103,9 @@ def invert_character(lam):
     def value(G):
         if G.n == 1:
             return Fraction(1) / c
-        total = 0
-        for p in admissible_partitions(G):
-            if len(p) == 1:
-                continue
-            total += lam(contract(G, p)) * inv(extract(G, p))
+        inv_of = block_map(G, inv.of_connected)
+        total = sum(lam(contract(G, p)) * math.prod(map(inv_of, p.blocks))
+                    for p in admissible_partitions(G) if len(p) > 1)
         # counit vanishes on connected graphs with an edge
         return Fraction(-total) / c
 
@@ -120,10 +114,16 @@ def invert_character(lam):
 
 
 def act(phi, lam):
-    """Right action of a character on a graph-to-algebra morphism."""
+    """Right action of a character on a graph-to-algebra morphism; lam(G|p) is
+    the product of lam over p's blocks (see `block_map`).  LinComb values are
+    accumulated in one LinComb, other values (Polynomial) are added in turn."""
     def acted(G):
-        return reduce(operator.add, (phi(contract(G, p)) * lam(extract(G, p))
-                                     for p in admissible_partitions(G)))
+        lam_of = block_map(G, lam.of_connected)
+        values = [phi(contract(G, p)) * math.prod(map(lam_of, p.blocks))
+                  for p in admissible_partitions(G)]
+        if isinstance(values[0], LinComb):
+            return LinComb(term for value in values for term in value.terms())
+        return sum(values[1:], values[0])
 
     return acted
 

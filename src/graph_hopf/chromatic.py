@@ -10,13 +10,16 @@ cross-checks.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from .graphs import (
     acyclic_orientation_count,
     acyclic_orientations,
+    admissible_partitions,
+    block_map,
     canonical_form,
-    connected_components,
+    component_graphs,
     contract_edge,
     delete_edge,
     restrict,
@@ -31,9 +34,17 @@ def is_valid_coloring(G, f):
 
 
 def independent_partitions(G):
-    """Partitions of [n] whose blocks are independent (induce no edge)."""
+    """Partitions of [n] whose blocks are independent (induce no edge), in
+    `set_partitions` order.  One pass over the vertex masks fills the table
+    of independent sets: a set is independent when the set without its least
+    vertex v is, and v has no neighbour in the set."""
+    adj = G.adj
+    independent = [True] * (1 << (G.n + 1))
+    for m in range(2, len(independent), 2):
+        low = m & -m
+        independent[m] = independent[m ^ low] and not adj[low.bit_length() - 1] & m
     for p in set_partitions(G.n):
-        if all(p.block_of(i) is not p.block_of(j) for i, j in G.edges):
+        if all(map(independent.__getitem__, p.masks)):
             yield p
 
 
@@ -45,8 +56,8 @@ def pchr_partition(G):
 def pchr_deletion_contraction(G):
     """Chromatic polynomial by deleting and contracting the smallest edge."""
     out = Polynomial.one()
-    for comp in connected_components(G):
-        out = out * _pchr_delcon(canonical_form(restrict(G, comp)))
+    for H in component_graphs(G):
+        out = out * _pchr_delcon(canonical_form(H))
     return out
 
 
@@ -60,12 +71,17 @@ def _pchr_delcon(C):
 
 
 def pchr_character_formula(G):
-    """Chromatic polynomial as sum of chromatic-character values times X^(#blocks)."""
-    from .characters import LAMBDA_CHR
-    from .graphs import admissible_partitions, extract
+    """Chromatic polynomial as sum of chromatic-character values times X^(#blocks).
 
-    return sum((Polynomial.x() ** len(p) * LAMBDA_CHR(extract(G, p))
-                for p in admissible_partitions(G)), Polynomial.zero())
+    The character value on G|p is the product over p's blocks (see
+    `block_map`); the values are summed by block count into one polynomial."""
+    from .characters import LAMBDA_CHR
+
+    chi = block_map(G, LAMBDA_CHR.of_connected)
+    coeffs = [0] * (G.n + 1)
+    for p in admissible_partitions(G):
+        coeffs[len(p)] += math.prod(map(chi, p.blocks))
+    return Polynomial(coeffs)
 
 
 ENGINES = {

@@ -6,8 +6,12 @@ acyclic orientations, and exact isomorphism canonicalization for small
 graphs.
 
 Vertices are the integers 1..n; an edge is an unordered pair stored as
-(i, j) with i < j.  The degenerate graph with n = 0 is the unit of the
-graph algebra and is accepted everywhere.
+(i, j) with i < j.  Each graph also stores its adjacency as per-vertex
+bitmasks, and a vertex set is a mask with bit v for each vertex v; each
+Partition keeps one such mask per block.  The component search and the
+admissible- and independent-partition filters work on these masks.  The
+degenerate graph with n = 0 is the unit of the graph algebra and is accepted
+everywhere.
 
 All values are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.  Memo tables only
@@ -21,9 +25,11 @@ from functools import lru_cache
 
 
 class Graph:
-    """Simple graph on vertices 1..n, edges kept as a sorted tuple of pairs."""
+    """Simple graph on vertices 1..n: the edges as a sorted tuple of pairs and
+    the adjacency as a tuple of n + 1 bitmasks (bit u of adj[v] is the edge
+    v-u; adj[0] is 0).  Both and the hash are computed once, on construction."""
 
-    __slots__ = ("n", "edges", "_eset")
+    __slots__ = ("n", "edges", "adj", "_hash")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -36,12 +42,19 @@ class Graph:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"edge {i}-{j} out of range for n={n}")
             normalized.add((i, j) if i < j else (j, i))
-        self.n = n
-        self.edges = tuple(sorted(normalized))
-        self._eset = frozenset(self.edges)
+        self._set(n, tuple(sorted(normalized)))
+
+    def _set(self, n, edges):
+        adj = [0] * (n + 1)
+        for i, j in edges:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        self.n, self.edges, self.adj = n, edges, tuple(adj)
+        self._hash = hash((n, edges))
 
     def has_edge(self, i, j):
-        return ((i, j) if i < j else (j, i)) in self._eset
+        """True when i-j is an edge; False for any pair outside 1..n."""
+        return 1 <= i <= self.n and 1 <= j <= self.n and bool(self.adj[i] >> j & 1)
 
     def sort_key(self):
         return (self.n, self.edges)
@@ -50,7 +63,7 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return self._hash
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
@@ -62,32 +75,46 @@ class Graph:
         return f"Graph({format_graph(self)!r})"
 
 
+def _graph(n, edges):
+    """A Graph from a sorted tuple of normalised in-range edges, without the
+    checks of the public constructor."""
+    G = Graph.__new__(Graph)
+    G._set(n, edges)
+    return G
+
+
 class Partition:
     """Set partition of [n]: disjoint nonempty blocks covering 1..n.
 
     Canonical presentation: every block sorted, blocks ordered by their
-    minimal element.  Doubles as an equivalence relation on vertices and
-    as a basis key for word symmetric functions.
+    minimal element; `masks` holds each block's vertex mask, in block order.
+    Doubles as an equivalence relation on vertices and as a basis key for
+    word symmetric functions.
     """
 
-    __slots__ = ("n", "blocks", "_lookup")
+    __slots__ = ("n", "blocks", "masks", "_lookup")
 
     def __init__(self, n, blocks):
         blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
         lookup = {}
+        masks = []
         for b in blocks:
             if not b:
                 raise ValueError("empty block")
+            mask = 0
             for v in b:
                 if not (1 <= v <= n):
                     raise ValueError(f"element {v} out of range for n={n}")
                 if v in lookup:
                     raise ValueError(f"element {v} in two blocks")
                 lookup[v] = b
+                mask |= 1 << v
+            masks.append(mask)
         if len(lookup) != n:
             raise ValueError("blocks do not cover [n]")
         self.n = n
         self.blocks = blocks
+        self.masks = tuple(masks)
         self._lookup = lookup
 
     @classmethod
@@ -200,7 +227,7 @@ def cycle_graph(n):
 def disjoint_union(G, H):
     """Concatenate: H's vertices are shifted by |G|.  This is the graph product."""
     k = G.n
-    return Graph(k + H.n, list(G.edges) + [(i + k, j + k) for i, j in H.edges])
+    return _graph(k + H.n, G.edges + tuple((i + k, j + k) for i, j in H.edges))
 
 
 def relabel(G, perm):
@@ -225,9 +252,8 @@ def restrict(G, subset):
         if not (1 <= v <= G.n):
             raise ValueError(f"vertex {v} out of range for n={G.n}")
     relabeling = {v: i + 1 for i, v in enumerate(subset)}
-    keep = set(subset)
-    return Graph(len(subset),
-                 [(relabeling[i], relabeling[j]) for i, j in G.edges if i in keep and j in keep])
+    return _graph(len(subset), tuple((relabeling[i], relabeling[j]) for i, j in G.edges
+                                     if i in relabeling and j in relabeling))
 
 
 def contract(G, p):
@@ -238,32 +264,45 @@ def contract(G, p):
     """
     if p.n != G.n:
         raise ValueError("partition does not match the vertex set")
-    index = {b: i + 1 for i, b in enumerate(p.blocks)}
-    edges = set()
-    for i, j in G.edges:
-        bi, bj = index[p.block_of(i)], index[p.block_of(j)]
-        if bi != bj:
-            edges.add((min(bi, bj), max(bi, bj)))
-    return Graph(len(p.blocks), edges)
+    index = {b: k for k, b in enumerate(p.blocks, 1)}
+    at = [0] + [index[p.block_of(v)] for v in range(1, G.n + 1)]
+    edges = {(at[i], at[j]) if at[i] < at[j] else (at[j], at[i])
+             for i, j in G.edges if at[i] != at[j]}
+    return _graph(len(p.blocks), tuple(sorted(edges)))
 
 
 def extract(G, p):
     """Keep only the edges internal to blocks of p; vertex set unchanged."""
     if p.n != G.n:
         raise ValueError("partition does not match the vertex set")
-    return Graph(G.n, [(i, j) for i, j in G.edges if p.block_of(i) is p.block_of(j)])
+    return _graph(G.n, tuple((i, j) for i, j in G.edges if p.block_of(i) is p.block_of(j)))
 
 
-def _subset_connected(G, block):
-    """Is the subgraph induced on `block` connected?  Empty blocks are not."""
-    return len(components_within(G, block)) == 1
+def block_map(G, fn):
+    """The map b -> fn(restrict(G, b)) on blocks b (vertex tuples), computed
+    once per block and kept only as long as the returned function.
+
+    For an admissible partition p, the extraction G|p is the disjoint union of
+    the subgraphs induced on p's blocks, each of them connected.  So a sum over
+    admissible partitions that only projects or evaluates G|p may read it block
+    by block through this map instead of building extract(G, p), and a block
+    shared by many partitions is restricted once.
+    """
+    memo = {}
+
+    def value(block):
+        if block not in memo:
+            memo[block] = fn(restrict(G, block))
+        return memo[block]
+
+    return value
 
 
 def is_admissible(G, p):
     """True when every block of p induces a connected subgraph of G."""
     if p.n != G.n:
         raise ValueError("partition does not match the vertex set")
-    return all(_subset_connected(G, b) for b in p.blocks)
+    return all(_connected_mask(G.adj, m) for m in p.masks)
 
 
 @lru_cache(maxsize=None)
@@ -295,8 +334,8 @@ def set_partitions(n):
 
 @lru_cache(maxsize=None)
 def _admissible_list(G):
-    return tuple(p for p in _set_partitions_list(G.n)
-                 if all(_subset_connected(G, b) for b in p.blocks))
+    connected = [_connected_mask(G.adj, m) for m in range(1 << (G.n + 1))]  # by block mask
+    return tuple(p for p in _set_partitions_list(G.n) if all(map(connected.__getitem__, p.masks)))
 
 
 def admissible_partitions(G):
@@ -309,15 +348,14 @@ def admissible_partitions(G):
 
 def _require_edge(G, e):
     i, j = e
-    key = (min(i, j), max(i, j))
-    if key not in G._eset:
+    if not G.has_edge(i, j):
         raise ValueError(f"edge {i}-{j} not in graph")
-    return key
+    return (min(i, j), max(i, j))
 
 
 def delete_edge(G, e):
     key = _require_edge(G, e)
-    return Graph(G.n, [f for f in G.edges if f != key])
+    return _graph(G.n, tuple(f for f in G.edges if f != key))
 
 
 def contract_edge(G, e):
@@ -333,34 +371,51 @@ def is_bridge(G, e):
 # ---------------------------------------------------------------------------
 # components and grading
 
+def _component_of(adj, seed, within):
+    """Mask of the component that holds the one-vertex mask `seed` in the
+    subgraph induced on the mask `within`: grown by OR-ing the adjacency masks
+    of its frontier."""
+    comp = frontier = seed
+    while frontier:
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            grow |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grow & within & ~comp
+        comp |= frontier
+    return comp
+
+
+def _connected_mask(adj, mask):
+    """Does the vertex mask induce a connected subgraph?  The empty set does not."""
+    return mask != 0 and _component_of(adj, mask & -mask, mask) == mask
+
+
 def components_within(G, vertices):
     """Components of the subgraph induced on `vertices`: sorted vertex tuples,
     listed by minimal element."""
-    remaining = set(vertices)
-    adj = {v: [] for v in remaining}
-    for i, j in G.edges:
-        if i in remaining and j in remaining:
-            adj[i].append(j)
-            adj[j].append(i)
+    order = sorted(set(vertices))
+    mask = sum(1 << v for v in order)  # the vertices not yet in a component
     comps = []
-    while remaining:
-        v = min(remaining)
-        remaining.discard(v)
-        comp = [v]
-        stack = [v]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w in remaining:
-                    remaining.discard(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
+    for v in order:
+        if mask >> v & 1:
+            comp = _component_of(G.adj, 1 << v, mask)
+            mask ^= comp
+            comps.append((v,) if comp == 1 << v else tuple(u for u in order if comp >> u & 1))
     return comps
 
 
 def connected_components(G):
     """Vertex sets of the components, each sorted, listed by minimal element."""
     return components_within(G, range(1, G.n + 1))
+
+
+def component_graphs(G):
+    """The subgraphs induced on the components, listed by minimal vertex; G
+    itself when it is connected."""
+    comps = connected_components(G)
+    return [G] if len(comps) == 1 else [restrict(G, comp) for comp in comps]
 
 
 def cc(G):
@@ -422,10 +477,7 @@ def _vertex_signature(adj):
 def _canonical_connected(G):
     n = G.n
     slots = _slot_table(n)
-    adj = [0] * (n + 1)
-    for i, j in G.edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
+    adj = G.adj
     sig = _vertex_signature(adj)
     classes = {}
     for v in range(1, n + 1):
@@ -449,7 +501,7 @@ def _canonical_connected(G):
                 if row == best:
                     ties.append((v,) + placed)
         mask, states = best, ties
-    return Graph(n, [e for e, k in slots.items() if mask >> k & 1])
+    return _graph(n, tuple(e for e, k in slots.items() if mask >> k & 1))
 
 
 @lru_cache(maxsize=None)
@@ -523,7 +575,7 @@ def _connected_subsets(G):
     verts = list(range(1, G.n + 1))
     for r in range(2, G.n + 1):
         for sub in itertools.combinations(verts, r):
-            if _subset_connected(G, sub):
+            if _connected_mask(G.adj, sum(1 << v for v in sub)):
                 out.append(frozenset(sub))
     return tuple(out)
 

@@ -1,17 +1,25 @@
-"""Property tests: the components routine and its callers against networkx.
+"""Property tests: the components routine, its callers and the partition
+enumerators against networkx.
 
 Random labeled graphs on 0-9 vertices; networkx is a test-only oracle.
 """
 
 import networkx as nx
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from graph_hopf.chromatic import independent_partitions
 from graph_hopf.graphs import (
     Graph,
     Partition,
+    admissible_partitions,
+    all_graphs,
+    block_map,
+    canonical_form,
     components_within,
     connected_components,
     is_admissible,
+    restrict,
+    set_partitions,
 )
 from graph_hopf.wsym import coloring_fiber_partition
 
@@ -68,3 +76,64 @@ def test_coloring_fiber_partition(data):
     blocks = [comp for c in set(f)
               for comp in nx_components(G, [v for v in range(1, G.n + 1) if f[v - 1] == c])]
     assert coloring_fiber_partition(G, f) == Partition(G.n, blocks)
+
+
+def filters_by_definition(G):
+    """The admissible and the independent partitions, filtered from
+    `set_partitions(n)` by networkx: every block connected, every block edgeless."""
+    H = to_nx(G)
+    connected, edgeless = {}, {}
+    for b in {b for p in set_partitions(G.n) for b in p.blocks}:
+        connected[b] = nx.is_connected(H.subgraph(b))
+        edgeless[b] = H.subgraph(b).number_of_edges() == 0
+    return ([p for p in set_partitions(G.n) if all(connected[b] for b in p.blocks)],
+            [p for p in set_partitions(G.n) if all(edgeless[b] for b in p.blocks)])
+
+
+def assert_same_objects(got, want):
+    assert len(got) == len(want)
+    assert all(a is b for a, b in zip(got, want))
+
+
+def assert_enumerators_match_definitions(G):
+    admissible, independent = filters_by_definition(G)
+    assert_same_objects(list(admissible_partitions(G)), admissible)
+    assert_same_objects(list(independent_partitions(G)), independent)
+
+
+def test_enumerators_on_every_labeled_graph_up_to_5():
+    for n in range(6):
+        for G in all_graphs(n):
+            assert_enumerators_match_definitions(G)
+
+
+@st.composite
+def large_graphs(draw):
+    n = draw(st.integers(6, 9))
+    p = draw(st.sampled_from([0.15, 0.3, 0.5]))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, x in zip(pairs, keep) if x < p])
+
+
+@settings(max_examples=6, deadline=None)
+@given(large_graphs())
+def test_enumerators_on_6_to_9_vertices(G):
+    assert_enumerators_match_definitions(G)
+
+
+@given(st.data())
+def test_block_map_restricts_each_block_once(data):
+    G = data.draw(graphs())
+    calls = []
+
+    def form(H):
+        calls.append(H)
+        return canonical_form(H)
+
+    value = block_map(G, form)
+    blocks = data.draw(st.lists(st.sets(st.integers(1, G.n), min_size=1).map(
+        lambda b: tuple(sorted(b))), max_size=6)) if G.n else []
+    for b in blocks + blocks:
+        assert value(b) == canonical_form(restrict(G, b))
+    assert len(calls) == len(set(blocks))

@@ -61,6 +61,22 @@ class TestConstruction:
     def test_normalizes_edge_order(self):
         assert Graph(3, [(3, 1)]) == Graph(3, [(1, 3)])
 
+    def test_adjacency_masks(self):
+        G = parse_graph("4: 1-2, 2-3")
+        assert isinstance(G.adj, tuple)
+        assert G.adj == (0, 0b100, 0b1010, 0b100, 0)
+        assert restrict(G, [2, 3, 4]).adj == (0, 0b100, 0b10, 0)
+
+    def test_has_edge(self):
+        G = Graph(3, [(1, 2)])
+        assert G.has_edge(1, 2) and G.has_edge(2, 1)
+        assert not G.has_edge(2, 3)
+
+    def test_has_edge_outside_the_graph_is_false(self):
+        G = Graph(3, [(1, 2)])
+        for i, j in [(0, 1), (-1, 2), (3, 3), (1, 99), (2, -1)]:
+            assert not G.has_edge(i, j)
+
     def test_parse_round_trip(self):
         for text in ["0:", "3:", "3: 1-2, 2-3", "5: 1-2, 1-3, 4-5"]:
             assert format_graph(parse_graph(text)) == text
@@ -186,10 +202,11 @@ class TestEdgeSurgery:
         assert delete_edge(K3, (1, 2)) == Graph(3, [(1, 3), (2, 3)])
 
     def test_missing_edge_rejected(self):
-        with pytest.raises(ValueError):
-            delete_edge(P3, (1, 3))
-        with pytest.raises(ValueError):
-            contract_edge(P3, (1, 3))
+        for e in [(1, 3), (3, 1), (0, 1), (2, -1), (3, 3), (1, 99)]:
+            with pytest.raises(ValueError, match="not in graph"):
+                delete_edge(P3, e)
+            with pytest.raises(ValueError, match="not in graph"):
+                contract_edge(P3, e)
 
 
 class TestComponents:

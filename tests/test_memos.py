@@ -1,0 +1,64 @@
+"""Lint gate on unbounded memo tables in src/graph_hopf.
+
+An `lru_cache(maxsize=None)` (or `functools.cache`) keeps every argument
+and result for the life of the process.  The functions below are the ones
+that have such a cache today; a new one fails this test, so that a bounded
+memo, or a memo that lives only as long as one call (`graphs.block_map`),
+is chosen instead.  When one of them is bounded or removed, drop its name.
+
+Uses only the standard-library `ast`, so it runs wherever the tests do.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "graph_hopf"
+
+UNBOUNDED = {
+    "bialgebra": {"_antipode_rec"},
+    "characters": {"_chr_delcon"},
+    "chromatic": {"_pchr_delcon"},
+    "graphs": {"_set_partitions_list", "_admissible_list", "_slot_table", "canonical_form",
+               "graph_isoclasses", "_connected_subsets", "_acyclic_count_canonical"},
+    "linear": {"falling_factorial", "hilbert"},
+    "wsym": {"pchr_nc", "_packed_words", "phi0_nc"},
+}
+
+
+def _is_unbounded(decorator):
+    """`cache`, or `lru_cache` called with maxsize None; a bare `lru_cache` holds 128."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    if name == "cache":
+        return True
+    if name != "lru_cache" or not isinstance(decorator, ast.Call):
+        return False
+    sizes = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+    return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+
+
+def unbounded_caches(source):
+    """Names of the functions in `source` that an unbounded cache decorates."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(_is_unbounded(d) for d in node.decorator_list)]
+
+
+def test_detector_flags_only_unbounded_caches():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef a(x): pass\n"
+        "@functools.lru_cache(None)\ndef b(x): pass\n"
+        "@cache\ndef c(x): pass\n"
+        "@functools.cache\ndef d(x): pass\n"
+        "@lru_cache\ndef bounded_default(x): pass\n"
+        "@lru_cache(maxsize=64)\ndef bounded(x): pass\n"
+        "def plain(x):\n    @lru_cache(maxsize=None)\n    def e(y): pass\n"
+    )
+    assert unbounded_caches(source) == ["a", "b", "c", "d", "e"]
+
+
+def test_no_new_unbounded_caches():
+    found = {path.stem: set(unbounded_caches(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == UNBOUNDED
