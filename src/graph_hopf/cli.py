@@ -133,11 +133,18 @@ def cmd_ncchromatic(args):
     return 0
 
 
+def _size_bound(text, name):
+    """verify's size bound: a non-negative integer, else a ValueError naming its source."""
+    if not text.strip().isdecimal():
+        raise ValueError(f"{name} must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def cmd_verify(args):
-    max_n = args.max_n
+    max_n = _size_bound(args.max_n, "--max-n")
     cap = os.environ.get("GRAPH_HOPF_MAX_N")
     if cap is not None:
-        max_n = min(max_n, int(cap))
+        max_n = min(max_n, _size_bound(cap, "GRAPH_HOPF_MAX_N"))
     names = list(SUITES) if args.suite == "all" else [args.suite]
     suites = {}
     ok = True
@@ -206,7 +213,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run identity suites; nonzero exit on violation")
     p.add_argument("--suite", choices=["all"] + list(SUITES), default="all")
-    p.add_argument("--max-n", type=int, default=5, dest="max_n")
+    p.add_argument("--max-n", default="5", dest="max_n")
     p.set_defaults(fn=cmd_verify)
 
     return parser

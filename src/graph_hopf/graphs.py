@@ -392,17 +392,23 @@ def _connected_mask(adj, mask):
     return mask != 0 and _component_of(adj, mask & -mask, mask) == mask
 
 
+def component_masks(G, mask):
+    """Vertex masks of the components of the subgraph induced on `mask`, by lowest vertex."""
+    while mask:  # the vertices not yet in a component
+        comp = _component_of(G.adj, mask & -mask, mask)
+        mask ^= comp
+        yield comp
+
+
 def components_within(G, vertices):
     """Components of the subgraph induced on `vertices`: sorted vertex tuples,
     listed by minimal element."""
     order = sorted(set(vertices))
-    mask = sum(1 << v for v in order)  # the vertices not yet in a component
+    mask = sum(1 << v for v in order)
     comps = []
-    for v in order:
-        if mask >> v & 1:
-            comp = _component_of(G.adj, 1 << v, mask)
-            mask ^= comp
-            comps.append((v,) if comp == 1 << v else tuple(u for u in order if comp >> u & 1))
+    for c in component_masks(G, mask):
+        comps.append(tuple(order) if c == mask else (c.bit_length() - 1,) if c & (c - 1) == 0
+                     else tuple(u for u in order if c >> u & 1))
     return comps
 
 

@@ -5,13 +5,18 @@ exactly 1..k; its fiber partition groups positions by letter.  The W basis
 is indexed by set partitions: the W element of a partition is the sum of the
 k! packed words with that fiber partition.
 
-Two morphisms from indexed graphs land here: the noncommutative chromatic
-element (sum of W over independent partitions, equivalently the sum of all
-packed valid colorings read as words) and the packed-coloring morphism,
-which sums over *all* packed colorings after contracting the connected
-components of each color fiber.  The word-level morphism is not supported
-on the W basis termwise (its terms mix lengths), so it lives in word space;
-the chromatic element is stored on the W basis and expanded on demand.
+Two morphisms from indexed graphs land here, both stored on the W basis and
+expanded to words on demand: the noncommutative chromatic element (sum of W
+over independent partitions, equivalently of all packed valid colorings read
+as words) and the packed-coloring morphism, which sums over *all* packed
+colorings f the word f induces on the components of its fibers, read in the
+order of their minima.  The latter is the sum of W of Q(G, p) over the set
+partitions p of [n], where Q(G, p) numbers the components of p's blocks 1..m
+by their minima and groups them by the block of p that holds them: f is its
+fiber partition p with a numbering of p's blocks by 1..k, the word f induces
+has fiber partition Q(G, p), and the k! numberings read each word with that
+fiber partition once.  Words of different lengths are W elements of
+different degrees.
 
 The projection onto univariate polynomials sends a packed word w to the
 Hilbert polynomial of max(w); on the W basis this is k! times the k-th
@@ -27,14 +32,13 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .chromatic import independent_partitions, is_valid_coloring
-from .graphs import Graph, Partition, connected_components, set_partitions
+from .graphs import Partition, component_masks, set_partitions
 from .linear import LinComb, Polynomial, bilinear, hilbert
 
 
 def pack(word):
     """Standardize letters by the increasing bijection onto 1..k, preserving order."""
-    letters = sorted(set(word))
-    relabel = {x: i + 1 for i, x in enumerate(letters)}
+    relabel = {x: i for i, x in enumerate(sorted(set(word)), start=1)}
     return tuple(relabel[x] for x in word)
 
 
@@ -46,27 +50,18 @@ def partition_of_word(w):
     """Fiber partition of a packed word: positions grouped by letter."""
     if not is_packed(w):
         raise ValueError(f"{w!r} is not packed")
-    k = max(w) if w else 0
-    fibers = [[] for _ in range(k)]
-    for pos, letter in enumerate(w, start=1):
-        fibers[letter - 1].append(pos)
-    return Partition(len(w), fibers)
-
-
-def _block_numberings(p, positions):
-    """For each numbering of p's blocks by 1..k, in `itertools.permutations`
-    order, the word it reads at `positions`: the number of each position's block."""
-    index = {b: i for i, b in enumerate(p.blocks)}
-    at = [index[p.block_of(v)] for v in positions]
-    # itemgetter returns a bare item for one index and needs at least one
-    read = itemgetter(*at) if len(at) > 1 else lambda sigma: tuple(sigma[i] for i in at)
-    return map(read, itertools.permutations(range(1, len(p) + 1)))
+    return Partition(len(w), [[pos for pos, x in enumerate(w, start=1) if x == letter]
+                              for letter in set(w)])
 
 
 def expand_W(p):
     """The W basis element of a set partition p with k blocks: the sum of the
-    k! packed words whose fiber partition is p, one per numbering of p's blocks."""
-    return LinComb((w, 1) for w in _block_numberings(p, range(1, p.n + 1)))
+    k! packed words whose fiber partition is p, one per numbering of p's
+    blocks, each word giving every position the number of its block."""
+    at = [next(i for i, mask in enumerate(p.masks) if mask >> v & 1) for v in range(1, p.n + 1)]
+    # itemgetter returns a bare item for one index and needs at least one
+    read = itemgetter(*at) if len(at) > 1 else lambda sigma: tuple(sigma[i] for i in at)
+    return LinComb((read(sigma), 1) for sigma in itertools.permutations(range(1, len(p) + 1)))
 
 
 def expand(x):
@@ -114,12 +109,9 @@ def pchr_nc(G):
 
 @lru_cache(maxsize=None)
 def _packed_words(n):
-    """All packed words of length n (one per ordered set partition).
-
-    Kept as a filter of all n^n words on purpose: through
-    `packed_valid_colorings` it is the side of `verify.check_wsym_words` that
-    does not go through `_block_numberings`, which `expand_W` and `phi0_nc` share.
-    """
+    """All packed words of length n (one per ordered set partition), kept as
+    a filter of all n^n words on purpose: through `packed_valid_colorings` it
+    is the side of `verify.check_wsym_words` that does not use `expand_W`."""
     if n == 0:
         return ((),)
     return tuple(f for f in itertools.product(range(1, n + 1), repeat=n) if is_packed(f))
@@ -132,32 +124,26 @@ def packed_valid_colorings(G):
             yield f
 
 
-def coloring_fiber_partition(G, f):
-    """Blocks are the connected components of the color fibers of f."""
-    return Partition(G.n, connected_components(
-        Graph(G.n, [(i, j) for i, j in G.edges if f[i - 1] == f[j - 1]])))
+def component_partition(G, p):
+    """Q(G, p): the components of p's blocks in G, numbered 1..m by their
+    minima, grouped by the block of p that holds them."""
+    comps = sorted((c & -c, i) for i, mask in enumerate(p.masks) for c in component_masks(G, mask))
+    groups = [[] for _ in p.masks]
+    for number, (_, i) in enumerate(comps, start=1):
+        groups[i].append(number)
+    return Partition(len(comps), groups)
 
 
 @lru_cache(maxsize=None)
 def phi0_nc(G):
-    """Packed-coloring morphism: for each packed coloring f, contract the
-    connected components of its fibers and read off the induced word, the
-    color of each component in the order of their minima.
-
-    A packed coloring is a fiber partition p together with a numbering of
-    p's blocks by 1..k.  The components depend on p alone, so they are found
-    once per set partition and then read through every numbering.
-    """
-    def words(p):
-        by_block = [p.block_of(v) for v in range(1, G.n + 1)]  # each vertex colored by its block
-        minima = [c[0] for c in coloring_fiber_partition(G, by_block).blocks]
-        return _block_numberings(p, minima)
-
-    return LinComb((w, 1) for p in set_partitions(G.n) for w in words(p))
+    """Packed-coloring morphism on the W basis: the sum of W of Q(G, p) over
+    the set partitions p of [n] (see the module docstring)."""
+    return LinComb((component_partition(G, p), 1) for p in set_partitions(G.n))
 
 
 def act_nc(G, lam):
-    """Right action of a character on the packed-coloring morphism, in word space."""
+    """Right action of a character on the packed-coloring morphism, on the
+    W basis; with the chromatic character it gives `pchr_nc(G)`."""
     from .characters import act
 
     return act(phi0_nc, lam)(G)

@@ -139,6 +139,31 @@ class TestContract:
         assert r.returncode == 0
         assert json.loads(r.stdout)["max_n"] == 2
 
+    def test_negative_max_n_exits_2(self):
+        r = run_cli("verify", "--suite", "counit", "--max-n", "-1")
+        assert r.returncode == 2
+        assert r.stdout == b""
+        assert b"--max-n" in r.stderr
+
+    def test_negative_env_cap_exits_2(self):
+        r = run_cli("verify", "--suite", "wsym", "--max-n", "2",
+                    env_extra={"GRAPH_HOPF_MAX_N": "-3"})
+        assert r.returncode == 2
+        assert r.stdout == b""
+        assert b"GRAPH_HOPF_MAX_N" in r.stderr
+
+    def test_non_integer_env_cap_exits_2(self):
+        r = run_cli("verify", "--suite", "counit", "--max-n", "2",
+                    env_extra={"GRAPH_HOPF_MAX_N": "abc"})
+        assert r.returncode == 2
+        assert r.stdout == b""
+        assert b"GRAPH_HOPF_MAX_N" in r.stderr
+
+    def test_zero_max_n_is_valid(self):
+        r = run_cli("verify", "--suite", "counit", "--max-n", "0")
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["max_n"] == 0
+
     def test_verify_single_suite_payload(self):
         r = run_cli("verify", "--suite", "counit", "--max-n", "3")
         out = json.loads(r.stdout)

@@ -15,13 +15,14 @@ from graph_hopf.graphs import (
     all_graphs,
     block_map,
     canonical_form,
+    component_masks,
     components_within,
     connected_components,
     is_admissible,
     restrict,
     set_partitions,
 )
-from graph_hopf.wsym import coloring_fiber_partition
+from graph_hopf.wsym import component_partition
 
 
 @st.composite
@@ -55,6 +56,14 @@ def test_components_within_random_subsets(data):
     assert components_within(G, subset) == nx_components(G, subset)
 
 
+@given(st.data())
+def test_component_masks_random_subsets(data):
+    G = data.draw(graphs())
+    subset = [v for v, keep in zip(range(1, G.n + 1), data.draw(labels(G.n, 2))) if keep == 1]
+    got = list(component_masks(G, sum(1 << v for v in subset)))
+    assert got == [sum(1 << v for v in c) for c in nx_components(G, subset)]
+
+
 @given(graphs())
 def test_connected_components(G):
     assert connected_components(G) == nx_components(G, range(1, G.n + 1))
@@ -70,12 +79,14 @@ def test_is_admissible(data):
 
 
 @given(st.data())
-def test_coloring_fiber_partition(data):
+def test_component_partition(data):
     G = data.draw(graphs())
     f = data.draw(labels(G.n, 4))
-    blocks = [comp for c in set(f)
-              for comp in nx_components(G, [v for v in range(1, G.n + 1) if f[v - 1] == c])]
-    assert coloring_fiber_partition(G, f) == Partition(G.n, blocks)
+    p = Partition(G.n, [[v for v in range(1, G.n + 1) if f[v - 1] == c] for c in set(f)])
+    comps = sorted(c for b in p.blocks for c in nx_components(G, b))  # disjoint, so by minima
+    number = {c: k for k, c in enumerate(comps, start=1)}
+    want = Partition(len(comps), [[number[c] for c in nx_components(G, b)] for b in p.blocks])
+    assert component_partition(G, p) == want
 
 
 def filters_by_definition(G):

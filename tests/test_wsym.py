@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graph_hopf import characters as ch
+from graph_hopf import chromatic as chrom
 from graph_hopf import verify
 from graph_hopf import wsym as ws
 from graph_hopf.graphs import (
@@ -9,6 +10,7 @@ from graph_hopf.graphs import (
     Partition,
     all_graphs,
     complete,
+    connected_components,
     cycle_graph,
     edgeless,
     path_graph,
@@ -125,9 +127,17 @@ class TestChromaticElement:
 
 
 def phi0_nc_per_word(G):
-    """Oracle: the packed-coloring morphism as defined, one packed word at a time."""
+    """Oracle: the packed-coloring morphism as defined, one packed word at a
+    time.  The components of f's fibers are those of the graph of f's
+    monochromatic edges, built once per distinct edge set; no partition of
+    [n] is formed first."""
+    components = {}
+
     def word(f):
-        return tuple(f[block[0] - 1] for block in ws.coloring_fiber_partition(G, f).blocks)
+        mono = tuple((i, j) for i, j in G.edges if f[i - 1] == f[j - 1])
+        if mono not in components:
+            components[mono] = connected_components(Graph(G.n, mono))
+        return tuple(f[comp[0] - 1] for comp in components[mono])
 
     return LinComb((word(f), 1) for f in ws._packed_words(G.n))
 
@@ -136,56 +146,105 @@ class TestColoringMorphism:
     def test_matches_per_word_oracle_up_to_4(self):
         for n in range(5):
             for G in all_graphs(n):
-                assert ws.phi0_nc(G) == phi0_nc_per_word(G)
+                assert ws.expand(ws.phi0_nc(G)) == phi0_nc_per_word(G)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(5, 6), st.randoms(use_true_random=False), st.floats(0, 1))
     def test_matches_per_word_oracle_on_5_to_6(self, n, rng, p):
         G = random_graph(n, rng, p)
-        assert ws.phi0_nc(G) == phi0_nc_per_word(G)
+        assert ws.expand(ws.phi0_nc(G)) == phi0_nc_per_word(G)
 
     def test_components_found_once_per_set_partition(self, monkeypatch):
         calls = []
-        find = ws.coloring_fiber_partition
+        find = ws.component_partition
 
-        def counted(G, f):
-            calls.append(f)
-            return find(G, f)
+        def counted(G, p):
+            calls.append(p)
+            return find(G, p)
 
-        monkeypatch.setattr(ws, "coloring_fiber_partition", counted)
+        monkeypatch.setattr(ws, "component_partition", counted)
         ws.phi0_nc.__wrapped__(cycle_graph(7))
         assert len(calls) == 877  # Bell(7); one call per packed word would be 47,293
 
     def test_point(self):
-        assert ws.phi0_nc(K1) == LinComb.term((1,))
+        assert ws.expand(ws.phi0_nc(K1)) == LinComb.term((1,))
 
     def test_edge(self):
         want = LinComb.term((1,)) + LinComb.term((1, 2)) + LinComb.term((2, 1))
-        assert ws.phi0_nc(K2) == want
+        assert ws.expand(ws.phi0_nc(K2)) == want
 
     def test_edgeless_pair(self):
         want = LinComb.term((1, 1)) + LinComb.term((1, 2)) + LinComb.term((2, 1))
-        assert ws.phi0_nc(edgeless(2)) == want
+        assert ws.expand(ws.phi0_nc(edgeless(2))) == want
 
     def test_monochrome_path_contracts(self):
         # coloring (1, 1, 1) of the path collapses to the single word 1
-        assert ws.phi0_nc(P3).coeff((1,)) == 1
+        assert ws.expand(ws.phi0_nc(P3)).coeff((1,)) == 1
+
+
+class TestColoringMorphismOnW:
+    def test_empty(self):
+        assert ws.phi0_nc(Graph(0)) == LinComb.term(Partition(0, []))
+
+    def test_point(self):
+        assert ws.phi0_nc(K1) == LinComb.term(part((1,)))
+
+    def test_edge(self):
+        # one block contracts the edge to a point; two blocks keep both ends
+        assert ws.phi0_nc(K2) == LinComb.term(part((1,))) + LinComb.term(part((1,), (2,)))
+
+    def test_edgeless_pair(self):
+        assert ws.phi0_nc(edgeless(2)) == LinComb.term(part((1, 2))) + LinComb.term(part((1,), (2,)))
+
+    def test_path(self):
+        # {1,3}{2} splits into components 1, 2, 3 with 1 and 3 in one block
+        want = LinComb([(part((1,)), 1), (part((1,), (2,)), 2), (part((1, 3), (2,)), 1),
+                        (part((1,), (2,), (3,)), 1)])
+        assert ws.phi0_nc(P3) == want
+
+    def test_components_numbered_by_minima(self):
+        # on the path 1-2-3-4, block {1,2,4} has components {1,2} and {4},
+        # numbered 1 and 3 around the component {3} of the other block
+        G = path_graph(4)
+        assert ws.component_partition(G, part((1, 2, 4), (3,))) == part((1, 3), (2,))
+        # interleaved blocks are numbered by minima, not block by block
+        assert ws.component_partition(G, part((1, 3), (2, 4))) == part((1, 3), (2, 4))
+
+    def test_complete_and_edgeless(self):
+        # on K5 every block is connected: W of k singletons, Stirling S(5, k) times
+        want = LinComb((Partition.singletons(k), s) for k, s in zip(range(1, 6), [1, 15, 25, 10, 1]))
+        assert ws.phi0_nc(complete(5)) == want
+        # without edges Q(G, p) = p: each of the Bell(5) = 52 set partitions once
+        assert ws.phi0_nc(edgeless(5)) == LinComb((p, 1) for p in set_partitions(5))
 
 
 class TestAction:
     def test_edge_by_hand(self):
         got = ws.act_nc(K2, ch.LAMBDA_CHR)
-        assert got == LinComb.term((1, 2)) + LinComb.term((2, 1))
-        assert got == ws.expand(ws.pchr_nc(K2))
+        assert ws.expand(got) == LinComb.term((1, 2)) + LinComb.term((2, 1))
+        assert got == ws.pchr_nc(K2)
 
     def test_point_identity(self):
-        assert ws.act_nc(K1, ch.LAMBDA_CHR) == LinComb.term((1,))
+        assert ws.expand(ws.act_nc(K1, ch.LAMBDA_CHR)) == LinComb.term((1,))
 
     def test_path(self):
-        assert ws.act_nc(P3, ch.LAMBDA_CHR) == ws.expand(ws.pchr_nc(P3))
+        assert ws.expand(ws.act_nc(P3, ch.LAMBDA_CHR)) == ws.expand(ws.pchr_nc(P3))
+
+    def test_on_w_basis(self):
+        assert ws.act_nc(P3, ch.LAMBDA_CHR) == ws.pchr_nc(P3)
+        assert ws.act_nc(K1, ch.LAMBDA_CHR) == LinComb.term(part((1,)))
 
     def test_all_indexed_graphs_small(self):
         assert not verify.check_wsym_action(4)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(6, 7), st.randoms(use_true_random=False), st.floats(0.2, 0.8))
+def test_coloring_morphism_beyond_the_exhaustive_bound(n, rng, p):
+    G = random_graph(n, rng, p)
+    assert ws.act_nc(G, ch.LAMBDA_CHR) == ws.pchr_nc(G)
+    assert ws.hilbert_morphism(ws.phi0_nc(G)) == chrom.phi_zero(G)
+    assert ws.expand(ws.phi0_nc(G)) == phi0_nc_per_word(G)
 
 
 class TestHilbertProjection:
