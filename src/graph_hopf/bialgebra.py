@@ -12,7 +12,8 @@ The restriction coproduct splits a graph over all ordered vertex-set
 bipartitions; the contraction-extraction coproduct sums (G/p) (x) (G|p)
 over admissible partitions p.  The quotient by the relation "isolated
 vertex = 1" is represented by stripping single-vertex factors from
-monomials; that quotient carries the antipode.
+monomials; that quotient carries the antipode, whose two independent engines
+are registered in `ANTIPODE_ENGINES`.
 """
 
 from __future__ import annotations
@@ -167,6 +168,9 @@ def antipode_recursive(G):
     """Same antipode through the recursion that peels one contraction level."""
     _require_antipode_arg(G)
     return _antipode_rec(canonical_form(G))
+
+
+ANTIPODE_ENGINES = {"forest": antipode_forest, "recursive": antipode_recursive}
 
 
 def _require_antipode_arg(G):

@@ -33,16 +33,23 @@ def _mono_json(mono):
     return [format_graph(g) for g in mono]
 
 
+def _run_engines(kind, engines, choice, G):
+    """The chosen engine's result; for "all", the common result of every
+    engine, or None after reporting on stderr that they disagree."""
+    if choice != "all":
+        return engines[choice](G)
+    results = [engine(G) for engine in engines.values()]
+    if any(r != results[0] for r in results):
+        print(f"{kind} engines disagree on {format_graph(G)}", file=sys.stderr)
+        return None
+    return results[0]
+
+
 def cmd_chromatic(args):
     G = parse_graph(args.graph)
-    if args.engine == "all":
-        results = {name: engine(G) for name, engine in chrom.ENGINES.items()}
-        if len(set(results.values())) != 1:
-            print("chromatic engines disagree on " + format_graph(G), file=sys.stderr)
-            return 1
-        P = results["delcon"]
-    else:
-        P = chrom.ENGINES[args.engine](G)
+    P = _run_engines("chromatic", chrom.ENGINES, args.engine, G)
+    if P is None:
+        return 1
     if args.pretty:
         print(P.pretty())
         return 0
@@ -86,17 +93,9 @@ def cmd_antipode(args):
     if G.n < 2 or not is_connected(G):
         print("antipode needs a connected graph with at least 2 vertices", file=sys.stderr)
         return 2
-    if args.engine == "all":
-        forest = bi.antipode_forest(G)
-        recursive = bi.antipode_recursive(G)
-        if forest != recursive:
-            print("antipode engines disagree on " + format_graph(G), file=sys.stderr)
-            return 1
-        element = forest
-    elif args.engine == "forest":
-        element = bi.antipode_forest(G)
-    else:
-        element = bi.antipode_recursive(G)
+    element = _run_engines("antipode", bi.ANTIPODE_ENGINES, args.engine, G)
+    if element is None:
+        return 1
     terms = [{"coeff": format_rational(c), "monomial": _mono_json(k)}
              for k, c in element.items()]
     _emit({"terms": terms})
@@ -173,8 +172,7 @@ def build_parser():
 
     p = sub.add_parser("chromatic", help="chromatic polynomial of a graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--engine", choices=["partition", "delcon", "character", "all"],
-                   default="all")
+    p.add_argument("--engine", choices=[*chrom.ENGINES, "all"], default="all")
     p.add_argument("--eval", default=None, metavar="Q",
                    help="also evaluate at a rational point")
     p.add_argument("--pretty", action="store_true", help="human-readable polynomial")
@@ -195,7 +193,7 @@ def build_parser():
 
     p = sub.add_parser("antipode", help="antipode of a connected graph (>= 2 vertices)")
     p.add_argument("--graph", required=True)
-    p.add_argument("--engine", choices=["forest", "recursive", "all"], default="all")
+    p.add_argument("--engine", choices=[*bi.ANTIPODE_ENGINES, "all"], default="all")
     p.set_defaults(fn=cmd_antipode)
 
     p = sub.add_parser("lattice", help="lattice of admissible partitions")

@@ -153,7 +153,8 @@ class Partition:
         return isinstance(other, Partition) and self.n == other.n and self.blocks == other.blocks
 
     def __hash__(self):
-        return hash((self.n, self.blocks))
+        # equal partitions have equal masks; hashing them builds no tuple
+        return hash(self.masks)
 
     def __lt__(self, other):
         return (self.n, self.blocks) < (other.n, other.blocks)

@@ -169,3 +169,34 @@ class TestContract:
         out = json.loads(r.stdout)
         assert out["ok"] is True
         assert list(out["suites"]) == ["counit"]
+
+
+class TestEngineRegistries:
+    """`--engine all` runs every registered engine and exits 1 when they disagree."""
+
+    @pytest.mark.parametrize("command, registry, engine, graph", [
+        ("chromatic", "chromatic.ENGINES", "character", "3: 1-2, 2-3"),
+        ("antipode", "bialgebra.ANTIPODE_ENGINES", "recursive", "3: 1-2, 2-3"),
+    ])
+    def test_disagreement_exits_1(self, monkeypatch, capsys, command, registry, engine, graph):
+        from graph_hopf import bialgebra, chromatic, cli
+
+        engines = {"chromatic.ENGINES": chromatic.ENGINES,
+                   "bialgebra.ANTIPODE_ENGINES": bialgebra.ANTIPODE_ENGINES}[registry]
+        right = engines[engine]
+        monkeypatch.setitem(engines, engine, lambda G: right(G) * 2)
+        assert cli.main([command, "--graph", graph]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"{command} engines disagree on 3: 1-2, 2-3\n"
+        assert cli.main([command, "--graph", graph, "--engine", engine]) == 0
+
+    def test_every_registered_engine_is_a_choice(self):
+        from graph_hopf import bialgebra, chromatic, cli
+
+        parser = cli.build_parser()
+        for command, engines in (("chromatic", chromatic.ENGINES),
+                                 ("antipode", bialgebra.ANTIPODE_ENGINES)):
+            for name in [*engines, "all"]:
+                args = parser.parse_args([command, "--graph", "2: 1-2", "--engine", name])
+                assert args.engine == name
