@@ -1,9 +1,13 @@
 """The bounded graded lattice of admissible partitions of a graph.
 
 Elements are the partitions of [n] whose blocks induce connected subgraphs,
-ordered by refinement.  The lattice is materialized fully (element list plus
-order matrix): its size is bounded by the Bell numbers at desk scale, and an
-explicit matrix makes the Mobius recursion and isomorphism checks direct.
+ordered by refinement and listed in sorted order.  The order is held in
+bitsets.  Element p gets the refinement code that ORs the mask of the block
+of v into slot v (bits v(n+1) .. v(n+1)+n), so p refines q exactly when
+code_p & ~code_q == 0.  Each element's down-set and up-set are masks over
+element indices, both holding the element itself: covers, intervals and the
+Mobius recursion are bit operations on them.  Meet and join are the paper's
+formulas on block masks, looked up by the set of the result's block masks.
 """
 
 from __future__ import annotations
@@ -11,12 +15,20 @@ from __future__ import annotations
 from .graphs import (
     Partition,
     admissible_partitions,
+    component_masks,
     components_partition,
-    components_within,
     contract,
     extract,
     is_admissible,
 )
+
+
+def _bits(mask):
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class AdmissibleLattice:
@@ -26,9 +38,17 @@ class AdmissibleLattice:
         self.G = G
         self.elements = sorted(admissible_partitions(G))
         self._index = {p: i for i, p in enumerate(self.elements)}
-        n = len(self.elements)
-        self.leq = [[self.elements[i].refines(self.elements[j]) for j in range(n)]
-                    for i in range(n)]
+        self._by_masks = {frozenset(p.masks): i for i, p in enumerate(self.elements)}
+        width = G.n + 1
+        codes = [sum(m << v * width for m in p.masks for v in _bits(m)) for p in self.elements]
+        self.down = [0] * len(codes)
+        self.up = [0] * len(codes)
+        for j, code in enumerate(codes):
+            outside = ~code
+            for i, other in enumerate(codes):
+                if not other & outside:
+                    self.down[j] |= 1 << i
+                    self.up[i] |= 1 << j
         self._mobius = {}
 
     def __len__(self):
@@ -38,6 +58,10 @@ class AdmissibleLattice:
         if p not in self._index:
             raise ValueError(f"{p} is not an admissible partition of the graph")
         return self._index[p]
+
+    def leq(self, i, j):
+        """Does element i refine element j?"""
+        return bool(self.down[j] >> i & 1)
 
     @property
     def bottom(self):
@@ -52,70 +76,60 @@ class AdmissibleLattice:
         return self.G.n - len(p)
 
     def covers(self):
-        """Hasse diagram: index pairs (i, j) with element i covered by element j."""
-        n = len(self.elements)
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.leq[i][j]:
-                    continue
-                if not any(k != i and k != j and self.leq[i][k] and self.leq[k][j]
-                           for k in range(n)):
-                    out.append((i, j))
-        return out
+        """Hasse diagram: index pairs (i, j) with element i covered by element j,
+        by i and then j ascending."""
+        return [(i, j) for i, up in enumerate(self.up) for j in _bits(up ^ 1 << i)
+                if up & self.down[j] == (1 << i) | (1 << j)]
+
+    def meet_index(self, i, j):
+        """Index of the greatest lower bound of elements i and j: the connected
+        components of their pairwise block intersections."""
+        return self._by_masks[frozenset(
+            comp for a in self.elements[i].masks for b in self.elements[j].masks if a & b
+            for comp in component_masks(self.G, a & b))]
+
+    def join_index(self, i, j):
+        """Index of the least upper bound of elements i and j: the transitive
+        closure of the union of the two relations, which merges each block of j
+        with the blocks it overlaps."""
+        blocks = list(self.elements[i].masks)
+        for b in self.elements[j].masks:
+            merged = b
+            for a in [a for a in blocks if a & b]:
+                blocks.remove(a)
+                merged |= a
+            blocks.append(merged)
+        return self._by_masks[frozenset(blocks)]
 
     def meet(self, p, q):
-        """Greatest lower bound: connected components of pairwise block intersections."""
-        self.index(p), self.index(q)
-        inters = (set(a) & set(b) for a in p.blocks for b in q.blocks)
-        return Partition(self.G.n, [comp for inter in inters if inter
-                                    for comp in components_within(self.G, inter)])
+        """The meet of two elements; ValueError if either is not admissible."""
+        return self.elements[self.meet_index(self.index(p), self.index(q))]
 
     def join(self, p, q):
-        """Least upper bound: transitive closure of the union of the two relations."""
-        self.index(p), self.index(q)
-        parent = list(range(self.G.n + 1))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for part in (p, q):
-            for block in part.blocks:
-                for v in block[1:]:
-                    parent[find(v)] = find(block[0])
-        groups = {}
-        for v in range(1, self.G.n + 1):
-            groups.setdefault(find(v), []).append(v)
-        return Partition(self.G.n, groups.values())
+        """The join of two elements; ValueError if either is not admissible."""
+        return self.elements[self.join_index(self.index(p), self.index(q))]
 
     def mobius(self, p, q):
         """Mobius function of the lattice; requires p <= q."""
         i, j = self.index(p), self.index(q)
-        if not self.leq[i][j]:
+        if not self.leq(i, j):
             raise ValueError("mobius needs p <= q")
         return self._mobius_idx(i, j)
 
     def _mobius_idx(self, i, j):
         if (i, j) in self._mobius:
             return self._mobius[(i, j)]
-        if i == j:
-            value = 1
-        else:
-            value = -sum(self._mobius_idx(i, k)
-                         for k in range(len(self.elements))
-                         if k != j and self.leq[i][k] and self.leq[k][j])
+        value = 1 if i == j else -sum(self._mobius_idx(i, k)
+                                      for k in _bits(self.up[i] & self.down[j] ^ 1 << j))
         self._mobius[(i, j)] = value
         return value
 
     def interval(self, p, q):
         """Indices of the elements between p and q."""
         i, j = self.index(p), self.index(q)
-        if not self.leq[i][j]:
+        if not self.leq(i, j):
             raise ValueError("empty interval: p <= q fails")
-        return [k for k in range(len(self.elements)) if self.leq[i][k] and self.leq[k][j]]
+        return list(_bits(self.up[i] & self.down[j]))
 
 
 def build_lattice(G):

@@ -200,3 +200,57 @@ class TestEngineRegistries:
             for name in [*engines, "all"]:
                 args = parser.parse_args([command, "--graph", "2: 1-2", "--engine", name])
                 assert args.engine == name
+
+
+# `lattice` stdout without --mobius, and the Mobius value that --mobius adds
+LATTICE_PINS = {
+    "0:": (
+        b'{"elements":[[]],"covers":[]}'
+        b'\n', b'"1"'),
+    "1:": (
+        b'{"elements":[[[1]]],"covers":[]}'
+        b'\n', b'"1"'),
+    "4: 1-2, 1-3, 1-4, 2-3, 2-4, 3-4": (
+        b'{"elements":[[[1],[2],[3],[4]],[[1],[2],[3,4]],[[1],[2,3],[4]],[[1],[2,3,4]]'
+        b',[[1],[2,4],[3]],[[1,2],[3],[4]],[[1,2],[3,4]],[[1,2,3],[4]],[[1,2,3,4]],[[1'
+        b',2,4],[3]],[[1,3],[2],[4]],[[1,3],[2,4]],[[1,3,4],[2]],[[1,4],[2],[3]],[[1,4'
+        b'],[2,3]]],"covers":[[0,1],[0,2],[0,4],[0,5],[0,10],[0,13],[1,3],[1,6],[1,12]'
+        b',[2,3],[2,7],[2,14],[3,8],[4,3],[4,9],[4,11],[5,6],[5,7],[5,9],[6,8],[7,8],['
+        b'9,8],[10,7],[10,11],[10,12],[11,8],[12,8],[13,9],[13,12],[13,14],[14,8]]}'
+        b'\n', b'"-6"'),
+    "5: 1-2, 2-3, 3-4, 4-5, 1-5": (
+        b'{"elements":[[[1],[2],[3],[4],[5]],[[1],[2],[3],[4,5]],[[1],[2],[3,4],[5]],['
+        b'[1],[2],[3,4,5]],[[1],[2,3],[4],[5]],[[1],[2,3],[4,5]],[[1],[2,3,4],[5]],[[1'
+        b'],[2,3,4,5]],[[1,2],[3],[4],[5]],[[1,2],[3],[4,5]],[[1,2],[3,4],[5]],[[1,2],'
+        b'[3,4,5]],[[1,2,3],[4],[5]],[[1,2,3],[4,5]],[[1,2,3,4],[5]],[[1,2,3,4,5]],[[1'
+        b',2,3,5],[4]],[[1,2,4,5],[3]],[[1,2,5],[3],[4]],[[1,2,5],[3,4]],[[1,3,4,5],[2'
+        b']],[[1,4,5],[2],[3]],[[1,4,5],[2,3]],[[1,5],[2],[3],[4]],[[1,5],[2],[3,4]],['
+        b'[1,5],[2,3],[4]],[[1,5],[2,3,4]]],"covers":[[0,1],[0,2],[0,4],[0,8],[0,23],['
+        b'1,3],[1,5],[1,9],[1,21],[2,3],[2,6],[2,10],[2,24],[3,7],[3,11],[3,20],[4,5],'
+        b'[4,6],[4,12],[4,25],[5,7],[5,13],[5,22],[6,7],[6,14],[6,26],[7,15],[8,9],[8,'
+        b'10],[8,12],[8,18],[9,11],[9,13],[9,17],[10,11],[10,14],[10,19],[11,15],[12,1'
+        b'3],[12,14],[12,16],[13,15],[14,15],[16,15],[17,15],[18,16],[18,17],[18,19],['
+        b'19,15],[20,15],[21,17],[21,20],[21,22],[22,15],[23,18],[23,21],[23,24],[23,2'
+        b'5],[24,19],[24,20],[24,26],[25,16],[25,22],[25,26],[26,15]]}'
+        b'\n', b'"4"'),
+    "4: 1-2, 2-3": (
+        b'{"elements":[[[1],[2],[3],[4]],[[1],[2,3],[4]],[[1,2],[3],[4]],[[1,2,3],[4]]'
+        b'],"covers":[[0,1],[0,2],[1,3],[2,3]]}'
+        b'\n', b'"1"'),
+    "4: 1-2, 3-4": (
+        b'{"elements":[[[1],[2],[3],[4]],[[1],[2],[3,4]],[[1,2],[3],[4]],[[1,2],[3,4]]'
+        b'],"covers":[[0,1],[0,2],[1,3],[2,3]]}'
+        b'\n', b'"1"'),
+}
+
+
+@pytest.mark.parametrize("graph", list(LATTICE_PINS))
+def test_lattice_stdout_is_pinned(capsys, graph):
+    """Elements in sorted order and covers by (i, j) ascending, byte for byte."""
+    from graph_hopf import cli
+
+    expected, mobius = LATTICE_PINS[graph]
+    assert cli.main(["lattice", "--graph", graph]) == 0
+    assert capsys.readouterr().out.encode() == expected
+    assert cli.main(["lattice", "--graph", graph, "--mobius"]) == 0
+    assert capsys.readouterr().out.encode() == expected[:-2] + b',"mobius":' + mobius + b'}\n'

@@ -57,7 +57,7 @@ def test_every_value_is_int_or_fraction(G):
     assert_exact("hilbert_morphism", ws.hilbert_morphism(element).coeffs)
     L = lat.build_lattice(G)
     assert_exact("mobius", [L.mobius(p, q) for i, p in enumerate(L.elements)
-                            for j, q in enumerate(L.elements) if L.leq[i][j]])
+                            for j, q in enumerate(L.elements) if L.leq(i, j)])
 
 
 def test_inverse_of_constant_two_is_not_integral():

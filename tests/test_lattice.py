@@ -37,8 +37,16 @@ class TestConstruction:
         for G in [K2, P3, K3, edgeless(3)]:
             L = lat.build_lattice(G)
             assert L.bottom == Partition.singletons(G.n)
-            assert all(L.leq[L.index(L.bottom)][j] for j in range(len(L)))
-            assert all(L.leq[i][L.index(L.top)] for i in range(len(L)))
+            assert all(L.leq(L.index(L.bottom), j) for j in range(len(L)))
+            assert all(L.leq(i, L.index(L.top)) for i in range(len(L)))
+
+    def test_up_and_down_sets_are_refinement_masks(self):
+        for G in [K2, P3, K3, edgeless(3), complete(4)]:
+            L = lat.build_lattice(G)
+            E = L.elements
+            for i, p in enumerate(E):
+                assert L.down[i] == sum(1 << j for j, q in enumerate(E) if q.refines(p))
+                assert L.up[i] == sum(1 << j for j, q in enumerate(E) if p.refines(q))
 
 
 class TestMeetJoin:
@@ -92,7 +100,7 @@ class TestMobius:
             L = lat.build_lattice(G)
             for i, p in enumerate(L.elements):
                 for j, q in enumerate(L.elements):
-                    if i == j or not L.leq[i][j]:
+                    if i == j or not L.leq(i, j):
                         continue
                     total = sum(L._mobius_idx(i, k) for k in L.interval(p, q))
                     assert total == 0

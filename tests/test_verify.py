@@ -8,6 +8,7 @@ import hashlib
 import pytest
 
 from graph_hopf import bialgebra, characters, cli, verify
+from graph_hopf.lattice import AdmissibleLattice
 
 SUITE_SIZES = {"coassoc": 4, "counit": 1, "cointeraction": 1, "antipode": 2, "engines": 5,
                "signs": 7, "stanley": 1, "mobius": 7, "wsym": 7, "projection": 3}
@@ -73,3 +74,32 @@ def test_every_check_runs_in_exactly_one_suite(monkeypatch):
     assert {s: len(c) for s, c in runs.items()} == SUITE_SIZES
     assert sorted(c for ran in runs.values() for c in ran) == sorted(names)
     assert len(names) == 38
+
+
+def _swap_atom_and_coatom(L):
+    """The transposition of the first atom and the first coatom of L, when its
+    rank is at least 3 (so they differ and neither is a bound); else the identity."""
+    ranks = [L.rank(p) for p in L.elements]
+    top = max(ranks)
+    if top < 3:
+        return lambda i: i
+    a, c = ranks.index(1), ranks.index(top - 1)
+    return lambda i: c if i == a else a if i == c else i
+
+
+def test_glb_lub_law_catches_a_relabelled_lattice(monkeypatch):
+    """Meet and join conjugated by a swap that is not an order automorphism
+    still satisfy idempotence, commutativity, absorption, associativity and
+    the bounds; only the greatest lower / least upper bound law sees it."""
+    for name in ("meet_index", "join_index"):
+        original = getattr(AdmissibleLattice, name)
+
+        def conjugated(L, i, j, original=original):
+            swap = _swap_atom_and_coatom(L)
+            return swap(original(L, swap(i), swap(j)))
+
+        monkeypatch.setattr(AdmissibleLattice, name, conjugated)
+    found = verify.check_lattice_laws(4)
+    assert (len(found), found[0]) == (
+        6, "lattice glb/lub fails on 4: 1-2, 1-3, 1-4, 2-3, 2-4, 3-4")
+    assert all(message.startswith("lattice glb/lub fails on 4: ") for message in found)
