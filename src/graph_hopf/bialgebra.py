@@ -25,8 +25,8 @@ from .graphs import (
     Graph,
     admissible_partitions,
     block_map,
+    canonical_factors,
     canonical_form,
-    component_graphs,
     contract,
     disjoint_union,
     extract,
@@ -42,7 +42,7 @@ UNIT = ()
 
 def iso(G):
     """Project an indexed graph to its commutative monomial of component isoclasses."""
-    return tuple(sorted(canonical_form(H) for H in component_graphs(G)))
+    return canonical_factors(G)
 
 
 def mono_mul(a, b):
@@ -94,14 +94,27 @@ def _bipartitions(n):
             yield left, right
 
 
+def _subset_table(G, fn):
+    """fn(restrict(G, S)) for every vertex subset S, keyed by S as a sorted
+    tuple.  Each S is the left side of one ordered bipartition and the right
+    side of another, so a sum over bipartitions restricts it once this way."""
+    return {left: fn(restrict(G, left)) for left, _ in _bipartitions(G.n)}
+
+
+def _extraction_monomial(G):
+    """The map p -> iso(G|p) on admissible partitions p of G: the sorted
+    canonical forms of p's blocks (see `block_map`)."""
+    form = block_map(G, canonical_form)
+    return lambda p: tuple(sorted(map(form, p.blocks)))
+
+
 # ---------------------------------------------------------------------------
 # the restriction coproduct
 
 def delta_big_graph(G, indexed=False):
     """Sum of G|I (x) G|J over ordered bipartitions V = I ⊔ J (2^n terms)."""
-    proj = (lambda g: g) if indexed else iso
-    return LinComb(((proj(restrict(G, left)), proj(restrict(G, right))), 1)
-                   for left, right in _bipartitions(G.n))
+    side = _subset_table(G, (lambda g: g) if indexed else iso)
+    return LinComb(((side[left], side[right]), 1) for left, right in _bipartitions(G.n))
 
 
 def delta_big(x):
@@ -122,15 +135,11 @@ def counit_big(x):
 # the contraction-extraction coproduct
 
 def delta_small_graph(G, indexed=False):
-    """Sum of (G/p) (x) (G|p) over admissible partitions p.
-
-    On monomials, iso(G|p) is the sorted canonical forms of p's blocks (see
-    `block_map`)."""
+    """Sum of (G/p) (x) (G|p) over admissible partitions p."""
     if indexed:
         return LinComb(((contract(G, p), extract(G, p)), 1) for p in admissible_partitions(G))
-    form = block_map(G, canonical_form)
-    return LinComb(((iso(contract(G, p)), tuple(sorted(map(form, p.blocks)))), 1)
-                   for p in admissible_partitions(G))
+    extracted = _extraction_monomial(G)
+    return LinComb(((iso(contract(G, p)), extracted(p)), 1) for p in admissible_partitions(G))
 
 
 def delta_small(x):
@@ -215,12 +224,14 @@ def cointeraction_lhs(x, indexed=False):
     extraction legs (a1 (x) b1 (x) a2 (x) b2 -> a1 (x) a2 (x) b1 b2)."""
     proj = (lambda g: g) if indexed else iso
 
+    def legs(H):
+        return [(proj(contract(H, p)), extract(H, p)) for p in admissible_partitions(H)]
+
     def terms(G):
+        side = _subset_table(G, legs)
         for left, right in _bipartitions(G.n):
-            GL, GR = restrict(G, left), restrict(G, right)
-            legs_R = [(proj(contract(GR, pr)), extract(GR, pr)) for pr in admissible_partitions(GR)]
-            for pl in admissible_partitions(GL):
-                a1, b1 = proj(contract(GL, pl)), extract(GL, pl)
+            legs_R = side[right]
+            for a1, b1 in side[left]:
                 for a2, b2 in legs_R:
                     yield (a1, a2, proj(disjoint_union(b1, b2))), 1
 
@@ -232,11 +243,12 @@ def cointeraction_rhs(x, indexed=False):
     proj = (lambda g: g) if indexed else iso
 
     def terms(G):
+        extracted_of = (lambda p: extract(G, p)) if indexed else _extraction_monomial(G)
         for p in admissible_partitions(G):
-            contracted, extracted = contract(G, p), proj(extract(G, p))
+            contracted, extracted = contract(G, p), extracted_of(p)
+            side = _subset_table(contracted, proj)
             for left, right in _bipartitions(contracted.n):
-                yield (proj(restrict(contracted, left)), proj(restrict(contracted, right)),
-                       extracted), 1
+                yield (side[left], side[right], extracted), 1
 
     return _extend_over_graphs(x, indexed, terms)
 
@@ -259,6 +271,7 @@ def varpi(x):
 def rho(x):
     """Coaction: contract-extract, then project the extraction leg."""
     def on_graph(G):
-        return LinComb(((contract(G, p), iso(extract(G, p))), 1) for p in admissible_partitions(G))
+        extracted = _extraction_monomial(G)
+        return LinComb(((contract(G, p), extracted(p)), 1) for p in admissible_partitions(G))
 
     return as_element(x, indexed=True).bind(on_graph)

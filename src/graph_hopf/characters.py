@@ -26,8 +26,8 @@ from .graphs import (
     Graph,
     admissible_partitions,
     block_map,
+    canonical_factors,
     canonical_form,
-    component_graphs,
     contract,
     contract_edge,
     degree,
@@ -65,7 +65,7 @@ class Character:
 
     def __call__(self, x):
         value = 1
-        for f in component_graphs(x) if isinstance(x, Graph) else x:
+        for f in canonical_factors(x) if isinstance(x, Graph) else x:
             value *= self.of_connected(f)
         return value
 

@@ -22,7 +22,6 @@ from .graphs import (
     component_graphs,
     contract_edge,
     delete_edge,
-    restrict,
     set_partitions,
 )
 from .linear import Polynomial, falling_factorial
@@ -129,15 +128,16 @@ def phi_zero(G):
 def stanley_families(G, k):
     """Count ordered k-tuples of (possibly empty) blocks partitioning the
     vertices, each block carrying an acyclic orientation of its induced
-    subgraph.  Equals (-1)^|G| P(-k)."""
+    subgraph.  Equals (-1)^|G| P(-k).  Each block's count is computed once
+    per call (see `block_map`)."""
     if k < 1:
         raise ValueError("need k >= 1")
+    count = block_map(G, acyclic_orientation_count)
     total = 0
     for assignment in itertools.product(range(k), repeat=G.n):
         product = 1
         for part in range(k):
-            block = [v + 1 for v, q in enumerate(assignment) if q == part]
-            product *= acyclic_orientation_count(restrict(G, block))
+            product *= count(tuple(v + 1 for v, q in enumerate(assignment) if q == part))
         total += product
     return total
 

@@ -173,9 +173,10 @@ def build_parser():
     p = sub.add_parser("chromatic", help="chromatic polynomial of a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--engine", choices=[*chrom.ENGINES, "all"], default="all")
-    p.add_argument("--eval", default=None, metavar="Q",
-                   help="also evaluate at a rational point")
-    p.add_argument("--pretty", action="store_true", help="human-readable polynomial")
+    shown = p.add_mutually_exclusive_group()
+    shown.add_argument("--eval", default=None, metavar="Q",
+                       help="also evaluate at a rational point")
+    shown.add_argument("--pretty", action="store_true", help="human-readable polynomial")
     p.set_defaults(fn=cmd_chromatic)
 
     p = sub.add_parser("character", help="distinguished character values")

@@ -15,21 +15,29 @@ everywhere.
 
 All values are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.  Memo tables only
-cache idempotent pure results.
+cache idempotent pure results.  The canonical form of a disconnected graph
+also carries its sorted connected factors, set when `canonical_form` builds
+it, so the isoclass monomial of a graph is one memo lookup
+(`canonical_factors`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 
 class Graph:
     """Simple graph on vertices 1..n: the edges as a sorted tuple of pairs and
     the adjacency as a tuple of n + 1 bitmasks (bit u of adj[v] is the edge
-    v-u; adj[0] is 0).  Both and the hash are computed once, on construction."""
+    v-u; adj[0] is 0).  Both and the hash are computed once, on construction.
 
-    __slots__ = ("n", "edges", "adj", "_hash")
+    `factors` is None except on a disconnected canonical form, where it holds
+    the canonical forms of the components, sorted; equality and the hash
+    ignore it."""
+
+    __slots__ = ("n", "edges", "adj", "_hash", "factors")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -49,7 +57,7 @@ class Graph:
         for i, j in edges:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-        self.n, self.edges, self.adj = n, edges, tuple(adj)
+        self.n, self.edges, self.adj, self.factors = n, edges, tuple(adj), None
         self._hash = hash((n, edges))
 
     def has_edge(self, i, j):
@@ -513,17 +521,30 @@ def _canonical_connected(G):
 
 @lru_cache(maxsize=None)
 def canonical_form(G):
-    """A canonical representative of the isomorphism class of G."""
+    """A canonical representative of the isomorphism class of G.
+
+    A disconnected G maps to the disjoint union of its components' canonical
+    forms in sorted order, and that representative keeps the sorted forms
+    as its `factors`, set when it is built."""
     comps = connected_components(G)
     if len(comps) == 1 and G.n >= 1:
         return _canonical_connected(G)
     if G.n == 0:
         return G
-    forms = sorted(_canonical_connected(restrict(G, comp)) for comp in comps)
+    forms = tuple(sorted(_canonical_connected(restrict(G, comp)) for comp in comps))
     out = Graph(0)
     for f in forms:
         out = disjoint_union(out, f)
+    out.factors = forms
     return out
+
+
+def canonical_factors(G):
+    """The isoclass monomial of G: the canonical forms of its components,
+    sorted; (C,) for a connected G with canonical form C, () for the empty
+    graph.  One lookup in the `canonical_form` memo."""
+    C = canonical_form(G)
+    return C.factors or ((C,) if C.n else ())
 
 
 # ---------------------------------------------------------------------------
@@ -690,4 +711,6 @@ def _acyclic_count_canonical(C):
 
 
 def acyclic_orientation_count(G):
-    return _acyclic_count_canonical(canonical_form(G))
+    """Acyclic orientations of G: the product of the memoized counts of its
+    connected factors."""
+    return math.prod(map(_acyclic_count_canonical, canonical_factors(G)))

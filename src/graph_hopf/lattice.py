@@ -124,6 +124,13 @@ class AdmissibleLattice:
         self._mobius[(i, j)] = value
         return value
 
+    def quotient(self, i, j):
+        """The interval quotient (G|q)/p of elements i <= j, taken without
+        re-checking that they are admissible (see `interval_quotient`)."""
+        if not self.leq(i, j):
+            raise ValueError("quotient needs element i <= element j")
+        return _quotient(self.G, self.elements[i], self.elements[j])
+
     def interval(self, p, q):
         """Indices of the elements between p and q."""
         i, j = self.index(p), self.index(q)
@@ -149,6 +156,10 @@ def interval_quotient(G, p, q):
     _require_admissible(G, p, q)
     if not p.refines(q):
         raise ValueError("interval_quotient needs p <= q")
+    return _quotient(G, p, q)
+
+
+def _quotient(G, p, q):
     return contract(extract(G, q), p)
 
 

@@ -432,16 +432,16 @@ def check_lattice_grading(G):
 
 
 def _intervals(L):
-    """Every pair p <= q of the lattice L."""
-    return ((p, q) for i, p in enumerate(L.elements) for j, q in enumerate(L.elements)
+    """Every pair p <= q of the lattice L, with their element indices i and j."""
+    return ((i, j, p, q) for i, p in enumerate(L.elements) for j, q in enumerate(L.elements)
             if L.leq(i, j))
 
 
 @_each(_connected)
 def check_mobius_values(G):
     L = lat.build_lattice(G)
-    for p, q in _intervals(L):
-        if L.mobius(p, q) != ch.LAMBDA_CHR(lat.interval_quotient(G, p, q)):
+    for i, j, p, q in _intervals(L):
+        if L.mobius(p, q) != ch.LAMBDA_CHR(L.quotient(i, j)):
             yield (f"Mobius value != character of interval quotient "
                    f"on {format_graph(G)} at [{p}, {q}]")
     if L.mobius(L.bottom, L.top) != ch.LAMBDA_CHR(G):
@@ -478,9 +478,9 @@ def check_interval_isomorphism(G):
     the explicit map r -> r/p, checked to be a bijection that preserves and
     reflects order on every interval."""
     L = lat.build_lattice(G)
-    for p, q in _intervals(L):
+    for i, j, p, q in _intervals(L):
         inside = L.interval(p, q)
-        M = lat.build_lattice(lat.interval_quotient(G, p, q))
+        M = lat.build_lattice(L.quotient(i, j))
         image = [_quotient_partition(L.elements[a], p) for a in inside]
         if sorted(image) == M.elements:
             at = dict(zip(inside, map(M.index, image)))

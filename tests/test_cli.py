@@ -125,6 +125,13 @@ class TestContract:
         assert r.stdout == b""
         assert r.stderr.startswith(b"error:")
 
+    def test_eval_with_pretty_exits_2(self):
+        # --pretty prints no value, so the two options may not be combined
+        r = run_cli("chromatic", "--graph", "2: 1-2", "--eval", "2", "--pretty")
+        assert r.returncode == 2
+        assert r.stdout == b""
+        assert b"not allowed with argument" in r.stderr
+
     def test_unknown_flag_exits_2(self):
         r = run_cli("chromatic", "--nope")
         assert r.returncode == 2

@@ -127,6 +127,17 @@ class TestIntervalQuotient:
         with pytest.raises(ValueError):
             lat.interval_quotient(K3, Partition.one_block(3), Partition.singletons(3))
 
+    def test_lattice_quotient_by_index_matches_the_checked_one(self):
+        for G in connected_isoclasses(4):
+            L = lat.build_lattice(G)
+            for i, p in enumerate(L.elements):
+                for j, q in enumerate(L.elements):
+                    if L.leq(i, j):
+                        assert L.quotient(i, j) == lat.interval_quotient(G, p, q)
+                    else:
+                        with pytest.raises(ValueError):
+                            L.quotient(i, j)
+
     def test_interval_isomorphism_small(self):
         assert not verify.check_interval_isomorphism(4)
 

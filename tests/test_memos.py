@@ -6,13 +6,19 @@ that have such a cache today; a new one fails this test, so that a bounded
 memo, or a memo that lives only as long as one call (`graphs.block_map`),
 is chosen instead.  When one of them is bounded or removed, drop its name.
 
-Uses only the standard-library `ast`, so it runs wherever the tests do.
+The lint uses only the standard-library `ast`, so it runs wherever the
+tests do.  A second test imports the package and compares its `lru_cache`
+objects with the cache metrics that `BENCHMARK.json` declares.
 """
 
 import ast
+import importlib
+import json
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "graph_hopf"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "graph_hopf"
 
 UNBOUNDED = {
     "bialgebra": {"_antipode_rec"},
@@ -62,3 +68,20 @@ def test_no_new_unbounded_caches():
     found = {path.stem: set(unbounded_caches(path.read_text()))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {module: names for module, names in found.items() if names} == UNBOUNDED
+
+
+def test_lru_caches_match_the_benchmark_cache_metrics():
+    caches = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"graph_hopf.{path.stem}")
+        caches |= {f"{path.stem}.{name}" for name, obj in vars(module).items()
+                   if hasattr(obj, "cache_info") and obj.__module__ == module.__name__}
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    metrics = {m.group(1) for m in (re.fullmatch(r"cache\.(\w+\.\w+)\.entries", d["name"])
+                                    for d in declared) if m}
+    assert caches == metrics, (
+        "the package's lru_caches differ from the cache.<layer>.<fn>.entries metrics in "
+        "BENCHMARK.json; benchmarks/test_benchmark_harness.py requires the traced "
+        "cache.<layer>.<fn>.* names to equal that list, so adding, removing or renaming a "
+        f"cache breaks the benchmark (package only: {sorted(caches - metrics)}, "
+        f"BENCHMARK.json only: {sorted(metrics - caches)})")
