@@ -115,15 +115,22 @@ def invert_character(lam):
 
 def act(phi, lam):
     """Right action of a character on a graph-to-algebra morphism; lam(G|p) is
-    the product of lam over p's blocks (see `block_map`).  LinComb values are
-    accumulated in one LinComb, other values (Polynomial) are added in turn."""
+    the product of lam over p's blocks (see `block_map`).  LinComb values times
+    their nonzero weights are added term by term into one dict; other values
+    (Polynomial) times their weights are added in turn."""
     def acted(G):
         lam_of = block_map(G, lam.of_connected)
-        values = [phi(contract(G, p)) * math.prod(map(lam_of, p.blocks))
+        values = [(phi(contract(G, p)), math.prod(map(lam_of, p.blocks)))
                   for p in admissible_partitions(G)]
-        if isinstance(values[0], LinComb):
-            return LinComb(term for value in values for term in value.terms())
-        return sum(values[1:], values[0])
+        if not isinstance(values[0][0], LinComb):
+            return sum((value * weight for value, weight in values[1:]),
+                       values[0][0] * values[0][1])
+        terms = {}
+        for value, weight in values:
+            if weight:
+                for key, coeff in value.terms():
+                    terms[key] = terms.get(key, 0) + coeff * weight
+        return LinComb(terms)
 
     return acted
 

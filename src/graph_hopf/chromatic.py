@@ -27,11 +27,6 @@ from .graphs import (
 from .linear import Polynomial, falling_factorial
 
 
-def is_valid_coloring(G, f):
-    """f maps vertex i to f[i-1]; valid when adjacent vertices get distinct colors."""
-    return all(f[i - 1] != f[j - 1] for i, j in G.edges)
-
-
 def independent_partitions(G):
     """Partitions of [n] whose blocks are independent (induce no edge), in
     `set_partitions` order.  One pass over the vertex masks fills the table

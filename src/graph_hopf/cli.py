@@ -5,7 +5,8 @@ Graphs are passed as `n: i-j, k-l, ...` (see the library's text format;
 byte-for-byte across runs; `--pretty` renders polynomials readably instead.
 Exit codes: 0 success, 1 violated identity (with the counterexample
 printed), 2 malformed input.  The environment variable GRAPH_HOPF_MAX_N
-caps the size bound of `verify`.
+caps the size bound of `verify`; `verify --timings` also writes one JSON
+object on stderr, the seconds and object count of every check it ran.
 """
 
 from __future__ import annotations
@@ -145,14 +146,16 @@ def cmd_verify(args):
     if cap is not None:
         max_n = min(max_n, _size_bound(cap, "GRAPH_HOPF_MAX_N"))
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    suites = {}
+    suites, timings = {}, {}
     ok = True
     for name in names:
-        result = SUITES[name](max_n)
+        result = SUITES[name](max_n, timings.setdefault(name, {}) if args.timings else None)
         suites[name] = result
         if result["violations"]:
             ok = False
     _emit({"ok": ok, "max_n": max_n, "suites": suites})
+    if args.timings:
+        print(json.dumps({"timings": timings}, separators=(",", ":")), file=sys.stderr)
     if not ok:
         for name, result in suites.items():
             for v in result["violations"]:
@@ -213,6 +216,8 @@ def build_parser():
     p = sub.add_parser("verify", help="run identity suites; nonzero exit on violation")
     p.add_argument("--suite", choices=["all"] + list(SUITES), default="all")
     p.add_argument("--max-n", default="5", dest="max_n")
+    p.add_argument("--timings", action="store_true",
+                   help="also write each check's seconds and object count as JSON on stderr")
     p.set_defaults(fn=cmd_verify)
 
     return parser

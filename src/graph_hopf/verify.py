@@ -9,12 +9,17 @@ monoid laws (which do work once per call) keep an explicit body.  A suite
 runs its checks in order at the size bound, a `(check, cap)` row at
 `min(max_n, cap)`.  Engines are looked up when a check runs, so a
 substituted or wrapped engine is the one checked.
+
+Each check carries its enumerator as `objects` (`_each` sets it, `_over`
+declares it for an explicit body).  Given a `timings` dict, a suite records
+each check's seconds and, after the clock stops, its object count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import time
 from operator import itemgetter
 
 from . import bialgebra as bi
@@ -103,11 +108,20 @@ def _partition_pairs(n):
     return ((p, q) for p in parts for q in parts if p.n + q.n <= n)
 
 
+def _over(enumerate_objects):
+    """Declare the enumerator that an explicit-body check walks."""
+    def declare(check):
+        check.objects = enumerate_objects
+        return check
+    return declare
+
+
 def _each(enumerate_objects):
     """Declare a per-object check: the decorated generator yields the
     violation messages of one object, and the result is `check(max_n)`, the
     list of messages over everything `enumerate_objects(max_n)` yields."""
     def declare(check_one):
+        @_over(enumerate_objects)
         def check(max_n):
             return [message for obj in enumerate_objects(max_n) for message in check_one(obj)]
 
@@ -150,6 +164,7 @@ def check_coassociativity(G):
             yield f"{name} coproduct not coassociative on {format_graph(G)}"
 
 
+@_over(_isoclasses)
 def check_cocommutativity(max_n):
     out = [f"restriction coproduct not cocommutative on {format_graph(G)}"
            for G in _isoclasses(max_n) if _swap_legs(bi.delta_big(G)) != bi.delta_big(G)]
@@ -190,6 +205,7 @@ def check_grading(G):
         yield f"degree grading broken in contraction-extraction of {format_graph(G)}"
 
 
+@_over(_isoclasses)
 def check_cointeraction(max_n):
     out = [f"cointeraction identity fails on {format_graph(G)}"
            for G in _isoclasses(max_n) if bi.cointeraction_lhs(G) != bi.cointeraction_rhs(G)]
@@ -238,6 +254,7 @@ def check_character_engines(G):
         yield f"chromatic character engines disagree on {format_graph(G)}"
 
 
+@_over(_connected)
 def check_character_inverse(max_n):
     out = []
     inv0 = ch.invert_character(ch.LAMBDA_ZERO)
@@ -251,6 +268,7 @@ def check_character_inverse(max_n):
     return out
 
 
+@_over(_isoclasses)
 def check_monoid_laws(max_n):
     """Associativity of convolution with unit the counit, on small graphs."""
     chars = [ch.EPSILON_PRIME, ch.LAMBDA_ZERO, ch.LAMBDA_CHR]
@@ -494,7 +512,7 @@ def check_interval_isomorphism(G):
 # ---------------------------------------------------------------------------
 # word symmetric functions
 
-def check_wsym_examples(max_n):
+def _wsym_examples(max_n):
     """Two products and a coproduct worked by hand; independent of the bound."""
     def W(n, *blocks):
         return Partition(n, blocks)
@@ -503,7 +521,7 @@ def check_wsym_examples(max_n):
         return LinComb((k, 1) for k in keys)
 
     P1, P12, P1_2, Q = W(1, (1,)), W(2, (1, 2)), W(2, (1,), (2,)), W(4, (1, 3), (2,), (4,))
-    examples = (
+    return (
         ("product of the one-block pair with a point", ws.wsym_product(P12, P1),
          total(W(3, (1, 2), (3,)), W(3, (1, 2, 3)))),
         ("product of the two-singleton element with a point", ws.wsym_product(P1_2, P1),
@@ -512,7 +530,13 @@ def check_wsym_examples(max_n):
          total((Q, W(0)), (W(0), Q), (W(3, (1, 3), (2,)), P1), (W(3, (1, 2), (3,)), P1),
                (P1_2, P12), (P12, P1_2), (P1, W(3, (1, 2), (3,))), (P1, W(3, (1, 3), (2,))))),
     )
-    return [f"{what} is wrong" for what, found, want in examples if found != want]
+
+
+@_each(_wsym_examples)
+def check_wsym_examples(example):
+    what, found, want = example
+    if found != want:
+        yield f"{what} is wrong"
 
 
 @_each(_labeled_pairs)
@@ -594,60 +618,66 @@ def check_varpi_morphism(G):
 # ---------------------------------------------------------------------------
 # suites
 
-def _run(max_n, *rows):
-    """Run each row, a check or a (check, cap) pair, at the size bound."""
+def _run(max_n, timings, *rows):
+    """Run each row, a check or a (check, cap) pair, at the size bound.  A
+    `timings` dict gets, by check name, its seconds and its object count."""
     violations = []
     for row in rows:
         check, cap = row if isinstance(row, tuple) else (row, max_n)
-        violations.extend(check(min(max_n, cap)))
+        n = min(max_n, cap)
+        start = time.perf_counter()
+        violations.extend(check(n))
+        if timings is not None:
+            timings[check.__name__] = {"seconds": round(time.perf_counter() - start, 6),
+                                       "objects": sum(1 for _ in check.objects(n))}
     return {"checks": len(rows), "violations": violations}
 
 
-def suite_coassoc(max_n):
-    return _run(max_n, check_coassociativity, check_cocommutativity, check_multiplicativity,
-                check_grading)
+def suite_coassoc(max_n, timings=None):
+    return _run(max_n, timings, check_coassociativity, check_cocommutativity,
+                check_multiplicativity, check_grading)
 
 
-def suite_counit(max_n):
-    return _run(max_n, check_counit_laws)
+def suite_counit(max_n, timings=None):
+    return _run(max_n, timings, check_counit_laws)
 
 
-def suite_cointeraction(max_n):
-    return _run(max_n, check_cointeraction)
+def suite_cointeraction(max_n, timings=None):
+    return _run(max_n, timings, check_cointeraction)
 
 
-def suite_antipode(max_n):
-    return _run(max_n, check_antipode_engines, check_antipode_law)
+def suite_antipode(max_n, timings=None):
+    return _run(max_n, timings, check_antipode_engines, check_antipode_law)
 
 
-def suite_engines(max_n):
-    return _run(max_n, check_chromatic_engines, check_character_engines, check_character_inverse,
-                (check_monoid_laws, 4), (check_action_axioms, 4))
+def suite_engines(max_n, timings=None):
+    return _run(max_n, timings, check_chromatic_engines, check_character_engines,
+                check_character_inverse, (check_monoid_laws, 4), (check_action_axioms, 4))
 
 
-def suite_signs(max_n):
-    return _run(max_n, check_rota_signs, check_sign_positivity, check_eval_at_one,
+def suite_signs(max_n, timings=None):
+    return _run(max_n, timings, check_rota_signs, check_sign_positivity, check_eval_at_one,
                 check_complete_bound, check_monotonicity, check_forest_lambda, check_bridge_lemma)
 
 
-def suite_stanley(max_n):
-    return _run(max_n, check_stanley)
+def suite_stanley(max_n, timings=None):
+    return _run(max_n, timings, check_stanley)
 
 
-def suite_mobius(max_n):
-    return _run(max_n, check_lattice_laws, check_lattice_grading, check_mobius_values,
+def suite_mobius(max_n, timings=None):
+    return _run(max_n, timings, check_lattice_laws, check_lattice_grading, check_mobius_values,
                 check_lattice_product, check_lattice_bridge, check_interval_isomorphism,
                 check_zeta)
 
 
-def suite_wsym(max_n):
-    return _run(max_n, check_wsym_examples, (check_wsym_algebra_morphism, 4),
+def suite_wsym(max_n, timings=None):
+    return _run(max_n, timings, check_wsym_examples, (check_wsym_algebra_morphism, 4),
                 (check_wsym_coalgebra_morphism, 4), check_wsym_action, check_wsym_words,
                 (check_wsym_triangularity, 5), (check_wsym_cocommutativity, 5))
 
 
-def suite_projection(max_n):
-    return _run(max_n, check_projection_chromatic, (check_hilbert_algebra_morphism, 4),
+def suite_projection(max_n, timings=None):
+    return _run(max_n, timings, check_projection_chromatic, (check_hilbert_algebra_morphism, 4),
                 (check_varpi_morphism, 4))
 
 

@@ -18,6 +18,10 @@ has fiber partition Q(G, p), and the k! numberings read each word with that
 fiber partition once.  Words of different lengths are W elements of
 different degrees.
 
+Both work on bitmasks: a packed word carries a clash mask over the edge
+slots (`graphs._slot_table`), and `phi0_nc` reads components from one table
+per graph, its terms the shared partitions that `set_partitions` yields.
+
 The projection onto univariate polynomials sends a packed word w to the
 Hilbert polynomial of max(w); on the W basis this is k! times the k-th
 Hilbert polynomial for a k-block partition, the normalization under which
@@ -31,8 +35,8 @@ import math
 from functools import lru_cache
 from operator import itemgetter
 
-from .chromatic import independent_partitions, is_valid_coloring
-from .graphs import Partition, component_masks, set_partitions
+from .chromatic import independent_partitions
+from .graphs import Partition, _slot_table, component_masks, set_partitions
 from .linear import LinComb, Polynomial, bilinear, hilbert
 
 
@@ -44,6 +48,23 @@ def pack(word):
 
 def is_packed(word):
     return set(word) == set(range(1, (max(word) if word else 0) + 1))
+
+
+def _growth(p):
+    """The restricted-growth string of p: the block of each of 1..n, by index."""
+    return tuple(next(i for i, mask in enumerate(p.masks) if mask >> v & 1)
+                 for v in range(1, p.n + 1))
+
+
+_SHARED = {}  # restricted-growth string -> the partition `set_partitions` yields
+
+
+def _shared_partition(growth):
+    """The partition with this restricted-growth string, as the very object
+    that `set_partitions(len(growth))` yields; the table holds no other."""
+    if growth not in _SHARED:
+        _SHARED.update((_growth(p), p) for p in set_partitions(len(growth)))
+    return _SHARED[growth]
 
 
 def partition_of_word(w):
@@ -58,7 +79,7 @@ def expand_W(p):
     """The W basis element of a set partition p with k blocks: the sum of the
     k! packed words whose fiber partition is p, one per numbering of p's
     blocks, each word giving every position the number of its block."""
-    at = [next(i for i, mask in enumerate(p.masks) if mask >> v & 1) for v in range(1, p.n + 1)]
+    at = _growth(p)
     # itemgetter returns a bare item for one index and needs at least one
     read = itemgetter(*at) if len(at) > 1 else lambda sigma: tuple(sigma[i] for i in at)
     return LinComb((read(sigma), 1) for sigma in itertools.permutations(range(1, len(p) + 1)))
@@ -109,36 +130,43 @@ def pchr_nc(G):
 
 @lru_cache(maxsize=None)
 def _packed_words(n):
-    """All packed words of length n (one per ordered set partition), kept as
-    a filter of all n^n words on purpose: through `packed_valid_colorings` it
-    is the side of `verify.check_wsym_words` that does not use `expand_W`."""
-    if n == 0:
-        return ((),)
-    return tuple(f for f in itertools.product(range(1, n + 1), repeat=n) if is_packed(f))
+    """All packed words of length n (one per ordered set partition), each with
+    its clash mask: bit `_slot_table(n)[(i, j)]` is set when positions i and j
+    carry equal letters.  The words are kept as a filter of all n^n words on
+    purpose: through `packed_valid_colorings` this is the side of
+    `verify.check_wsym_words` that does not use `expand_W`."""
+    slots = _slot_table(n).items()
+    return tuple((f, sum(1 << k for (i, j), k in slots if f[i - 1] == f[j - 1]))
+                 for f in itertools.product(range(1, n + 1), repeat=n) if is_packed(f))
 
 
 def packed_valid_colorings(G):
-    """The packed colorings of G (image exactly 1..k for some k) that are valid."""
-    for f in _packed_words(G.n):
-        if is_valid_coloring(G, f):
+    """The packed colorings of G (image exactly 1..k for some k) that are
+    valid: the packed words whose clash mask misses every edge slot of G."""
+    slots = _slot_table(G.n)
+    edges = sum(1 << slots[e] for e in G.edges)
+    for f, clash in _packed_words(G.n):
+        if not clash & edges:
             yield f
-
-
-def component_partition(G, p):
-    """Q(G, p): the components of p's blocks in G, numbered 1..m by their
-    minima, grouped by the block of p that holds them."""
-    comps = sorted((c & -c, i) for i, mask in enumerate(p.masks) for c in component_masks(G, mask))
-    groups = [[] for _ in p.masks]
-    for number, (_, i) in enumerate(comps, start=1):
-        groups[i].append(number)
-    return Partition(len(comps), groups)
 
 
 @lru_cache(maxsize=None)
 def phi0_nc(G):
     """Packed-coloring morphism on the W basis: the sum of W of Q(G, p) over
-    the set partitions p of [n] (see the module docstring)."""
-    return LinComb((component_partition(G, p), 1) for p in set_partitions(G.n))
+    the set partitions p of [n] (see the module docstring).  One pass over
+    the vertex masks fills a table of component minima, one search per mask.
+    Read by their minima, the components of p's blocks name their blocks:
+    that restricted-growth string is Q(G, p), counted in one dict and read
+    as a shared partition, so equal terms of any two graphs are one object."""
+    minima = [()] * (1 << (G.n + 1))  # by vertex mask; bit 0 is never set
+    for m in range(2, len(minima), 2):
+        minima[m] = (m & -m,) + minima[m ^ next(component_masks(G, m))]
+    counts = {}
+    for p in set_partitions(G.n):
+        by_minima = sorted([(low, i) for i, mask in enumerate(p.masks) for low in minima[mask]])
+        growth = tuple([i for _, i in by_minima])
+        counts[growth] = counts.get(growth, 0) + 1
+    return LinComb((_shared_partition(growth), c) for growth, c in counts.items())
 
 
 def act_nc(G, lam):

@@ -171,6 +171,24 @@ class TestContract:
         assert r.returncode == 0
         assert json.loads(r.stdout)["max_n"] == 0
 
+    def test_verify_timings_leave_stdout_alone(self):
+        plain = run_cli("verify", "--max-n", "3")
+        timed = run_cli("verify", "--max-n", "3", "--timings")
+        assert plain.returncode == timed.returncode == 0
+        assert timed.stdout == plain.stdout
+        assert plain.stderr == b""
+        suites = json.loads(plain.stdout)["suites"]
+        timings = json.loads(timed.stderr)["timings"]
+        assert list(timings) == list(suites)
+        for name, checks in timings.items():
+            assert len(checks) == suites[name]["checks"]
+            assert all(set(row) == {"seconds", "objects"} and row["seconds"] >= 0
+                       for row in checks.values())
+        # labelled graphs with 0..3 vertices; isoclasses; the examples worked by hand
+        assert timings["wsym"]["check_wsym_action"]["objects"] == 1 + 1 + 2 + 8
+        assert timings["coassoc"]["check_cocommutativity"]["objects"] == 1 + 1 + 2 + 4
+        assert timings["wsym"]["check_wsym_examples"]["objects"] == 3
+
     def test_verify_single_suite_payload(self):
         r = run_cli("verify", "--suite", "counit", "--max-n", "3")
         out = json.loads(r.stdout)

@@ -1,12 +1,15 @@
 """Property tests: the components routine, its callers and the partition
 enumerators against networkx.
 
-Random labeled graphs on 0-9 vertices; networkx is a test-only oracle.
+Random labeled graphs on 0-9 vertices; networkx is a test-only oracle.  So
+is `component_partition`, the definition of Q(G, p) one set partition at a
+time, which the component table of `wsym.phi0_nc` is checked against.
 """
 
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
+from graph_hopf import wsym as ws
 from graph_hopf.chromatic import independent_partitions
 from graph_hopf.graphs import (
     Graph,
@@ -19,10 +22,11 @@ from graph_hopf.graphs import (
     components_within,
     connected_components,
     is_admissible,
+    random_graph,
     restrict,
     set_partitions,
 )
-from graph_hopf.wsym import component_partition
+from graph_hopf.linear import LinComb
 
 
 @st.composite
@@ -76,6 +80,16 @@ def test_is_admissible(data):
     blocks = [[v for v in range(1, G.n + 1) if f[v - 1] == c] for c in set(f)]
     want = all(nx.is_connected(to_nx(G).subgraph(b)) for b in blocks)
     assert is_admissible(G, Partition(G.n, blocks)) == want
+
+
+def component_partition(G, p):
+    """Oracle: Q(G, p), the components of p's blocks in G, numbered 1..m by
+    their minima, grouped by the block of p that holds them."""
+    comps = sorted((c & -c, i) for i, mask in enumerate(p.masks) for c in component_masks(G, mask))
+    groups = [[] for _ in p.masks]
+    for number, (_, i) in enumerate(comps, start=1):
+        groups[i].append(number)
+    return Partition(len(comps), groups)
 
 
 @given(st.data())
@@ -148,3 +162,31 @@ def test_block_map_restricts_each_block_once(data):
     for b in blocks + blocks:
         assert value(b) == canonical_form(restrict(G, b))
     assert len(calls) == len(set(blocks))
+
+
+def phi0_by_definition(G):
+    return LinComb((component_partition(G, p), 1) for p in set_partitions(G.n))
+
+
+def test_phi0_table_matches_definition_up_to_5():
+    for n in range(6):
+        for G in all_graphs(n):
+            assert ws.phi0_nc.__wrapped__(G) == phi0_by_definition(G)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(6, 7), st.randoms(use_true_random=False), st.floats(0, 1))
+def test_phi0_table_matches_definition_on_6_to_7(n, rng, p):
+    G = random_graph(n, rng, p)
+    assert ws.phi0_nc.__wrapped__(G) == phi0_by_definition(G)
+
+
+def test_phi0_terms_are_shared_partitions():
+    """Equal terms of two graphs are one object, the one `set_partitions` yields."""
+    seen = {}
+    for n in range(5):
+        yielded = {p: p for m in range(n + 1) for p in set_partitions(m)}
+        for G in all_graphs(n):
+            for Q in ws.phi0_nc.__wrapped__(G).keys():
+                assert seen.setdefault(Q, Q) is Q
+                assert yielded[Q] is Q

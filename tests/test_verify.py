@@ -1,13 +1,16 @@
 """Pins on what `verify` reports: the violation messages, the suite payload
 of `graph-hopf verify --max-n 3` byte for byte, and which checks each suite
 runs.  A passing run prints no violation, so the message text is pinned here
-by substituting a wrong engine at run time."""
+by substituting a wrong engine at run time, or a copy of a module with one
+source line changed."""
 
 import hashlib
+import inspect
+import types
 
 import pytest
 
-from graph_hopf import bialgebra, characters, cli, verify
+from graph_hopf import bialgebra, characters, cli, verify, wsym
 from graph_hopf.lattice import AdmissibleLattice
 
 SUITE_SIZES = {"coassoc": 4, "counit": 1, "cointeraction": 1, "antipode": 2, "engines": 5,
@@ -48,6 +51,41 @@ def test_violation_messages_under_a_wrong_engine(monkeypatch, substitute):
     substitute(monkeypatch)
     found = {name: (len(v), v[0]) for name, v in _violations(3).items() if v}
     assert found == EXPECTED[substitute]
+
+
+def _one_line_mutant(module, line, mutated):
+    """A copy of `module`, run from its source with `line` replaced."""
+    source = inspect.getsource(module)
+    assert source.count(line) == 1
+    copy = types.ModuleType(module.__name__)
+    copy.__package__ = module.__package__
+    exec(compile(source.replace(line, mutated), module.__file__, "exec"), vars(copy))
+    return copy
+
+
+# (module, function, line, mutated line, check) -> (violation count at max_n 4, first message)
+MUTANTS = {
+    (wsym, "_packed_words", "slots = _slot_table(n).items()",
+     "slots = list(_slot_table(n).items())[:-1]", "check_wsym_words"):
+        (37, "word expansion != packed valid colorings on 2: 1-2"),
+    (wsym, "phi0_nc", "by_minima = sorted(", "by_minima = list(", "check_wsym_action"):
+        (60, "chromatic element != acted packed-coloring morphism on 3:"),
+    (characters, "act", "for value, weight in values:",
+     "for value, weight in values[1:]:", "check_wsym_action"):
+        (76, "chromatic element != acted packed-coloring morphism on 0:"),
+}
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS), ids=lambda m: f"{m[1]}-{m[4]}")
+def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
+    """The clash mask without the last edge slot, components numbered block
+    by block instead of by minima, and an action that drops an admissible
+    partition: each is seen by the check that compares that side with an
+    independent one."""
+    module, name, line, mutated, check = mutant
+    monkeypatch.setattr(module, name, getattr(_one_line_mutant(module, line, mutated), name))
+    found = getattr(verify, check)(4)
+    assert (len(found), found[0]) == MUTANTS[mutant]
 
 
 def test_verify_max_n_3_stdout_is_pinned(monkeypatch, capsys):

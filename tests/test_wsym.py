@@ -1,16 +1,23 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graph_hopf import characters as ch
 from graph_hopf import chromatic as chrom
+from graph_hopf import graphs
 from graph_hopf import verify
 from graph_hopf import wsym as ws
 from graph_hopf.graphs import (
     Graph,
     Partition,
+    admissible_partitions,
     all_graphs,
+    block_map,
     complete,
     connected_components,
+    contract,
     cycle_graph,
     edgeless,
     path_graph,
@@ -26,6 +33,16 @@ P3 = path_graph(3)
 def part(*blocks):
     n = sum(len(b) for b in blocks)
     return Partition(n, blocks)
+
+
+def is_valid_coloring(G, f):
+    """Oracle: f maps vertex i to f[i-1]; valid when adjacent vertices get
+    distinct colors, tested one edge at a time."""
+    return all(f[i - 1] != f[j - 1] for i, j in G.edges)
+
+
+def words(n):
+    return [w for w, _ in ws._packed_words(n)]
 
 
 class TestPackedWords:
@@ -63,7 +80,7 @@ class TestWBasis:
     def test_matches_packed_words_by_fiber_partition(self):
         for n in range(7):
             fibers = {}
-            for w in ws._packed_words(n):
+            for w in words(n):
                 fibers.setdefault(ws.partition_of_word(w), []).append(w)
             for p in set_partitions(n):
                 assert ws.expand_W(p) == LinComb((w, 1) for w in fibers[p])
@@ -84,7 +101,7 @@ class TestHopfStructure:
             got = ws.expand(ws.wsym_product(p, q))
             k = p.n
             want = LinComb.zero()
-            for w in ws._packed_words(p.n + q.n):
+            for w in words(p.n + q.n):
                 if ws.pack(w[:k]) in ws.expand_W(p) and ws.pack(w[k:]) in ws.expand_W(q):
                     want = want + LinComb.term(w)
             assert got == want
@@ -126,6 +143,26 @@ class TestChromaticElement:
         assert not verify.check_wsym_triangularity(4)
 
 
+class TestClashMasks:
+    def test_packed_words_filter_all_words(self):
+        for n in range(6):
+            everything = itertools.product(range(1, n + 1), repeat=n)
+            assert words(n) == [f for f in everything if ws.is_packed(f)]
+
+    def test_matches_per_edge_oracle_up_to_5(self):
+        for n in range(6):
+            for G in all_graphs(n):
+                want = [f for f in words(n) if is_valid_coloring(G, f)]
+                assert list(ws.packed_valid_colorings(G)) == want
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(6, 7), st.randoms(use_true_random=False), st.floats(0, 1))
+    def test_matches_per_edge_oracle_on_6_to_7(self, n, rng, p):
+        G = random_graph(n, rng, p)
+        assert list(ws.packed_valid_colorings(G)) == [f for f in words(n)
+                                                      if is_valid_coloring(G, f)]
+
+
 def phi0_nc_per_word(G):
     """Oracle: the packed-coloring morphism as defined, one packed word at a
     time.  The components of f's fibers are those of the graph of f's
@@ -139,7 +176,7 @@ def phi0_nc_per_word(G):
             components[mono] = connected_components(Graph(G.n, mono))
         return tuple(f[comp[0] - 1] for comp in components[mono])
 
-    return LinComb((word(f), 1) for f in ws._packed_words(G.n))
+    return LinComb((word(f), 1) for f in words(G.n))
 
 
 class TestColoringMorphism:
@@ -154,17 +191,19 @@ class TestColoringMorphism:
         G = random_graph(n, rng, p)
         assert ws.expand(ws.phi0_nc(G)) == phi0_nc_per_word(G)
 
-    def test_components_found_once_per_set_partition(self, monkeypatch):
+    def test_components_found_once_per_vertex_mask(self, monkeypatch):
         calls = []
-        find = ws.component_partition
+        find = graphs._component_of
 
-        def counted(G, p):
-            calls.append(p)
-            return find(G, p)
+        def counted(adj, seed, within):
+            calls.append(within)
+            return find(adj, seed, within)
 
-        monkeypatch.setattr(ws, "component_partition", counted)
+        monkeypatch.setattr(graphs, "_component_of", counted)
         ws.phi0_nc.__wrapped__(cycle_graph(7))
-        assert len(calls) == 877  # Bell(7); one call per packed word would be 47,293
+        # one search per nonempty vertex mask; one set of searches per set
+        # partition made 4,719 for the Bell(7) = 877 partitions
+        assert len(calls) <= 2 ** 7
 
     def test_point(self):
         assert ws.expand(ws.phi0_nc(K1)) == LinComb.term((1,))
@@ -204,11 +243,13 @@ class TestColoringMorphismOnW:
 
     def test_components_numbered_by_minima(self):
         # on the path 1-2-3-4, block {1,2,4} has components {1,2} and {4},
-        # numbered 1 and 3 around the component {3} of the other block
-        G = path_graph(4)
-        assert ws.component_partition(G, part((1, 2, 4), (3,))) == part((1, 3), (2,))
+        # numbered 1 and 3 around the component {3} of the other block; so do
+        # {1,3,4}{2} and {1,4}{2,3}.  Block by block, all three read {1,2}{3}.
+        Q = ws.phi0_nc(path_graph(4))
+        assert Q.coeff(part((1, 3), (2,))) == 3
+        assert Q.coeff(part((1, 2), (3,))) == 0
         # interleaved blocks are numbered by minima, not block by block
-        assert ws.component_partition(G, part((1, 3), (2, 4))) == part((1, 3), (2, 4))
+        assert Q.coeff(part((1, 3), (2, 4))) == 1
 
     def test_complete_and_edgeless(self):
         # on K5 every block is connected: W of k singletons, Stirling S(5, k) times
@@ -236,6 +277,22 @@ class TestAction:
 
     def test_all_indexed_graphs_small(self):
         assert not verify.check_wsym_action(4)
+
+    @pytest.mark.parametrize("lam", [ch.LAMBDA_CHR, ch.LAMBDA_ZERO, ch.EPSILON_PRIME],
+                             ids=lambda lam: lam.name)
+    def test_one_dict_sum_matches_list_and_merge(self, lam):
+        for n in range(5):
+            for G in all_graphs(n):
+                assert ch.act(ws.phi0_nc, lam)(G) == act_by_list_and_merge(ws.phi0_nc, lam, G)
+
+
+def act_by_list_and_merge(phi, lam, G):
+    """Oracle: the action on a LinComb-valued phi as one LinComb per
+    admissible partition, zero weights included, merged at the end."""
+    lam_of = block_map(G, lam.of_connected)
+    values = [phi(contract(G, p)) * math.prod(map(lam_of, p.blocks))
+              for p in admissible_partitions(G)]
+    return LinComb(term for value in values for term in value.terms())
 
 
 @settings(max_examples=5, deadline=None)
