@@ -31,8 +31,9 @@ from .graphs import (
     disjoint_union,
     extract,
     is_connected,
+    forest_children,
+    forest_factor,
     nested_forests,
-    forest_evaluate,
     restrict,
 )
 from .linear import LinComb, bilinear
@@ -165,10 +166,24 @@ def counit_small(x, indexed=False):
 # antipode of the quotient bialgebra (isolated vertex = 1)
 
 def antipode_forest(G):
-    """Antipode of a connected graph with >= 2 vertices, by the nested-forest sum."""
+    """Antipode of a connected graph with >= 2 vertices, by the nested-forest sum.
+
+    Brute force on purpose: one signed term per nested forest, the sorted
+    factors of its members.  Nothing is collapsed by recursion, as
+    `antipode_recursive` does, so the two engines are independent routes.
+    A factor depends only on its member and that member's children, and is
+    canonicalised once per call for each such pair."""
     _require_antipode_arg(G)
+    memo = {}
+
+    def factor(member, children):
+        key = (member, children)
+        if key not in memo:
+            memo[key] = canonical_form(forest_factor(G, member, children))
+        return memo[key]
+
     return LinComb(
-        (strip_units(tuple(sorted(canonical_form(f) for f in forest_evaluate(G, forest)))),
+        (strip_units(tuple(sorted(factor(*pair) for pair in forest_children(forest)))),
          (-1) ** len(forest))
         for forest in nested_forests(G))
 

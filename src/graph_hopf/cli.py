@@ -6,7 +6,8 @@ byte-for-byte across runs; `--pretty` renders polynomials readably instead.
 Exit codes: 0 success, 1 violated identity (with the counterexample
 printed), 2 malformed input.  The environment variable GRAPH_HOPF_MAX_N
 caps the size bound of `verify`; `verify --timings` also writes one JSON
-object on stderr, the seconds and object count of every check it ran.
+object on stderr: the seconds and object count of every check it ran, and
+the hits, misses and size of every `lru_cache` in the package.
 """
 
 from __future__ import annotations
@@ -155,7 +156,14 @@ def cmd_verify(args):
             ok = False
     _emit({"ok": ok, "max_n": max_n, "suites": suites})
     if args.timings:
-        print(json.dumps({"timings": timings}, separators=(",", ":")), file=sys.stderr)
+        caches = {f"{m.rpartition('.')[2]}.{name}": fn.cache_info()
+                  for m in sorted(sys.modules) if m.startswith(f"{__package__}.")
+                  for name, fn in vars(sys.modules[m]).items()
+                  if hasattr(fn, "cache_info") and fn.__module__ == m}
+        counters = {key: {"hits": c.hits, "misses": c.misses, "currsize": c.currsize}
+                    for key, c in caches.items()}
+        print(json.dumps({"timings": timings, "caches": counters}, separators=(",", ":")),
+              file=sys.stderr)
     if not ok:
         for name, result in suites.items():
             for v in result["violations"]:
@@ -217,7 +225,7 @@ def build_parser():
     p.add_argument("--suite", choices=["all"] + list(SUITES), default="all")
     p.add_argument("--max-n", default="5", dest="max_n")
     p.add_argument("--timings", action="store_true",
-                   help="also write each check's seconds and object count as JSON on stderr")
+                   help="also write per-check timings and memo counters as JSON on stderr")
     p.set_defaults(fn=cmd_verify)
 
     return parser

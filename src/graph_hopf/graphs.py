@@ -64,9 +64,6 @@ class Graph:
         """True when i-j is an edge; False for any pair outside 1..n."""
         return 1 <= i <= self.n and 1 <= j <= self.n and bool(self.adj[i] >> j & 1)
 
-    def sort_key(self):
-        return (self.n, self.edges)
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 
@@ -74,7 +71,7 @@ class Graph:
         return self._hash
 
     def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
+        return (self.n, self.edges) < (other.n, other.edges)
 
     def __str__(self):
         return format_graph(self)
@@ -649,22 +646,33 @@ def nested_forests(G):
         yield tuple(sorted(tuple(sorted(S)) for S in forest))
 
 
+def forest_children(forest):
+    """(I, the maximal members strictly below I, by size) for each member I of
+    a nested forest, in sorted order.  Members that meet are nested, so J is a
+    child of the least larger member that holds J's first vertex."""
+    members = sorted(forest)
+    by_size = sorted(members, key=len)
+    children = {S: [] for S in members}
+    for a, J in enumerate(by_size):
+        for K in by_size[a + 1:]:
+            if J[0] in K:
+                children[K].append(J)
+                break
+    return [(S, tuple(children[S])) for S in members]
+
+
+def forest_factor(G, member, children):
+    """The factor of one forest member: restrict to it and contract each child
+    to one vertex (the member's other vertices stay single)."""
+    pos = {v: i for i, v in enumerate(sorted(member), 1)}
+    covered = set().union(*children)
+    blocks = [[pos[v] for v in J] for J in children] + [[pos[v]] for v in pos if v not in covered]
+    return contract(restrict(G, member), Partition(len(pos), blocks))
+
+
 def forest_evaluate(G, forest):
-    """Factor graphs of a nested forest: for each member I, restrict to I and
-    contract the maximal members strictly below I (other vertices stay single)."""
-    members = [frozenset(S) for S in forest]
-    factors = []
-    for S in sorted(forest):
-        I = frozenset(S)
-        below = [J for J in members if J < I]
-        maximal = [J for J in below if not any(J < K for K in below)]
-        covered = set().union(*maximal) if maximal else set()
-        ordered = sorted(I)
-        pos = {v: i + 1 for i, v in enumerate(ordered)}
-        blocks = [tuple(sorted(pos[v] for v in J)) for J in maximal]
-        blocks += [(pos[v],) for v in I - covered]
-        factors.append(contract(restrict(G, I), Partition(len(I), blocks)))
-    return factors
+    """Factor graphs of a nested forest, one per member (see `forest_factor`)."""
+    return [forest_factor(G, S, children) for S, children in forest_children(forest)]
 
 
 # ---------------------------------------------------------------------------
@@ -678,31 +686,12 @@ def acyclic_orientations(G):
     one vertex order, so we sweep vertex orders and deduplicate.
     """
     seen = set()
-    for perm in itertools.permutations(range(1, G.n + 1)):
-        pos = {v: i for i, v in enumerate(perm)}
-        orient = tuple((i, j) if pos[i] < pos[j] else (j, i) for i, j in G.edges)
+    edges = [(i - 1, j - 1, (i, j), (j, i)) for i, j in G.edges]
+    for rank in itertools.permutations(range(G.n)):
+        orient = tuple(ij if rank[i] < rank[j] else ji for i, j, ij, ji in edges)
         if orient not in seen:
             seen.add(orient)
             yield orient
-
-
-def is_acyclic_orientation(G, orientation):
-    directed = {v: [] for v in range(1, G.n + 1)}
-    for u, v in orientation:
-        directed[u].append(v)
-    state = {}
-
-    def dfs(v):
-        state[v] = 1
-        for w in directed[v]:
-            if state.get(w) == 1:
-                return False
-            if state.get(w) is None and not dfs(w):
-                return False
-        state[v] = 2
-        return True
-
-    return all(state.get(v) == 2 or dfs(v) for v in range(1, G.n + 1))
 
 
 @lru_cache(maxsize=None)

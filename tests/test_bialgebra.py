@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from graph_hopf import bialgebra as bi
 from graph_hopf import verify
@@ -6,8 +7,12 @@ from graph_hopf.graphs import (
     Graph,
     canonical_form,
     complete,
+    connected_isoclasses,
     disjoint_union,
     edgeless,
+    forest_evaluate,
+    is_connected,
+    nested_forests,
     path_graph,
 )
 from graph_hopf.linear import LinComb
@@ -18,6 +23,13 @@ P3 = path_graph(3)
 
 def mono(*graphs):
     return tuple(sorted(canonical_form(g) for g in graphs))
+
+
+def antipode_forest_sum(G):
+    """Oracle: the nested-forest sum, every forest's factors built anew by
+    `forest_evaluate`, with no memo."""
+    return LinComb((bi.strip_units(mono(*forest_evaluate(G, forest))), (-1) ** len(forest))
+                   for forest in nested_forests(G))
 
 
 class TestRestrictionCoproduct:
@@ -127,6 +139,18 @@ class TestAntipode:
             bi.antipode_forest(K1)
         with pytest.raises(ValueError):
             bi.antipode_recursive(edgeless(2))
+
+    def test_forest_memo_matches_oracle_up_to_5(self):
+        for n in range(2, 6):
+            for G in connected_isoclasses(n):
+                assert bi.antipode_forest(G) == antipode_forest_sum(G), G
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sets(st.sampled_from(complete(6).edges), min_size=5))
+    def test_forest_memo_matches_oracle_on_6(self, edges):
+        G = Graph(6, edges)
+        assume(is_connected(G))
+        assert bi.antipode_forest(G) == antipode_forest_sum(G)
 
     def test_engines_agree_small(self):
         assert not verify.check_antipode_engines(5)

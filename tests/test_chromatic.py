@@ -1,7 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from graph_hopf import chromatic as chrom
 from graph_hopf import verify
@@ -9,6 +13,7 @@ from graph_hopf.graphs import (
     Graph,
     Partition,
     acyclic_orientation_count,
+    acyclic_orientations,
     admissible_partitions,
     all_graphs,
     complete,
@@ -17,6 +22,7 @@ from graph_hopf.graphs import (
     edgeless,
     extract,
     graph_isoclasses,
+    isoclasses_up_to,
     path_graph,
     random_graph,
     restrict,
@@ -27,6 +33,27 @@ from graph_hopf.linear import Polynomial, falling_factorial
 K1, K2, K3, K4 = complete(1), complete(2), complete(3), complete(4)
 P3 = path_graph(3)
 X = Polynomial.x()
+
+
+def stanley_pairs_per_edge(G, k):
+    """Oracle: the monotone pairs (f, O) counted one oriented edge at a time,
+    each orientation given as directed pairs."""
+    orientations = list(acyclic_orientations(G))
+    total = 0
+    for f in itertools.product(range(1, k + 1), repeat=G.n):
+        for orient in orientations:
+            if all(f[u - 1] <= f[v - 1] for u, v in orient):
+                total += 1
+    return total
+
+
+def networkx_chromatic(G):
+    """Oracle: the chromatic polynomial that networkx computes in sympy."""
+    H = nx.Graph()
+    H.add_nodes_from(range(1, G.n + 1))
+    H.add_edges_from(G.edges)
+    poly = sympy.Poly(nx.chromatic_polynomial(H), sympy.Symbol("x"))
+    return Polynomial([int(c) for c in reversed(poly.all_coeffs())])
 
 
 def independent_by_restriction(G):
@@ -178,3 +205,38 @@ class TestNegativeValues:
 
     def test_identities_small(self):
         assert not verify.check_stanley(4)
+
+
+class TestMonotonePairs:
+    """The orientation-mask count against the per-edge oracle."""
+
+    def test_matches_per_edge_oracle_up_to_5(self):
+        for G in isoclasses_up_to(5):
+            for k in verify.STANLEY_KS:
+                assert chrom.stanley_pairs(G, k) == stanley_pairs_per_edge(G, k), (G, k)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.randoms(use_true_random=False), st.floats(0, 1))
+    def test_matches_per_edge_oracle_on_6(self, rng, p):
+        G = random_graph(6, rng, p)
+        for k in verify.STANLEY_KS:
+            assert chrom.stanley_pairs(G, k) == stanley_pairs_per_edge(G, k)
+
+
+class TestNetworkxOracle:
+    """networkx's chromatic polynomial against the three engines and both
+    readings of its values at negative integers.  networkx works by
+    deletion-contraction in sympy, whose time grows fast with the edge count
+    (0.15 s at 10 edges, 3 s on K6), so the graphs have at most 10 edges."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sets(st.sampled_from(complete(6).edges), max_size=10))
+    def test_on_6(self, edges):
+        G = Graph(6, edges)
+        P = networkx_chromatic(G)
+        for engine in chrom.ENGINES.values():
+            assert engine(G) == P
+        for k in verify.STANLEY_KS:
+            expected = (-1) ** G.n * P(-k)
+            assert chrom.stanley_families(G, k) == expected
+            assert chrom.stanley_pairs(G, k) == expected

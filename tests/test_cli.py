@@ -178,7 +178,9 @@ class TestContract:
         assert timed.stdout == plain.stdout
         assert plain.stderr == b""
         suites = json.loads(plain.stdout)["suites"]
-        timings = json.loads(timed.stderr)["timings"]
+        report = json.loads(timed.stderr)
+        assert list(report) == ["timings", "caches"]
+        timings = report["timings"]
         assert list(timings) == list(suites)
         for name, checks in timings.items():
             assert len(checks) == suites[name]["checks"]
@@ -188,6 +190,13 @@ class TestContract:
         assert timings["wsym"]["check_wsym_action"]["objects"] == 1 + 1 + 2 + 8
         assert timings["coassoc"]["check_cocommutativity"]["objects"] == 1 + 1 + 2 + 4
         assert timings["wsym"]["check_wsym_examples"]["objects"] == 3
+        # one row per lru_cache; a memo that is never cleared holds one entry per miss
+        caches = report["caches"]
+        assert len(caches) == 15
+        assert all(set(row) == {"hits", "misses", "currsize"} and row["currsize"] == row["misses"]
+                   for row in caches.values())
+        assert caches["graphs.canonical_form"]["hits"] > caches["graphs.canonical_form"]["misses"]
+        assert caches["graphs.graph_isoclasses"]["misses"] == 4  # 0..3 vertices
 
     def test_verify_single_suite_payload(self):
         r = run_cli("verify", "--suite", "counit", "--max-n", "3")

@@ -18,11 +18,11 @@ from graph_hopf.graphs import (
     disjoint_union,
     edgeless,
     extract,
+    forest_children,
     forest_evaluate,
     format_graph,
     graph_isoclasses,
     connected_isoclasses,
-    is_acyclic_orientation,
     is_admissible,
     is_bridge,
     is_connected,
@@ -36,6 +36,27 @@ from graph_hopf.graphs import (
 
 K1, K2, K3, K4 = complete(1), complete(2), complete(3), complete(4)
 P3 = path_graph(3)
+
+
+def is_acyclic_orientation(G, orientation):
+    """Oracle: a depth-first search for a directed cycle, the orientation
+    given as directed pairs."""
+    directed = {v: [] for v in range(1, G.n + 1)}
+    for u, v in orientation:
+        directed[u].append(v)
+    state = {}
+
+    def dfs(v):
+        state[v] = 1
+        for w in directed[v]:
+            if state.get(w) == 1:
+                return False
+            if state.get(w) is None and not dfs(w):
+                return False
+        state[v] = 2
+        return True
+
+    return all(state.get(v) == 2 or dfs(v) for v in range(1, G.n + 1))
 
 
 def bell(n):
@@ -255,6 +276,20 @@ class TestNestedForests:
         assert sum(1 for _ in nested_forests(K3)) == 4
         assert sum(1 for _ in nested_forests(P3)) == 3
 
+    def test_children_are_the_maximal_members_below(self):
+        # oracle: the definition, over frozensets
+        for n in range(1, 6):
+            for G in connected_isoclasses(n):
+                for F in nested_forests(G):
+                    sets = {S: frozenset(S) for S in F}
+                    pairs = forest_children(F)
+                    assert [S for S, _ in pairs] == sorted(F)
+                    for S, children in pairs:
+                        below = [J for J in F if sets[J] < sets[S]]
+                        maximal = {J for J in below
+                                   if not any(sets[J] < sets[K] for K in below)}
+                        assert set(children) == maximal and len(children) == len(maximal)
+
     def test_triangle_factors(self):
         # the three two-member forests of the triangle factor into two edges
         kinds = sorted(tuple(sorted(map(format_graph, forest_evaluate(K3, F))))
@@ -296,11 +331,13 @@ class TestOrientations:
     def test_matches_brute_force(self):
         # oracle: flip every edge subset and keep the acyclic results
         import itertools
-        for G in graph_isoclasses(4):
-            count = 0
-            for flips in itertools.product([False, True], repeat=len(G.edges)):
-                orient = tuple((j, i) if f else (i, j)
-                               for (i, j), f in zip(G.edges, flips))
-                if is_acyclic_orientation(G, orient):
-                    count += 1
-            assert count == sum(1 for _ in acyclic_orientations(G))
+        for n in range(6):
+            for G in graph_isoclasses(n):
+                want = set()
+                for flips in itertools.product([False, True], repeat=len(G.edges)):
+                    orient = tuple((j, i) if f else (i, j)
+                                   for (i, j), f in zip(G.edges, flips))
+                    if is_acyclic_orientation(G, orient):
+                        want.add(orient)
+                seen = list(acyclic_orientations(G))
+                assert len(seen) == len(want) and set(seen) == want

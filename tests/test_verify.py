@@ -10,7 +10,7 @@ import types
 
 import pytest
 
-from graph_hopf import bialgebra, characters, cli, verify, wsym
+from graph_hopf import bialgebra, characters, chromatic, cli, verify, wsym
 from graph_hopf.lattice import AdmissibleLattice
 
 SUITE_SIZES = {"coassoc": 4, "counit": 1, "cointeraction": 1, "antipode": 2, "engines": 5,
@@ -73,17 +73,29 @@ MUTANTS = {
     (characters, "act", "for value, weight in values:",
      "for value, weight in values[1:]:", "check_wsym_action"):
         (76, "chromatic element != acted packed-coloring morphism on 0:"),
+    (chromatic, "stanley_pairs", "mask = up | down", "mask = up", "check_stanley"):
+        (28, "monotone-pair count != (-1)^n P(-2) on 2: 1-2"),
+    (bialgebra, "antipode_forest", "key = (member, children)", "key = member",
+     "check_antipode_engines"):
+        (8, "antipode engines disagree on 3: 1-2, 1-3, 2-3"),
 }
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS), ids=lambda m: f"{m[1]}-{m[4]}")
 def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     """The clash mask without the last edge slot, components numbered block
-    by block instead of by minima, and an action that drops an admissible
-    partition: each is seen by the check that compares that side with an
-    independent one."""
+    by block instead of by minima, an action that drops an admissible
+    partition, monotone pairs that ignore the edges on which f falls, and a
+    forest-factor memo keyed by the member alone: each is seen by the check
+    that compares that side with an independent one.  A mutated engine also
+    replaces its entry in the engine registries."""
     module, name, line, mutated, check = mutant
-    monkeypatch.setattr(module, name, getattr(_one_line_mutant(module, line, mutated), name))
+    original = getattr(module, name)
+    replacement = getattr(_one_line_mutant(module, line, mutated), name)
+    monkeypatch.setattr(module, name, replacement)
+    for registry in (bialgebra.ANTIPODE_ENGINES, chromatic.ENGINES):
+        for key in [key for key, engine in registry.items() if engine is original]:
+            monkeypatch.setitem(registry, key, replacement)
     found = getattr(verify, check)(4)
     assert (len(found), found[0]) == MUTANTS[mutant]
 
