@@ -31,7 +31,6 @@ from .graphs import (
     disjoint_union,
     extract,
     is_connected,
-    forest_children,
     forest_factor,
     nested_forests,
     restrict,
@@ -128,8 +127,7 @@ def delta_big_indexed(x):
 
 def counit_big(x):
     """Coefficient of the unit: 1 on the empty graph, 0 on everything else."""
-    x = x if isinstance(x, LinComb) else as_element(x)
-    return x.coeff(UNIT)
+    return as_element(x).coeff(UNIT)
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +149,9 @@ def delta_small_indexed(x):
     return as_element(x, indexed=True).bind(lambda G: delta_small_graph(G, indexed=True))
 
 
-def counit_small(x, indexed=False):
+def counit_small(x):
     """1 on totally disconnected basis keys, 0 elsewhere, extended linearly."""
-    x = as_element(x, indexed=indexed)
-    total = 0
-    for key, coeff in x.items():
-        disconnected = (not key.edges) if isinstance(key, Graph) else mono_totally_disconnected(key)
-        if disconnected:
-            total += coeff
-    return total
+    return sum(coeff for key, coeff in as_element(x).items() if mono_totally_disconnected(key))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +175,7 @@ def antipode_forest(G):
         return memo[key]
 
     return LinComb(
-        (strip_units(tuple(sorted(factor(*pair) for pair in forest_children(forest)))),
+        (strip_units(tuple(sorted(factor(*pair) for pair in forest))),
          (-1) ** len(forest))
         for forest in nested_forests(G))
 

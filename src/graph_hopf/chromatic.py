@@ -143,13 +143,12 @@ def stanley_pairs(G, k):
 
     Brute force on purpose, after Stanley (1973): every f is tested against
     every acyclic orientation, and nothing is counted by products over blocks
-    or levels, as `stanley_families` does.  An orientation is a mask with bit
-    e set when edge e = (i, j), i < j, points i -> j.  It is compatible with f
-    when, on the edges where f rises or falls, it sets exactly the rising ones."""
+    or levels, as `stanley_families` does.  An orientation is an edge mask
+    (see `acyclic_orientations`).  It is compatible with f when, on the edges
+    where f rises or falls, it sets exactly the rising ones."""
     if k < 1:
         raise ValueError("need k >= 1")
-    orientations = [sum(1 << e for e, (u, v) in enumerate(o) if u < v)
-                    for o in acyclic_orientations(G)]
+    orientations = acyclic_orientations(G)
     edges = [(i - 1, j - 1, 1 << e) for e, (i, j) in enumerate(G.edges)]
     total = 0
     for f in itertools.product(range(k), repeat=G.n):

@@ -8,10 +8,10 @@ graphs.
 Vertices are the integers 1..n; an edge is an unordered pair stored as
 (i, j) with i < j.  Each graph also stores its adjacency as per-vertex
 bitmasks, and a vertex set is a mask with bit v for each vertex v; each
-Partition keeps one such mask per block.  The component search and the
-admissible- and independent-partition filters work on these masks.  The
-degenerate graph with n = 0 is the unit of the graph algebra and is accepted
-everywhere.
+Partition keeps one such mask per block and its restricted-growth string.
+The component search and the partition filters work on these masks.  Nested
+forests come as (member, children) pairs, acyclic orientations as edge masks.
+The empty graph (n = 0) is the algebra's unit and is accepted everywhere.
 
 All values are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.  Memo tables only
@@ -92,35 +92,36 @@ class Partition:
     """Set partition of [n]: disjoint nonempty blocks covering 1..n.
 
     Canonical presentation: every block sorted, blocks ordered by their
-    minimal element; `masks` holds each block's vertex mask, in block order.
-    Doubles as an equivalence relation on vertices and as a basis key for
-    word symmetric functions.
+    minimal element; `masks` holds each block's vertex mask, in block order,
+    and `growth` the restricted-growth string: growth[v - 1] is the index of
+    the block that holds v.  Doubles as an equivalence relation on vertices
+    and as a basis key for word symmetric functions.
     """
 
-    __slots__ = ("n", "blocks", "masks", "_lookup")
+    __slots__ = ("n", "blocks", "masks", "growth")
 
     def __init__(self, n, blocks):
         blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        lookup = {}
+        growth = [None] * n
         masks = []
-        for b in blocks:
+        for k, b in enumerate(blocks):
             if not b:
                 raise ValueError("empty block")
             mask = 0
             for v in b:
                 if not (1 <= v <= n):
                     raise ValueError(f"element {v} out of range for n={n}")
-                if v in lookup:
+                if growth[v - 1] is not None:
                     raise ValueError(f"element {v} in two blocks")
-                lookup[v] = b
+                growth[v - 1] = k
                 mask |= 1 << v
             masks.append(mask)
-        if len(lookup) != n:
+        if None in growth:
             raise ValueError("blocks do not cover [n]")
         self.n = n
         self.blocks = blocks
         self.masks = tuple(masks)
-        self._lookup = lookup
+        self.growth = tuple(growth)
 
     @classmethod
     def singletons(cls, n):
@@ -131,7 +132,7 @@ class Partition:
         return cls(n, [tuple(range(1, n + 1))] if n else [])
 
     def block_of(self, v):
-        return self._lookup[v]
+        return self.blocks[self.growth[v - 1]]
 
     def __len__(self):
         return len(self.blocks)
@@ -270,8 +271,7 @@ def contract(G, p):
     """
     if p.n != G.n:
         raise ValueError("partition does not match the vertex set")
-    index = {b: k for k, b in enumerate(p.blocks, 1)}
-    at = [0] + [index[p.block_of(v)] for v in range(1, G.n + 1)]
+    at = (None,) + tuple(k + 1 for k in p.growth)  # the vertex of the result that v joins
     edges = {(at[i], at[j]) if at[i] < at[j] else (at[j], at[i])
              for i, j in G.edges if at[i] != at[j]}
     return _graph(len(p.blocks), tuple(sorted(edges)))
@@ -281,7 +281,8 @@ def extract(G, p):
     """Keep only the edges internal to blocks of p; vertex set unchanged."""
     if p.n != G.n:
         raise ValueError("partition does not match the vertex set")
-    return _graph(G.n, tuple((i, j) for i, j in G.edges if p.block_of(i) is p.block_of(j)))
+    at = p.growth
+    return _graph(G.n, tuple((i, j) for i, j in G.edges if at[i - 1] == at[j - 1]))
 
 
 def block_map(G, fn):
@@ -334,7 +335,7 @@ def _set_partitions_list(n):
 
 
 def set_partitions(n):
-    """All set partitions of [n], generated from restricted-growth strings."""
+    """All set partitions of [n], by increasing restricted-growth string (`growth`)."""
     yield from _set_partitions_list(n)
 
 
@@ -595,70 +596,58 @@ def isoclasses_up_to(n):
 
 @lru_cache(maxsize=None)
 def _connected_subsets(G):
-    """All subsets of [n] of size >= 2 inducing a connected subgraph, as frozensets."""
+    """All subsets of [n] of size >= 2 inducing a connected subgraph, as
+    (sorted vertex tuple, vertex mask) pairs, by size and then lexicographically."""
     out = []
     verts = list(range(1, G.n + 1))
     for r in range(2, G.n + 1):
         for sub in itertools.combinations(verts, r):
-            if _connected_mask(G.adj, sum(1 << v for v in sub)):
-                out.append(frozenset(sub))
+            mask = sum(1 << v for v in sub)
+            if _connected_mask(G.adj, mask):
+                out.append((sub, mask))
     return tuple(out)
 
 
 def nested_forests(G):
     """Yield every nested forest of a connected graph, each exactly once.
 
-    A forest is returned as a tuple of sorted vertex tuples, ordered
-    lexicographically.
+    A forest is yielded as a tuple of (member, children) pairs, one per
+    member, the full vertex set first.  A member is a sorted vertex tuple and
+    its children are the maximal members strictly below it, ordered by size
+    and then lexicographically.
     """
     if G.n == 0 or not is_connected(G):
         raise ValueError("nested forests are defined for nonempty connected graphs")
     subsets = _connected_subsets(G)
     memo = {}
 
-    def families(S):
-        # all forests of the induced subgraph on S (each contains S itself)
-        if S in memo:
-            return memo[S]
-        proper = [C for C in subsets if C < S]
+    def families(S, mask):
+        # all forests of the induced subgraph on S, as tuples of pairs, S first
+        if mask in memo:
+            return memo[mask]
+        proper = [(C, m) for C, m in subsets if m & mask == m != mask]
         results = []
 
-        def antichains(start, chosen):
-            yield tuple(chosen)
+        def antichains(start, chosen, used):
+            # the pairwise disjoint families of proper members: S's possible children
+            yield chosen
             for k in range(start, len(proper)):
-                C = proper[k]
-                if all(C.isdisjoint(D) for D in chosen):
-                    chosen.append(C)
-                    yield from antichains(k + 1, chosen)
+                if not proper[k][1] & used:
+                    chosen.append(proper[k])
+                    yield from antichains(k + 1, chosen, used | proper[k][1])
                     chosen.pop()
 
-        for chain_sets in antichains(0, []):
-            for combo in itertools.product(*(families(C) for C in chain_sets)):
-                members = [S]
+        for children in antichains(0, [], 0):
+            head = (S, tuple(C for C, _ in children))
+            for combo in itertools.product(*(families(C, m) for C, m in children)):
+                members = [head]
                 for forest in combo:
                     members.extend(forest)
                 results.append(tuple(members))
-        memo[S] = results
+        memo[mask] = results
         return results
 
-    full = frozenset(range(1, G.n + 1))
-    for forest in families(full):
-        yield tuple(sorted(tuple(sorted(S)) for S in forest))
-
-
-def forest_children(forest):
-    """(I, the maximal members strictly below I, by size) for each member I of
-    a nested forest, in sorted order.  Members that meet are nested, so J is a
-    child of the least larger member that holds J's first vertex."""
-    members = sorted(forest)
-    by_size = sorted(members, key=len)
-    children = {S: [] for S in members}
-    for a, J in enumerate(by_size):
-        for K in by_size[a + 1:]:
-            if J[0] in K:
-                children[K].append(J)
-                break
-    return [(S, tuple(children[S])) for S in members]
+    yield from families(tuple(range(1, G.n + 1)), (1 << (G.n + 1)) - 2)
 
 
 def forest_factor(G, member, children):
@@ -672,31 +661,27 @@ def forest_factor(G, member, children):
 
 def forest_evaluate(G, forest):
     """Factor graphs of a nested forest, one per member (see `forest_factor`)."""
-    return [forest_factor(G, S, children) for S, children in forest_children(forest)]
+    return [forest_factor(G, S, children) for S, children in forest]
 
 
 # ---------------------------------------------------------------------------
 # acyclic orientations
 
 def acyclic_orientations(G):
-    """Yield each acyclic orientation of E(G) exactly once.
+    """The set of acyclic orientations of E(G), each as an edge mask: bit e
+    is set when edge e = (i, j) of the sorted edge list, i < j, points i -> j.
 
-    An orientation is a tuple of directed pairs, one per edge, aligned with
-    the sorted edge list.  Every acyclic orientation is induced by at least
-    one vertex order, so we sweep vertex orders and deduplicate.
+    Every acyclic orientation is induced by at least one vertex order, so the
+    vertex orders are swept and the set keeps each orientation once.
     """
-    seen = set()
-    edges = [(i - 1, j - 1, (i, j), (j, i)) for i, j in G.edges]
-    for rank in itertools.permutations(range(G.n)):
-        orient = tuple(ij if rank[i] < rank[j] else ji for i, j, ij, ji in edges)
-        if orient not in seen:
-            seen.add(orient)
-            yield orient
+    edges = [(i - 1, j - 1, 1 << e) for e, (i, j) in enumerate(G.edges)]
+    return {sum(bit for i, j, bit in edges if rank[i] < rank[j])
+            for rank in itertools.permutations(range(G.n))}
 
 
 @lru_cache(maxsize=None)
 def _acyclic_count_canonical(C):
-    return sum(1 for _ in acyclic_orientations(C))
+    return len(acyclic_orientations(C))
 
 
 def acyclic_orientation_count(G):

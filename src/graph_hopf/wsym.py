@@ -50,12 +50,6 @@ def is_packed(word):
     return set(word) == set(range(1, (max(word) if word else 0) + 1))
 
 
-def _growth(p):
-    """The restricted-growth string of p: the block of each of 1..n, by index."""
-    return tuple(next(i for i, mask in enumerate(p.masks) if mask >> v & 1)
-                 for v in range(1, p.n + 1))
-
-
 _SHARED = {}  # restricted-growth string -> the partition `set_partitions` yields
 
 
@@ -63,7 +57,7 @@ def _shared_partition(growth):
     """The partition with this restricted-growth string, as the very object
     that `set_partitions(len(growth))` yields; the table holds no other."""
     if growth not in _SHARED:
-        _SHARED.update((_growth(p), p) for p in set_partitions(len(growth)))
+        _SHARED.update((p.growth, p) for p in set_partitions(len(growth)))
     return _SHARED[growth]
 
 
@@ -79,7 +73,7 @@ def expand_W(p):
     """The W basis element of a set partition p with k blocks: the sum of the
     k! packed words whose fiber partition is p, one per numbering of p's
     blocks, each word giving every position the number of its block."""
-    at = _growth(p)
+    at = p.growth
     # itemgetter returns a bare item for one index and needs at least one
     read = itemgetter(*at) if len(at) > 1 else lambda sigma: tuple(sigma[i] for i in at)
     return LinComb((read(sigma), 1) for sigma in itertools.permutations(range(1, len(p) + 1)))

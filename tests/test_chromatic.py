@@ -37,8 +37,9 @@ X = Polynomial.x()
 
 def stanley_pairs_per_edge(G, k):
     """Oracle: the monotone pairs (f, O) counted one oriented edge at a time,
-    each orientation given as directed pairs."""
-    orientations = list(acyclic_orientations(G))
+    each orientation turned back into directed pairs."""
+    orientations = [[(i, j) if o >> e & 1 else (j, i) for e, (i, j) in enumerate(G.edges)]
+                    for o in acyclic_orientations(G)]
     total = 0
     for f in itertools.product(range(1, k + 1), repeat=G.n):
         for orient in orientations:

@@ -18,7 +18,6 @@ from graph_hopf.graphs import (
     disjoint_union,
     edgeless,
     extract,
-    forest_children,
     forest_evaluate,
     format_graph,
     graph_isoclasses,
@@ -134,6 +133,38 @@ class TestRestrict:
         J = [1, 3, 4, 5]
         inner = [1, 3, 4]  # positions of {1, 4, 5} inside sorted J
         assert restrict(restrict(G, J), inner) == restrict(G, [1, 4, 5])
+
+
+def directed_pairs(G, orientation):
+    """An edge-mask orientation as directed pairs, one per edge of the sorted
+    edge list (see `acyclic_orientations`)."""
+    return tuple((i, j) if orientation >> e & 1 else (j, i) for e, (i, j) in enumerate(G.edges))
+
+
+class TestPartition:
+    @pytest.mark.parametrize("n, blocks, message", [
+        (3, [(1, 2), (), (3,)], "empty block"),
+        (3, [(1, 2), (4,)], "element 4 out of range"),
+        (3, [(0, 1), (2, 3)], "element 0 out of range"),
+        (3, [(1, 2), (2, 3)], "element 2 in two blocks"),
+        (3, [(1, 3)], "do not cover"),
+    ])
+    def test_constructor_rejects(self, n, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            Partition(n, blocks)
+
+    def test_growth_indexes_the_block_of_each_vertex(self):
+        for n in range(7):
+            for p in set_partitions(n):
+                assert len(p.growth) == n
+                for v in range(1, n + 1):
+                    assert v in p.blocks[p.growth[v - 1]]
+
+    def test_set_partitions_are_the_growth_strings_in_order(self):
+        for n in range(7):
+            strings = [p.growth for p in set_partitions(n)]
+            assert len(set(strings)) == len(strings) == bell(n)
+            assert strings == sorted(strings)
 
 
 class TestContractExtract:
@@ -281,11 +312,12 @@ class TestNestedForests:
         for n in range(1, 6):
             for G in connected_isoclasses(n):
                 for F in nested_forests(G):
-                    sets = {S: frozenset(S) for S in F}
-                    pairs = forest_children(F)
-                    assert [S for S, _ in pairs] == sorted(F)
-                    for S, children in pairs:
-                        below = [J for J in F if sets[J] < sets[S]]
+                    members = [S for S, _ in F]
+                    assert members[0] == tuple(range(1, n + 1))
+                    assert len(set(members)) == len(members)
+                    sets = {S: frozenset(S) for S in members}
+                    for S, children in F:
+                        below = [J for J in members if sets[J] < sets[S]]
                         maximal = {J for J in below
                                    if not any(sets[J] < sets[K] for K in below)}
                         assert set(children) == maximal and len(children) == len(maximal)
@@ -298,8 +330,9 @@ class TestNestedForests:
 
     def test_every_forest_contains_the_vertex_set(self):
         for G in connected_isoclasses(4):
-            forests = list(nested_forests(G))
+            forests = [[S for S, _ in F] for F in nested_forests(G)]
             assert forests
+            assert len({frozenset(F) for F in forests}) == len(forests)
             full = tuple(range(1, G.n + 1))
             for F in forests:
                 assert full in F
@@ -323,7 +356,7 @@ class TestOrientations:
 
     def test_all_acyclic_and_unique(self):
         for G in graph_isoclasses(4):
-            seen = list(acyclic_orientations(G))
+            seen = [directed_pairs(G, o) for o in acyclic_orientations(G)]
             assert len(seen) == len(set(seen))
             for orient in seen:
                 assert is_acyclic_orientation(G, orient)
@@ -339,5 +372,5 @@ class TestOrientations:
                                    for (i, j), f in zip(G.edges, flips))
                     if is_acyclic_orientation(G, orient):
                         want.add(orient)
-                seen = list(acyclic_orientations(G))
-                assert len(seen) == len(want) and set(seen) == want
+                seen = {directed_pairs(G, o) for o in acyclic_orientations(G)}
+                assert len(acyclic_orientations(G)) == len(want) and seen == want

@@ -1,16 +1,17 @@
 """Pins on what `verify` reports: the violation messages, the suite payload
-of `graph-hopf verify --max-n 3` byte for byte, and which checks each suite
-runs.  A passing run prints no violation, so the message text is pinned here
-by substituting a wrong engine at run time, or a copy of a module with one
-source line changed."""
+of `graph-hopf verify --max-n 3` and `--max-n 4` byte for byte, and which
+checks each suite runs.  A passing run prints no violation, so the message
+text is pinned here by substituting a wrong engine at run time, or a copy of
+a module with one source line changed."""
 
 import hashlib
 import inspect
+import sys
 import types
 
 import pytest
 
-from graph_hopf import bialgebra, characters, chromatic, cli, verify, wsym
+from graph_hopf import bialgebra, characters, chromatic, cli, graphs, verify, wsym
 from graph_hopf.lattice import AdmissibleLattice
 
 SUITE_SIZES = {"coassoc": 4, "counit": 1, "cointeraction": 1, "antipode": 2, "engines": 5,
@@ -78,6 +79,9 @@ MUTANTS = {
     (bialgebra, "antipode_forest", "key = (member, children)", "key = member",
      "check_antipode_engines"):
         (8, "antipode engines disagree on 3: 1-2, 1-3, 2-3"),
+    (graphs, "nested_forests", "head = (S, tuple(C for C, _ in children))",
+     "head = (S, tuple(C for C, _ in children[1:]))", "check_antipode_engines"):
+        (8, "antipode engines disagree on 3: 1-2, 1-3, 2-3"),
 }
 
 
@@ -85,14 +89,19 @@ MUTANTS = {
 def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     """The clash mask without the last edge slot, components numbered block
     by block instead of by minima, an action that drops an admissible
-    partition, monotone pairs that ignore the edges on which f falls, and a
-    forest-factor memo keyed by the member alone: each is seen by the check
-    that compares that side with an independent one.  A mutated engine also
-    replaces its entry in the engine registries."""
+    partition, monotone pairs that ignore the edges on which f falls, a
+    forest-factor memo keyed by the member alone, and nested forests that
+    drop each member's first child: each is seen by the check that compares
+    that side with an independent one.  A mutated function replaces the
+    original in every package module that imported it, and in the engine
+    registries."""
     module, name, line, mutated, check = mutant
     original = getattr(module, name)
     replacement = getattr(_one_line_mutant(module, line, mutated), name)
-    monkeypatch.setattr(module, name, replacement)
+    packages = [m for key, m in sys.modules.items() if key.split(".")[0] == "graph_hopf"]
+    for mod in packages:
+        for attr in [attr for attr, obj in vars(mod).items() if obj is original]:
+            monkeypatch.setattr(mod, attr, replacement)
     for registry in (bialgebra.ANTIPODE_ENGINES, chromatic.ENGINES):
         for key in [key for key, engine in registry.items() if engine is original]:
             monkeypatch.setitem(registry, key, replacement)
@@ -108,6 +117,15 @@ def test_verify_max_n_3_stdout_is_pinned(monkeypatch, capsys):
     assert out.endswith('"projection":{"checks":3,"violations":[]}}}\n')
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "fab4c7d2548e50d3f2ca6dcd97fa6749099c916e57b6ccab2ca4b8b0880ba68c")
+
+
+def test_verify_max_n_4_stdout_is_pinned(monkeypatch, capsys):
+    monkeypatch.delenv("GRAPH_HOPF_MAX_N", raising=False)
+    assert cli.main(["verify", "--max-n", "4"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith('{"ok":true,"max_n":4,"suites":{"coassoc":{"checks":4,')
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1d4a5d410e7ba8101e4d5f9da89e17e80ba532dbf9d2a9e3157360f9fdd903b9")
 
 
 def test_every_check_runs_in_exactly_one_suite(monkeypatch):
