@@ -18,7 +18,6 @@ are registered in `ANTIPODE_ENGINES`.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from .graphs import (
@@ -33,7 +32,6 @@ from .graphs import (
     is_connected,
     forest_factor,
     nested_forests,
-    restrict,
 )
 from .linear import LinComb, bilinear
 
@@ -87,25 +85,17 @@ def as_element(x, indexed=False):
 
 
 def _bipartitions(n):
-    verts = range(1, n + 1)
-    for r in range(n + 1):
-        for left in itertools.combinations(verts, r):
-            right = tuple(v for v in verts if v not in left)
-            yield left, right
-
-
-def _subset_table(G, fn):
-    """fn(restrict(G, S)) for every vertex subset S, keyed by S as a sorted
-    tuple.  Each S is the left side of one ordered bipartition and the right
-    side of another, so a sum over bipartitions restricts it once this way."""
-    return {left: fn(restrict(G, left)) for left, _ in _bipartitions(G.n)}
+    """The 2^n ordered bipartitions V = I ⊔ J of [n], each once, as the pair
+    (mask of I, mask of J); read each side through `block_map`."""
+    full = (1 << (n + 1)) - 2
+    return ((left, full ^ left) for left in range(0, full + 1, 2))
 
 
 def _extraction_monomial(G):
     """The map p -> iso(G|p) on admissible partitions p of G: the sorted
     canonical forms of p's blocks (see `block_map`)."""
     form = block_map(G, canonical_form)
-    return lambda p: tuple(sorted(map(form, p.blocks)))
+    return lambda p: tuple(sorted(map(form, p.masks)))
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +103,8 @@ def _extraction_monomial(G):
 
 def delta_big_graph(G, indexed=False):
     """Sum of G|I (x) G|J over ordered bipartitions V = I ⊔ J (2^n terms)."""
-    side = _subset_table(G, (lambda g: g) if indexed else iso)
-    return LinComb(((side[left], side[right]), 1) for left, right in _bipartitions(G.n))
+    side = block_map(G, (lambda g: g) if indexed else iso)
+    return LinComb(((side(left), side(right)), 1) for left, right in _bipartitions(G.n))
 
 
 def delta_big(x):
@@ -196,12 +186,14 @@ def _require_antipode_arg(G):
 
 @lru_cache(maxsize=None)
 def _antipode_rec(C):
+    antipode_of = block_map(C, lambda H: _antipode_rec(canonical_form(H)))
+
     def peel(p):
         # one contraction level: C/p times the antipodes of the nontrivial blocks
         out = LinComb.term(strip_units(iso(contract(C, p))))
-        for block in p.blocks:
-            if len(block) >= 2:
-                out = mono_element_mul(out, _antipode_rec(canonical_form(restrict(C, block))))
+        for mask in p.masks:
+            if mask & (mask - 1):
+                out = mono_element_mul(out, antipode_of(mask))
         return out
 
     proper = LinComb((p, 1) for p in admissible_partitions(C) if 1 < len(p) < C.n)
@@ -235,10 +227,10 @@ def cointeraction_lhs(x, indexed=False):
         return [(proj(contract(H, p)), extract(H, p)) for p in admissible_partitions(H)]
 
     def terms(G):
-        side = _subset_table(G, legs)
+        side = block_map(G, legs)
         for left, right in _bipartitions(G.n):
-            legs_R = side[right]
-            for a1, b1 in side[left]:
+            legs_R = side(right)
+            for a1, b1 in side(left):
                 for a2, b2 in legs_R:
                     yield (a1, a2, proj(disjoint_union(b1, b2))), 1
 
@@ -253,9 +245,9 @@ def cointeraction_rhs(x, indexed=False):
         extracted_of = (lambda p: extract(G, p)) if indexed else _extraction_monomial(G)
         for p in admissible_partitions(G):
             contracted, extracted = contract(G, p), extracted_of(p)
-            side = _subset_table(contracted, proj)
+            side = block_map(contracted, proj)
             for left, right in _bipartitions(contracted.n):
-                yield (side[left], side[right], extracted), 1
+                yield (side(left), side(right), extracted), 1
 
     return _extend_over_graphs(x, indexed, terms)
 

@@ -81,7 +81,7 @@ def convolve_value(lam, mu, G):
     """The convolution sum evaluated directly on any graph; mu(G|p) is the
     product of mu over p's blocks (see `block_map`)."""
     mu_of = block_map(G, mu.of_connected)
-    return sum(lam(contract(G, p)) * math.prod(map(mu_of, p.blocks))
+    return sum(lam(contract(G, p)) * math.prod(map(mu_of, p.masks))
                for p in admissible_partitions(G))
 
 
@@ -104,7 +104,7 @@ def invert_character(lam):
         if G.n == 1:
             return Fraction(1) / c
         inv_of = block_map(G, inv.of_connected)
-        total = sum(lam(contract(G, p)) * math.prod(map(inv_of, p.blocks))
+        total = sum(lam(contract(G, p)) * math.prod(map(inv_of, p.masks))
                     for p in admissible_partitions(G) if len(p) > 1)
         # counit vanishes on connected graphs with an edge
         return Fraction(-total) / c
@@ -120,7 +120,7 @@ def act(phi, lam):
     (Polynomial) times their weights are added in turn."""
     def acted(G):
         lam_of = block_map(G, lam.of_connected)
-        values = [(phi(contract(G, p)), math.prod(map(lam_of, p.blocks)))
+        values = [(phi(contract(G, p)), math.prod(map(lam_of, p.masks)))
                   for p in admissible_partitions(G)]
         if not isinstance(values[0][0], LinComb):
             return sum((value * weight for value, weight in values[1:]),

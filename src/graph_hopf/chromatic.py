@@ -74,7 +74,7 @@ def pchr_character_formula(G):
     chi = block_map(G, LAMBDA_CHR.of_connected)
     coeffs = [0] * (G.n + 1)
     for p in admissible_partitions(G):
-        coeffs[len(p)] += math.prod(map(chi, p.blocks))
+        coeffs[len(p)] += math.prod(map(chi, p.masks))
     return Polynomial(coeffs)
 
 
@@ -130,10 +130,10 @@ def stanley_families(G, k):
     count = block_map(G, acyclic_orientation_count)
     total = 0
     for assignment in itertools.product(range(k), repeat=G.n):
-        product = 1
-        for part in range(k):
-            product *= count(tuple(v + 1 for v, q in enumerate(assignment) if q == part))
-        total += product
+        parts = [0] * k  # the vertex mask of each block
+        for v, q in enumerate(assignment, 1):
+            parts[q] |= 1 << v
+        total += math.prod(map(count, parts))
     return total
 
 

@@ -7,9 +7,10 @@ graphs.
 
 Vertices are the integers 1..n; an edge is an unordered pair stored as
 (i, j) with i < j.  Each graph also stores its adjacency as per-vertex
-bitmasks, and a vertex set is a mask with bit v for each vertex v; each
-Partition keeps one such mask per block and its restricted-growth string.
-The component search and the partition filters work on these masks.  Nested
+bitmasks.  Inside the package a vertex set is a mask with bit v for each
+vertex v; only `restrict` and `components_within` take or give vertex tuples.
+Each Partition keeps one mask per block and its restricted-growth string, and
+is built from a labelling of its positions (`Partition.of_labels`).  Nested
 forests come as (member, children) pairs, acyclic orientations as edge masks.
 The empty graph (n = 0) is the algebra's unit and is accepted everywhere.
 
@@ -95,7 +96,8 @@ class Partition:
     minimal element; `masks` holds each block's vertex mask, in block order,
     and `growth` the restricted-growth string: growth[v - 1] is the index of
     the block that holds v.  Doubles as an equivalence relation on vertices
-    and as a basis key for word symmetric functions.
+    and as a basis key for word symmetric functions.  A partition derived
+    from another structure is built from a labelling by `of_labels`.
     """
 
     __slots__ = ("n", "blocks", "masks", "growth")
@@ -124,6 +126,14 @@ class Partition:
         self.growth = tuple(growth)
 
     @classmethod
+    def of_labels(cls, labels):
+        """The partition of 1..len(labels) grouping the positions of equal labels."""
+        blocks = {}
+        for v, label in enumerate(labels, 1):
+            blocks.setdefault(label, []).append(v)
+        return cls(len(labels), blocks.values())
+
+    @classmethod
     def singletons(cls, n):
         return cls(n, [(v,) for v in range(1, n + 1)])
 
@@ -145,15 +155,7 @@ class Partition:
 
     def packed_restriction(self, subset):
         """Restrict to a subset of [n] and relabel via the increasing bijection."""
-        subset = sorted(subset)
-        relabel = {v: i + 1 for i, v in enumerate(subset)}
-        keep = set(subset)
-        blocks = []
-        for b in self.blocks:
-            inter = [relabel[v] for v in b if v in keep]
-            if inter:
-                blocks.append(inter)
-        return Partition(len(subset), blocks)
+        return Partition.of_labels([self.growth[v - 1] for v in sorted(subset)])
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.n == other.n and self.blocks == other.blocks
@@ -258,9 +260,17 @@ def restrict(G, subset):
     for v in subset:
         if not (1 <= v <= G.n):
             raise ValueError(f"vertex {v} out of range for n={G.n}")
-    relabeling = {v: i + 1 for i, v in enumerate(subset)}
-    return _graph(len(subset), tuple((relabeling[i], relabeling[j]) for i, j in G.edges
-                                     if i in relabeling and j in relabeling))
+    return _restrict(G, sum(1 << v for v in subset))
+
+
+def _restrict(G, mask):
+    """`restrict` to the vertices of a mask within [n], without the range check."""
+    at, k = [0] * (G.n + 1), 0  # at[v]: the vertex of the result that v becomes, or 0
+    for v in range(1, G.n + 1):
+        if mask >> v & 1:
+            k += 1
+            at[v] = k
+    return _graph(k, tuple((at[i], at[j]) for i, j in G.edges if at[i] and at[j]))
 
 
 def contract(G, p):
@@ -286,21 +296,22 @@ def extract(G, p):
 
 
 def block_map(G, fn):
-    """The map b -> fn(restrict(G, b)) on blocks b (vertex tuples), computed
-    once per block and kept only as long as the returned function.
+    """The map S -> fn(G|S) on vertex masks S, computed once per mask and
+    kept only as long as the returned function.
 
     For an admissible partition p, the extraction G|p is the disjoint union of
     the subgraphs induced on p's blocks, each of them connected.  So a sum over
     admissible partitions that only projects or evaluates G|p may read it block
-    by block through this map instead of building extract(G, p), and a block
-    shared by many partitions is restricted once.
+    by block (`p.masks`) through this map instead of building extract(G, p),
+    and a block shared by many partitions is restricted once.  A sum over the
+    bipartitions V = I ⊔ J reads both sides through it, restricting each once.
     """
     memo = {}
 
-    def value(block):
-        if block not in memo:
-            memo[block] = fn(restrict(G, block))
-        return memo[block]
+    def value(mask):
+        if mask not in memo:
+            memo[mask] = fn(_restrict(G, mask))
+        return memo[mask]
 
     return value
 
@@ -314,17 +325,12 @@ def is_admissible(G, p):
 
 @lru_cache(maxsize=None)
 def _set_partitions_list(n):
-    if n == 0:
-        return (Partition(0, []),)
-    labels = [0] * n
+    labels = [0] * n  # the restricted-growth string being filled in
     out = []
 
     def rec(i, nmax):
         if i == n:
-            blocks = [[] for _ in range(nmax)]
-            for v in range(n):
-                blocks[labels[v]].append(v + 1)
-            out.append(Partition(n, blocks))
+            out.append(Partition.of_labels(labels))
             return
         for v in range(nmax + 1):
             labels[i] = v
@@ -366,9 +372,8 @@ def delete_edge(G, e):
 
 
 def contract_edge(G, e):
-    key = _require_edge(G, e)
-    blocks = [key] + [(v,) for v in range(1, G.n + 1) if v not in key]
-    return contract(G, Partition(G.n, blocks))
+    i, j = _require_edge(G, e)
+    return contract(G, Partition.of_labels([i if v == j else v for v in range(1, G.n + 1)]))
 
 
 def is_bridge(G, e):
@@ -410,13 +415,8 @@ def component_masks(G, mask):
 def components_within(G, vertices):
     """Components of the subgraph induced on `vertices`: sorted vertex tuples,
     listed by minimal element."""
-    order = sorted(set(vertices))
-    mask = sum(1 << v for v in order)
-    comps = []
-    for c in component_masks(G, mask):
-        comps.append(tuple(order) if c == mask else (c.bit_length() - 1,) if c & (c - 1) == 0
-                     else tuple(u for u in order if c >> u & 1))
-    return comps
+    return [tuple(v for v in range(1, G.n + 1) if c >> v & 1)
+            for c in component_masks(G, sum(1 << v for v in set(vertices)))]
 
 
 def connected_components(G):
@@ -427,12 +427,12 @@ def connected_components(G):
 def component_graphs(G):
     """The subgraphs induced on the components, listed by minimal vertex; G
     itself when it is connected."""
-    comps = connected_components(G)
-    return [G] if len(comps) == 1 else [restrict(G, comp) for comp in comps]
+    comps = list(component_masks(G, (1 << (G.n + 1)) - 2))
+    return [G] if len(comps) == 1 else [_restrict(G, c) for c in comps]
 
 
 def cc(G):
-    return len(connected_components(G))
+    return sum(1 for _ in component_masks(G, (1 << (G.n + 1)) - 2))
 
 
 def is_connected(G):
@@ -524,12 +524,11 @@ def canonical_form(G):
     A disconnected G maps to the disjoint union of its components' canonical
     forms in sorted order, and that representative keeps the sorted forms
     as its `factors`, set when it is built."""
-    comps = connected_components(G)
-    if len(comps) == 1 and G.n >= 1:
-        return _canonical_connected(G)
     if G.n == 0:
         return G
-    forms = tuple(sorted(_canonical_connected(restrict(G, comp)) for comp in comps))
+    forms = tuple(sorted(map(_canonical_connected, component_graphs(G))))
+    if len(forms) == 1:
+        return forms[0]
     out = Graph(0)
     for f in forms:
         out = disjoint_union(out, f)
@@ -652,11 +651,11 @@ def nested_forests(G):
 
 def forest_factor(G, member, children):
     """The factor of one forest member: restrict to it and contract each child
-    to one vertex (the member's other vertices stay single)."""
-    pos = {v: i for i, v in enumerate(sorted(member), 1)}
-    covered = set().union(*children)
-    blocks = [[pos[v] for v in J] for J in children] + [[pos[v]] for v in pos if v not in covered]
-    return contract(restrict(G, member), Partition(len(pos), blocks))
+    to one vertex (the member's other vertices stay single).  Each vertex is
+    labelled by the least vertex of its child, or by itself."""
+    label = {v: J[0] for J in children for v in J}
+    return contract(restrict(G, member),
+                    Partition.of_labels([label.get(v, v) for v in sorted(member)]))
 
 
 def forest_evaluate(G, forest):

@@ -37,7 +37,6 @@ class AdmissibleLattice:
     def __init__(self, G):
         self.G = G
         self.elements = sorted(admissible_partitions(G))
-        self._index = {p: i for i, p in enumerate(self.elements)}
         self._by_masks = {frozenset(p.masks): i for i, p in enumerate(self.elements)}
         width = G.n + 1
         codes = [sum(m << v * width for m in p.masks for v in _bits(m)) for p in self.elements]
@@ -55,9 +54,10 @@ class AdmissibleLattice:
         return len(self.elements)
 
     def index(self, p):
-        if p not in self._index:
+        i = self._by_masks.get(frozenset(p.masks))
+        if i is None:
             raise ValueError(f"{p} is not an admissible partition of the graph")
-        return self._index[p]
+        return i
 
     def leq(self, i, j):
         """Does element i refine element j?"""

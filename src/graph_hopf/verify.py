@@ -35,7 +35,7 @@ from .graphs import (
     all_graphs,
     cc,
     complete,
-    connected_components,
+    component_graphs,
     connected_isoclasses,
     contract_edge,
     degree,
@@ -44,7 +44,6 @@ from .graphs import (
     format_graph,
     is_bridge,
     isoclasses_up_to,
-    restrict,
     set_partitions,
 )
 from .linear import LinComb, bilinear
@@ -468,7 +467,7 @@ def check_mobius_values(G):
 
 @_each(_isoclasses)
 def check_lattice_product(G):
-    parts = (len(lat.build_lattice(restrict(G, comp))) for comp in connected_components(G))
+    parts = (len(lat.build_lattice(H)) for H in component_graphs(G))
     if len(lat.build_lattice(G)) != math.prod(parts):
         yield f"lattice size not multiplicative over components on {format_graph(G)}"
 
@@ -484,10 +483,7 @@ def check_lattice_bridge(G):
 def _quotient_partition(r, p):
     """r/p for r >= p: the partition of the blocks of p, numbered as `contract`
     numbers them, that groups the p-blocks lying in one block of r."""
-    groups = {}
-    for i, b in enumerate(p.blocks):
-        groups.setdefault(r.block_of(b[0]), []).append(i + 1)
-    return Partition(len(p), groups.values())
+    return Partition.of_labels([r.growth[b[0] - 1] for b in p.blocks])
 
 
 @_each(_connected)

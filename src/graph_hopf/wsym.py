@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from functools import lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .chromatic import independent_partitions
-from .graphs import Partition, _slot_table, component_masks, set_partitions
+from .graphs import Partition, _set_partitions_list, _slot_table, component_masks, set_partitions
 from .linear import LinComb, Polynomial, bilinear, hilbert
 
 
@@ -50,23 +51,19 @@ def is_packed(word):
     return set(word) == set(range(1, (max(word) if word else 0) + 1))
 
 
-_SHARED = {}  # restricted-growth string -> the partition `set_partitions` yields
-
-
 def _shared_partition(growth):
     """The partition with this restricted-growth string, as the very object
-    that `set_partitions(len(growth))` yields; the table holds no other."""
-    if growth not in _SHARED:
-        _SHARED.update((p.growth, p) for p in set_partitions(len(growth)))
-    return _SHARED[growth]
+    that `set_partitions(len(growth))` yields: found by bisection, since that
+    list is in increasing order of `growth`."""
+    parts = _set_partitions_list(len(growth))
+    return parts[bisect_left(parts, growth, key=attrgetter("growth"))]
 
 
 def partition_of_word(w):
     """Fiber partition of a packed word: positions grouped by letter."""
     if not is_packed(w):
         raise ValueError(f"{w!r} is not packed")
-    return Partition(len(w), [[pos for pos, x in enumerate(w, start=1) if x == letter]
-                              for letter in set(w)])
+    return Partition.of_labels(w)
 
 
 def expand_W(p):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -33,6 +35,16 @@ def antipode_forest_sum(G):
 
 
 class TestRestrictionCoproduct:
+    def test_bipartitions_are_complementary_masks(self):
+        for n in range(7):
+            full = sum(1 << v for v in range(1, n + 1))
+            pairs = list(bi._bipartitions(n))
+            subsets = {sum(1 << v for v in S) for r in range(n + 1)
+                       for S in itertools.combinations(range(1, n + 1), r)}
+            assert len(pairs) == 2 ** n
+            assert {left for left, _ in pairs} == subsets
+            assert all(left & right == 0 and left | right == full for left, right in pairs)
+
     def test_point(self):
         assert bi.delta_big(K1) == (LinComb.term((mono(K1), bi.UNIT))
                                     + LinComb.term((bi.UNIT, mono(K1))))

@@ -160,8 +160,17 @@ def test_block_map_restricts_each_block_once(data):
     blocks = data.draw(st.lists(st.sets(st.integers(1, G.n), min_size=1).map(
         lambda b: tuple(sorted(b))), max_size=6)) if G.n else []
     for b in blocks + blocks:
-        assert value(b) == canonical_form(restrict(G, b))
+        assert value(sum(1 << v for v in b)) == canonical_form(restrict(G, b))
     assert len(calls) == len(set(blocks))
+
+
+@given(st.data())
+def test_block_map_of_a_mask_is_the_restriction(data):
+    G = data.draw(graphs())
+    value = block_map(G, lambda H: H)
+    subsets = st.sets(st.integers(1, G.n)) if G.n else st.just(set())
+    for vertices in data.draw(st.lists(subsets, max_size=6)):
+        assert value(sum(1 << v for v in vertices)) == restrict(G, vertices)
 
 
 def phi0_by_definition(G):
@@ -190,3 +199,9 @@ def test_phi0_terms_are_shared_partitions():
             for Q in ws.phi0_nc.__wrapped__(G).keys():
                 assert seen.setdefault(Q, Q) is Q
                 assert yielded[Q] is Q
+
+
+def test_shared_partition_is_the_yielded_object():
+    for n in range(7):
+        for p in set_partitions(n):
+            assert ws._shared_partition(p.growth) is p

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from graph_hopf.bialgebra import iso
 from graph_hopf.graphs import (
@@ -124,8 +125,17 @@ class TestRestrict:
         assert restrict(K3, []) == Graph(0)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vertex 4 out of range for n=3$"):
             restrict(K3, [4])
+        # the least vertex out of range is named
+        with pytest.raises(ValueError, match=r"^vertex 0 out of range for n=3$"):
+            restrict(K3, (5, 2, 0))
+
+    def test_takes_any_iterable(self):
+        G = parse_graph("5: 1-2, 2-3, 3-4, 4-5, 1-5")
+        for vertices in ([5, 1, 2], (1, 2, 5), {2, 5, 1}, iter([2, 2, 1, 5]),
+                         (v for v in (5, 2, 1))):
+            assert restrict(G, vertices) == Graph(3, [(1, 2), (1, 3)])
 
     def test_transitivity(self):
         # restricting in two steps agrees with one step, through the relabeling
@@ -159,6 +169,19 @@ class TestPartition:
                 assert len(p.growth) == n
                 for v in range(1, n + 1):
                     assert v in p.blocks[p.growth[v - 1]]
+
+    @given(st.lists(st.one_of(st.integers(-2, 2), st.text(max_size=1),
+                              st.tuples(st.booleans())), max_size=9))
+    def test_of_labels_groups_the_positions_of_equal_labels(self, labels):
+        p = Partition.of_labels(labels)
+        n = len(labels)
+        distinct = list(dict.fromkeys(labels))  # in order of first occurrence
+        blocks = [tuple(v for v in range(1, n + 1) if labels[v - 1] == x) for x in distinct]
+        assert p.n == n
+        assert p.blocks == tuple(blocks)
+        assert [b[0] for b in p.blocks] == sorted(b[0] for b in p.blocks)
+        assert p == Partition(n, blocks)
+        assert p.growth == tuple(distinct.index(x) for x in labels)
 
     def test_set_partitions_are_the_growth_strings_in_order(self):
         for n in range(7):

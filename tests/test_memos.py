@@ -6,6 +6,12 @@ that have such a cache today; a new one fails this test, so that a bounded
 memo, or a memo that lives only as long as one call (`graphs.block_map`),
 is chosen instead.  When one of them is bounded or removed, drop its name.
 
+A module-level dict that starts empty is the same kind of memo, hidden from
+`cache_info`, from `verify --timings` and from the benchmark's cache metrics.
+So no module may bind an empty `{}`, `[]`, `set()`, `dict()` or `list()` at
+module level; the registries that start filled (`ENGINES`, `ANTIPODE_ENGINES`,
+`SUITES`) pass.
+
 The lint uses only the standard-library `ast`, so it runs wherever the
 tests do.  A second test imports the package and compares its `lru_cache`
 objects with the cache metrics that `BENCHMARK.json` declares.
@@ -48,6 +54,58 @@ def unbounded_caches(source):
     return [node.name for node in ast.walk(ast.parse(source))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and any(_is_unbounded(d) for d in node.decorator_list)]
+
+
+def _is_empty_container(node):
+    if isinstance(node, (ast.Dict, ast.List)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("set", "dict", "list") and not node.args and not node.keywords)
+
+
+def _module_level(statements):
+    """The statements run at import time: those of the module body and of the
+    blocks it opens, but not of function or class bodies."""
+    for node in statements:
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _module_level(getattr(node, field, []))
+
+
+def empty_module_containers(source):
+    """Names that `source` binds to an empty container at module level."""
+    out = []
+    for node in _module_level(ast.parse(source).body):
+        if isinstance(node, ast.Assign):
+            pairs = [(t, node.value) for t in node.targets]
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            pairs = [(node.target, node.value)]
+        else:
+            continue
+        for target, value in pairs:
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs.extend(zip(target.elts, value.elts))
+            elif _is_empty_container(value):
+                out.append(ast.unparse(target))
+    return out
+
+
+def test_detector_flags_empty_module_level_containers():
+    source = (
+        "A = {}\nB: list = []\nC = set()\nD = dict()\nE, F = [], {'k': 1}\n"
+        "if True:\n    G = {}\nelse:\n    H = list()\n"
+        "FILLED = {'a': 1}\nROWS = [1]\nS = set([1])\nT = ()\n"
+        "def f():\n    local = {}\n"
+        "class K:\n    attr = {}\n"
+    )
+    assert empty_module_containers(source) == ["A", "B", "C", "D", "E", "G", "H"]
+
+
+def test_no_module_level_memo_tables():
+    found = {path.stem: empty_module_containers(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == {}
 
 
 def test_detector_flags_only_unbounded_caches():

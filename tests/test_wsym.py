@@ -290,7 +290,7 @@ def act_by_list_and_merge(phi, lam, G):
     """Oracle: the action on a LinComb-valued phi as one LinComb per
     admissible partition, zero weights included, merged at the end."""
     lam_of = block_map(G, lam.of_connected)
-    values = [phi(contract(G, p)) * math.prod(map(lam_of, p.blocks))
+    values = [phi(contract(G, p)) * math.prod(map(lam_of, p.masks))
               for p in admissible_partitions(G)]
     return LinComb(term for value in values for term in value.terms())
 
