@@ -57,8 +57,10 @@ def unbounded_caches(source):
 
 
 def _is_empty_container(node):
-    if isinstance(node, (ast.Dict, ast.List)):
-        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in ("set", "dict", "list") and not node.args and not node.keywords)
 
