@@ -25,20 +25,20 @@ per graph, its terms the shared partitions that `set_partitions` yields.
 The projection onto univariate polynomials sends a packed word w to the
 Hilbert polynomial of max(w); on the W basis this is k! times the k-th
 Hilbert polynomial for a k-block partition, the normalization under which
-the projection intertwines both chromatic morphisms exactly.
+the projection intertwines both chromatic morphisms exactly: the falling
+factorial X(X-1)...(X-k+1), with integer coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_left
 from functools import lru_cache
 from operator import attrgetter, itemgetter
 
 from .chromatic import independent_partitions
 from .graphs import Partition, _set_partitions_list, _slot_table, component_masks, set_partitions
-from .linear import LinComb, Polynomial, bilinear, hilbert
+from .linear import LinComb, Polynomial, bilinear, falling_factorial, hilbert
 
 
 def pack(word):
@@ -66,19 +66,27 @@ def partition_of_word(w):
     return Partition.of_labels(w)
 
 
-def expand_W(p):
-    """The W basis element of a set partition p with k blocks: the sum of the
-    k! packed words whose fiber partition is p, one per numbering of p's
-    blocks, each word giving every position the number of its block."""
+def _words(p):
+    """The k! packed words with fiber partition p, for p with k blocks: one
+    per numbering of the blocks, giving every position its block's number."""
     at = p.growth
     # itemgetter returns a bare item for one index and needs at least one
     read = itemgetter(*at) if len(at) > 1 else lambda sigma: tuple(sigma[i] for i in at)
-    return LinComb((read(sigma), 1) for sigma in itertools.permutations(range(1, len(p) + 1)))
+    return map(read, itertools.permutations(range(1, len(p) + 1)))
+
+
+def expand_W(p):
+    """The W basis element of a set partition p: the sum of its packed words."""
+    return LinComb(zip(_words(p), itertools.repeat(1)))
 
 
 def expand(x):
-    """Word expansion of a W-basis element."""
-    return x.bind(expand_W)
+    """Word expansion of a W-basis element in one dict: a word fixes its fiber
+    partition, so distinct W keys have disjoint words and no two terms merge."""
+    words = {}
+    for p, coeff in x.terms():
+        words.update(zip(_words(p), itertools.repeat(coeff)))
+    return LinComb(words)
 
 
 # ---------------------------------------------------------------------------
@@ -145,17 +153,20 @@ def packed_valid_colorings(G):
 def phi0_nc(G):
     """Packed-coloring morphism on the W basis: the sum of W of Q(G, p) over
     the set partitions p of [n] (see the module docstring).  One pass over
-    the vertex masks fills a table of component minima, one search per mask.
-    Read by their minima, the components of p's blocks name their blocks:
-    that restricted-growth string is Q(G, p), counted in one dict and read
-    as a shared partition, so equal terms of any two graphs are one object."""
-    minima = [()] * (1 << (G.n + 1))  # by vertex mask; bit 0 is never set
+    the vertex masks fills two tables: a mask's 0-based positions, and the
+    mask of its components' minima, one search per mask.  Read at the minima
+    of p's blocks (their sum is an OR, the blocks being disjoint), p's growth
+    string names the block of each component by increasing minimum: that is
+    Q(G, p), counted in one dict and read as a shared partition, so equal
+    terms of any two graphs are one object."""
+    minima = [0] * (1 << (G.n + 1))  # by vertex mask; bit 0 is never set
+    positions = [()] * len(minima)
     for m in range(2, len(minima), 2):
-        minima[m] = (m & -m,) + minima[m ^ next(component_masks(G, m))]
+        minima[m] = (m & -m) | minima[m ^ next(component_masks(G, m))]
+        positions[m] = ((m & -m).bit_length() - 2,) + positions[m & (m - 1)]
     counts = {}
     for p in set_partitions(G.n):
-        by_minima = sorted([(low, i) for i, mask in enumerate(p.masks) for low in minima[mask]])
-        growth = tuple([i for _, i in by_minima])
+        growth = tuple(map(p.growth.__getitem__, positions[sum(map(minima.__getitem__, p.masks))]))
         counts[growth] = counts.get(growth, 0) + 1
     return LinComb((_shared_partition(growth), c) for growth, c in counts.items())
 
@@ -173,13 +184,15 @@ def act_nc(G, lam):
 
 def hilbert_morphism(x):
     """Linear projection to polynomials: word w -> H_max(w); W element of a
-    k-block partition -> k! H_k.  Accepts word-space or W-basis elements."""
-    weights = {}
+    k-block partition -> k! H_k, the falling factorial.  Accepts word-space or
+    W-basis elements.  W keys add up in falling-factorial units as they are,
+    so an int W element projects to int coefficients."""
+    units, words = {}, {}  # by k: the coefficient of k! H_k, of H_k
     for key, coeff in x.terms():
         if isinstance(key, Partition):
-            k = len(key)
-            coeff = coeff * math.factorial(k)
+            units[len(key)] = units.get(len(key), 0) + coeff
         else:
             k = max(key) if key else 0
-        weights[k] = weights.get(k, 0) + coeff
-    return sum((hilbert(k) * coeff for k, coeff in sorted(weights.items())), Polynomial.zero())
+            words[k] = words.get(k, 0) + coeff
+    return sum((falling_factorial(k) * c for k, c in sorted(units.items())),
+               sum((hilbert(k) * c for k, c in sorted(words.items())), Polynomial.zero()))

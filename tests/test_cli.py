@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -100,6 +101,15 @@ class TestOtherCommands:
     def test_ncchromatic_project(self):
         r = run_cli("ncchromatic", "--graph", "3: 1-2, 2-3", "--project")
         assert json.loads(r.stdout)["poly"] == ["0", "1", "-2", "1"]
+
+    def test_ncchromatic_words_of_the_five_cycle_are_pinned(self):
+        # the 11 W terms of C5 expand to its 270 packed valid colorings
+        r = run_cli("ncchromatic", "--graph", "5: 1-2, 2-3, 3-4, 4-5, 1-5", "--basis", "words",
+                    "--project")
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["poly"] == ["0", "4", "-10", "10", "-5", "1"]
+        assert hashlib.sha256(r.stdout).hexdigest() == (
+            "2c16bc77cf19f6f1e8b8023b9080995140a4333a921809edc1a6a9d65abf944b")
 
 
 class TestContract:

@@ -15,6 +15,7 @@ from graph_hopf import chromatic as chrom
 from graph_hopf import lattice as lat
 from graph_hopf import wsym as ws
 from graph_hopf.graphs import Graph, complete, connected_components, restrict
+from graph_hopf.linear import LinComb, Polynomial
 
 TWO = ch.Character(lambda G: 2, "two")
 
@@ -58,6 +59,19 @@ def test_every_value_is_int_or_fraction(G):
     L = lat.build_lattice(G)
     assert_exact("mobius", [L.mobius(p, q) for i, p in enumerate(L.elements)
                             for j, q in enumerate(L.elements) if L.leq(i, j)])
+
+
+def test_projection_divides_only_word_coefficients():
+    """W keys project to falling factorials, so an int W element projects to
+    int coefficients; a word's coefficient is divided by max(w)!, exactly."""
+    for G in (Graph(0), complete(1), Graph(4, [(1, 2), (2, 3)]), complete(5)):
+        for x in (ws.pchr_nc(G), ws.phi0_nc(G)):
+            assert all(type(c) is int for c in ws.hilbert_morphism(x).coeffs)
+    # (1/3) * X(X-1)/2 + 2 * X
+    x = LinComb([((1, 2), Fraction(1, 3)), ((1, 1), 2)])
+    got = ws.hilbert_morphism(x)
+    assert got == Polynomial([0, Fraction(11, 6), Fraction(1, 6)])
+    assert_exact("hilbert_morphism of words", got.coeffs)
 
 
 def test_inverse_of_constant_two_is_not_integral():

@@ -1,8 +1,9 @@
 """Pins on what `verify` reports: the violation messages, the suite payload
-of `graph-hopf verify --max-n 3` and `--max-n 4` byte for byte, and which
-checks each suite runs.  A passing run prints no violation, so the message
-text is pinned here by substituting a wrong engine at run time, or a copy of
-a module with one source line changed."""
+of `graph-hopf verify --max-n 3` and `--max-n 4` and of the two labelled
+suites at `--max-n 5` byte for byte, and which checks each suite runs.  A
+passing run prints no violation, so the message text is pinned here by
+substituting a wrong engine at run time, or a copy of a module with one
+source line changed."""
 
 import hashlib
 import inspect
@@ -69,8 +70,14 @@ MUTANTS = {
     (wsym, "_packed_words", "slots = _slot_table(n).items()",
      "slots = list(_slot_table(n).items())[:-1]", "check_wsym_words"):
         (37, "word expansion != packed valid colorings on 2: 1-2"),
-    (wsym, "phi0_nc", "by_minima = sorted(", "by_minima = list(", "check_wsym_action"):
-        (60, "chromatic element != acted packed-coloring morphism on 3:"),
+    (wsym, "phi0_nc", "minima[m] = (m & -m) | ", "minima[m] = ", "check_wsym_action"):
+        (75, "chromatic element != acted packed-coloring morphism on 1:"),
+    (wsym, "hilbert_morphism", "units[len(key)] = units.get(len(key), 0)",
+     "units[key.n] = units.get(key.n, 0)", "check_projection_chromatic"):
+        (142, "Hilbert projection of chromatic element is wrong on 2:"),
+    (wsym, "expand", "words.update(zip(_words(p), ",
+     "words.update(zip(itertools.islice(_words(p), 1, None), ", "check_wsym_words"):
+        (76, "word expansion != packed valid colorings on 0:"),
     (characters, "act", "for value, weight in values:",
      "for value, weight in values[1:]:", "check_wsym_action"):
         (76, "chromatic element != acted packed-coloring morphism on 0:"),
@@ -87,14 +94,15 @@ MUTANTS = {
 
 @pytest.mark.parametrize("mutant", list(MUTANTS), ids=lambda m: f"{m[1]}-{m[4]}")
 def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
-    """The clash mask without the last edge slot, components numbered block
-    by block instead of by minima, an action that drops an admissible
-    partition, monotone pairs that ignore the edges on which f falls, a
-    forest-factor memo keyed by the member alone, and nested forests that
-    drop each member's first child: each is seen by the check that compares
-    that side with an independent one.  A mutated function replaces the
-    original in every package module that imported it, and in the engine
-    registries."""
+    """The clash mask without the last edge slot, a component-minima table
+    that drops each component's minimum, a W element projected by its
+    length instead of its block count, a word expansion that drops one
+    numbering per partition, an action that drops an admissible partition,
+    monotone pairs that ignore the edges on which f falls, a forest-factor
+    memo keyed by the member alone, and nested forests that drop each
+    member's first child: each is seen by the check that compares that side
+    with an independent one.  A mutated function replaces the original in
+    every package module that imported it, and in the engine registries."""
     module, name, line, mutated, check = mutant
     original = getattr(module, name)
     replacement = getattr(_one_line_mutant(module, line, mutated), name)
@@ -126,6 +134,18 @@ def test_verify_max_n_4_stdout_is_pinned(monkeypatch, capsys):
     assert out.startswith('{"ok":true,"max_n":4,"suites":{"coassoc":{"checks":4,')
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "1d4a5d410e7ba8101e4d5f9da89e17e80ba532dbf9d2a9e3157360f9fdd903b9")
+
+
+@pytest.mark.parametrize("suite, digest", [
+    ("wsym", "0e89a93256e9da884c8ab3035f2ae88cefa9d358f4963531b5cdce984393edee"),
+    ("projection", "14ab4ecc6b5411079ca70d8a23c6089239136825f731741b7c4962ad9fcac5e6"),
+])
+def test_labelled_suite_max_n_5_stdout_is_pinned(monkeypatch, capsys, suite, digest):
+    monkeypatch.delenv("GRAPH_HOPF_MAX_N", raising=False)
+    assert cli.main(["verify", "--suite", suite, "--max-n", "5"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f'{{"ok":true,"max_n":5,"suites":{{"{suite}":{{"checks":')
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_every_check_runs_in_exactly_one_suite(monkeypatch):

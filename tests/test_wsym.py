@@ -1,8 +1,9 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graph_hopf import characters as ch
 from graph_hopf import chromatic as chrom
@@ -24,7 +25,7 @@ from graph_hopf.graphs import (
     random_graph,
     set_partitions,
 )
-from graph_hopf.linear import LinComb, Polynomial
+from graph_hopf.linear import LinComb, Polynomial, hilbert
 
 K1, K2, K3 = complete(1), complete(2), complete(3)
 P3 = path_graph(3)
@@ -326,3 +327,56 @@ class TestHilbertProjection:
 
     def test_algebra_morphism(self):
         assert not verify.check_hilbert_algebra_morphism(4)
+
+
+def hilbert_by_fractions(x):
+    """Oracle: the projection as a sum of Hilbert polynomials H_k = X(X-1)...(X-k+1)/k!,
+    in Fractions: coeff * k! * H_k for a k-block W key, coeff * H_max(w) for a word."""
+    weights = {}
+    for key, coeff in x.terms():
+        if isinstance(key, Partition):
+            k = len(key)
+            coeff = coeff * math.factorial(k)
+        else:
+            k = max(key) if key else 0
+        weights[k] = weights.get(k, 0) + coeff
+    return sum((hilbert(k) * coeff for k, coeff in sorted(weights.items())), Polynomial.zero())
+
+
+def expand_by_bind(x):
+    """Oracle: one LinComb of words per W key, merged by `bind`."""
+    return x.bind(ws.expand_W)
+
+
+class TestOneRouteAgainstTheOther:
+    """`hilbert_morphism` in integer falling-factorial units and the one-dict
+    `expand` against the Fraction sum and the per-key `bind` they replaced."""
+
+    def test_on_every_labelled_graph_up_to_5(self):
+        for n in range(6):
+            for G in all_graphs(n):
+                for x in (ws.pchr_nc(G), ws.phi0_nc(G), ws.act_nc(G, ch.LAMBDA_CHR)):
+                    assert ws.expand(x) == expand_by_bind(x)
+                    assert ws.hilbert_morphism(x) == hilbert_by_fractions(x)
+
+    COEFFS = st.one_of(st.integers(-6, 6), st.fractions(max_denominator=12))
+    W_KEYS = [p for n in range(6) for p in set_partitions(n)]
+    WORD_KEYS = [w for n in range(6) for w in words(n)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(W_KEYS), COEFFS), max_size=8))
+    @example([(Partition(0, []), 1)])
+    @example([(Partition(0, []), Fraction(-3, 4)), (Partition.singletons(3), Fraction(1, 6))])
+    def test_on_w_basis_elements(self, terms):
+        x = LinComb(terms)
+        assert ws.expand(x) == expand_by_bind(x)
+        assert ws.hilbert_morphism(x) == hilbert_by_fractions(x)
+        assert ws.hilbert_morphism(ws.expand(x)) == ws.hilbert_morphism(x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(WORD_KEYS), COEFFS), max_size=8))
+    @example([((), 1)])
+    @example([((), Fraction(5, 2)), ((1, 2, 1), Fraction(1, 3)), ((3, 1, 2), 2)])
+    def test_on_word_basis_elements(self, terms):
+        x = LinComb(terms)
+        assert ws.hilbert_morphism(x) == hilbert_by_fractions(x)
