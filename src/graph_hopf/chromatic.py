@@ -9,6 +9,7 @@ cross-checks.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from functools import lru_cache
@@ -44,7 +45,8 @@ def independent_partitions(G):
 
 def pchr_partition(G):
     """Chromatic polynomial as the sum of falling factorials over independent partitions."""
-    return sum((falling_factorial(len(p)) for p in independent_partitions(G)), Polynomial.zero())
+    counts = collections.Counter(map(len, independent_partitions(G)))
+    return sum((falling_factorial(k) * a for k, a in counts.items()), Polynomial.zero())
 
 
 def pchr_deletion_contraction(G):

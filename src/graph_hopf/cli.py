@@ -7,7 +7,8 @@ Exit codes: 0 success, 1 violated identity (with the counterexample
 printed), 2 malformed input.  The environment variable GRAPH_HOPF_MAX_N
 caps the size bound of `verify`; `verify --timings` also writes one JSON
 object on stderr: the seconds and object count of every check it ran, and
-the hits, misses and size of every `lru_cache` in the package.
+the hits, misses and size of every `lru_cache` in the package.  The parser
+is built once per process, by the first `main` call.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from . import wsym as ws
 from .graphs import format_graph, is_connected, parse_graph
 from .linear import format_rational, parse_rational
 from .verify import SUITES
+
+_parser = None  # `build_parser()`, built by the first `main` call
 
 
 def _emit(obj):
@@ -232,8 +235,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
     except ValueError as exc:

@@ -9,8 +9,9 @@ Vertices are the integers 1..n; an edge is an unordered pair stored as
 (i, j) with i < j.  Each graph also stores its adjacency as per-vertex
 bitmasks.  Inside the package a vertex set is a mask with bit v for each
 vertex v; only `restrict` and `components_within` take or give vertex tuples.
-Each Partition keeps one mask per block and its restricted-growth string, and
-is built from a labelling of its positions (`Partition.of_labels`).  Nested
+Each Partition keeps one mask per block and its restricted-growth string;
+the table of all of them extends those of [n - 1] by n, sharing blocks,
+and any other is built from a labelling (`Partition.of_labels`).  Nested
 forests come as (member, children) pairs, acyclic orientations as edge masks.
 The empty graph (n = 0) is the algebra's unit and is accepted everywhere.
 
@@ -325,18 +326,19 @@ def is_admissible(G, p):
 
 @lru_cache(maxsize=None)
 def _set_partitions_list(n):
-    labels = [0] * n  # the restricted-growth string being filled in
+    """The set partitions of [n] by increasing `growth`, built by extension:
+    each one of [n - 1] in turn, with n put into each of its blocks, then
+    alone.  The blocks without n are the parent's own tuples."""
+    if n == 0:
+        return (Partition.of_labels(()),)
     out = []
-
-    def rec(i, nmax):
-        if i == n:
-            out.append(Partition.of_labels(labels))
-            return
-        for v in range(nmax + 1):
-            labels[i] = v
-            rec(i + 1, max(nmax, v + 1))
-
-    rec(0, 0)
+    for q in _set_partitions_list(n - 1):  # n alone: added to an empty last block
+        for k, (block, mask) in enumerate(zip(q.blocks + ((),), q.masks + (0,))):
+            p = Partition.__new__(Partition)
+            p.n, p.growth = n, q.growth + (k,)
+            p.blocks = q.blocks[:k] + (block + (n,),) + q.blocks[k + 1:]
+            p.masks = q.masks[:k] + (mask | 1 << n,) + q.masks[k + 1:]
+            out.append(p)
     return tuple(out)
 
 

@@ -60,6 +60,13 @@ class LinComb:
         self._c = c
 
     @classmethod
+    def _merged(cls, c):
+        """Adopt the dict c, which must hold each key once and no zero coefficient."""
+        res = cls.__new__(cls)
+        res._c = c
+        return res
+
+    @classmethod
     def term(cls, key, coeff=1):
         return cls([(key, coeff)])
 
@@ -97,22 +104,16 @@ class LinComb:
                 out[key] = s
             else:
                 out.pop(key, None)
-        res = LinComb.__new__(LinComb)
-        res._c = out
-        return res
+        return LinComb._merged(out)
 
     def __neg__(self):
-        res = LinComb.__new__(LinComb)
-        res._c = {k: -v for k, v in self._c.items()}
-        return res
+        return LinComb._merged({k: -v for k, v in self._c.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
-        res = LinComb.__new__(LinComb)
-        res._c = {} if not scalar else {k: v * scalar for k, v in self._c.items()}
-        return res
+        return LinComb._merged({} if not scalar else {k: v * scalar for k, v in self._c.items()})
 
     __rmul__ = __mul__
 

@@ -37,6 +37,7 @@ from .graphs import (
     complete,
     component_graphs,
     connected_isoclasses,
+    contract,
     contract_edge,
     degree,
     delete_edge,
@@ -444,8 +445,13 @@ def check_lattice_laws(G):
 @_each(_isoclasses)
 def check_lattice_grading(G):
     L = lat.build_lattice(G)
-    if any(L.rank(L.elements[j]) != L.rank(L.elements[i]) + 1 for i, j in L.covers()):
+    covers = L.covers()
+    if any(L.rank(L.elements[j]) != L.rank(L.elements[i]) + 1 for i, j in covers):
         yield f"cover does not raise rank by 1 on {format_graph(G)}"
+    # p is covered once per edge of G/p: by merging the two blocks it joins
+    if sorted(i for i, _ in covers) != [i for i, p in enumerate(L.elements)
+                                        for _ in contract(G, p).edges]:
+        yield f"covers above an element != edges of its contraction on {format_graph(G)}"
 
 
 def _intervals(L):

@@ -86,7 +86,7 @@ def expand(x):
     words = {}
     for p, coeff in x.terms():
         words.update(zip(_words(p), itertools.repeat(coeff)))
-    return LinComb(words)
+    return LinComb._merged(words)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,7 @@ def phi0_nc(G):
     for p in set_partitions(G.n):
         growth = tuple(map(p.growth.__getitem__, positions[sum(map(minima.__getitem__, p.masks))]))
         counts[growth] = counts.get(growth, 0) + 1
-    return LinComb((_shared_partition(growth), c) for growth, c in counts.items())
+    return LinComb._merged({_shared_partition(growth): c for growth, c in counts.items()})
 
 
 def act_nc(G, lam):

@@ -298,3 +298,28 @@ def test_lattice_stdout_is_pinned(capsys, graph):
     assert capsys.readouterr().out.encode() == expected
     assert cli.main(["lattice", "--graph", graph, "--mobius"]) == 0
     assert capsys.readouterr().out.encode() == expected[:-2] + b',"mobius":' + mobius + b'}\n'
+
+
+def test_one_parser_serves_every_call_of_a_process(monkeypatch, capsys):
+    """A valid query, a malformed graph (exit 2), an argparse error
+    (SystemExit 2) and the first query again, in one process: the parser is
+    built once, and the last stdout is the first byte for byte."""
+    from graph_hopf import cli
+
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    query = ["chromatic", "--graph", "5: 1-2, 2-3, 3-4, 4-5, 1-5", "--eval", "3"]
+    assert cli.main(query) == 0
+    first = capsys.readouterr().out.encode()
+    assert cli.main(["chromatic", "--graph", "3: 1-1"]) == 2
+    assert capsys.readouterr() == ("", "error: loop edge 1-1 not allowed\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["chromatic", "--graph", "2:", "--engine", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+    assert cli.main(query) == 0
+    assert capsys.readouterr().out.encode() == first
+    assert first == b'{"poly":["0","4","-10","10","-5","1"],"value":"30"}\n'
+    assert built == [1]

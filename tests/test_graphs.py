@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graph_hopf.bialgebra import iso
+from graph_hopf.chromatic import independent_partitions
 from graph_hopf.graphs import (
     Graph,
     Partition,
+    _set_partitions_list,
     acyclic_orientations,
     admissible_partitions,
     cc,
@@ -29,6 +31,7 @@ from graph_hopf.graphs import (
     nested_forests,
     parse_graph,
     path_graph,
+    random_graph,
     relabel,
     restrict,
     set_partitions,
@@ -188,6 +191,32 @@ class TestPartition:
             strings = [p.growth for p in set_partitions(n)]
             assert len(set(strings)) == len(strings) == bell(n)
             assert strings == sorted(strings)
+
+    def test_table_built_by_extension_has_the_fields_of_of_labels(self):
+        for n in range(9):
+            table = _set_partitions_list(n)
+            strings = [p.growth for p in table]
+            assert len(table) == bell(n)
+            assert all(a < b for a, b in zip(strings, strings[1:]))
+            for p in table:
+                q = Partition.of_labels(p.growth)
+                assert (p.n, p.blocks, p.masks, p.growth) == (q.n, q.blocks, q.masks, q.growth)
+
+    def test_table_shares_the_blocks_without_n_with_the_parent(self):
+        for n in range(1, 8):
+            parents = {q.growth: q for q in _set_partitions_list(n - 1)}
+            for p in _set_partitions_list(n):
+                q = parents[p.growth[:-1]]
+                kept = [k for k in range(len(q)) if k != p.growth[-1]]
+                assert all(p.blocks[k] is q.blocks[k] for k in kept)
+
+    def test_filtered_partitions_are_the_table_entries(self):
+        rng = random.Random(16)
+        for _ in range(60):
+            G = random_graph(rng.randrange(8), rng, rng.choice((0.2, 0.5, 0.8)))
+            table = {id(p) for p in _set_partitions_list(G.n)}
+            for p in [*admissible_partitions(G), *independent_partitions(G)]:
+                assert id(p) in table
 
 
 class TestContractExtract:

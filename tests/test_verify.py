@@ -12,7 +12,7 @@ import types
 
 import pytest
 
-from graph_hopf import bialgebra, characters, chromatic, cli, graphs, verify, wsym
+from graph_hopf import bialgebra, characters, chromatic, cli, graphs, lattice, verify, wsym
 from graph_hopf.lattice import AdmissibleLattice
 
 SUITE_SIZES = {"coassoc": 4, "counit": 1, "cointeraction": 1, "antipode": 2, "engines": 5,
@@ -65,7 +65,8 @@ def _one_line_mutant(module, line, mutated):
     return copy
 
 
-# (module, function, line, mutated line, check) -> (violation count at max_n 4, first message)
+# (module, function or class, line, mutated line, check)
+#     -> (violation count at max_n 4, first message)
 MUTANTS = {
     (wsym, "_packed_words", "slots = _slot_table(n).items()",
      "slots = list(_slot_table(n).items())[:-1]", "check_wsym_words"):
@@ -89,6 +90,9 @@ MUTANTS = {
     (graphs, "nested_forests", "head = (S, tuple(C for C, _ in children))",
      "head = (S, tuple(C for C, _ in children[1:]))", "check_antipode_engines"):
         (8, "antipode engines disagree on 3: 1-2, 1-3, 2-3"),
+    (lattice, "AdmissibleLattice", "if up & self.down[j] == (1 << i) | (1 << j)]",
+     "if up & self.down[j] == (2 << i) | (1 << j)]", "check_lattice_grading"):
+        (14, "covers above an element != edges of its contraction on 2: 1-2"),
 }
 
 
@@ -99,10 +103,11 @@ def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     length instead of its block count, a word expansion that drops one
     numbering per partition, an action that drops an admissible partition,
     monotone pairs that ignore the edges on which f falls, a forest-factor
-    memo keyed by the member alone, and nested forests that drop each
-    member's first child: each is seen by the check that compares that side
-    with an independent one.  A mutated function replaces the original in
-    every package module that imported it, and in the engine registries."""
+    memo keyed by the member alone, nested forests that drop each member's
+    first child, and a Hasse diagram that lists no cover: each is seen by the
+    check that compares that side with an independent one.  A mutated
+    function or class replaces the original in every package module that
+    imported it, and in the engine registries."""
     module, name, line, mutated, check = mutant
     original = getattr(module, name)
     replacement = getattr(_one_line_mutant(module, line, mutated), name)
