@@ -15,6 +15,7 @@ import math
 from functools import lru_cache
 
 from .graphs import (
+    _set_partitions_list,
     acyclic_orientation_count,
     acyclic_orientations,
     admissible_partitions,
@@ -23,24 +24,40 @@ from .graphs import (
     component_graphs,
     contract_edge,
     delete_edge,
-    set_partitions,
 )
 from .linear import Polynomial, falling_factorial
 
 
 def independent_partitions(G):
-    """Partitions of [n] whose blocks are independent (induce no edge), in
-    `set_partitions` order.  One pass over the vertex masks fills the table
-    of independent sets: a set is independent when the set without its least
-    vertex v is, and v has no neighbour in the set."""
-    adj = G.adj
-    independent = [True] * (1 << (G.n + 1))
-    for m in range(2, len(independent), 2):
-        low = m & -m
-        independent[m] = independent[m ^ low] and not adj[low.bit_length() - 1] & m
-    for p in set_partitions(G.n):
-        if all(map(independent.__getitem__, p.masks)):
-            yield p
+    """Partitions of [n] whose blocks are independent (induce no edge): the
+    `set_partitions` entries, in order.  Vertex v = 1, ..., n goes into each
+    earlier block without a neighbour of v, then into a new block, and the
+    growth string so built is found by its rank: with j blocks open, block k
+    adds k * D(n - v, j), the completions after the k smaller choices, where
+    D(0, j) = 1 and D(m, j) = j * D(m - 1, j) + D(m - 1, j + 1)."""
+    n, adj = G.n, G.adj
+    table = _set_partitions_list(n)
+    D = [[1] * (n + 1)]  # D[m][j] for j + m <= n
+    for _ in range(n):
+        D.append([j * d + e for j, (d, e) in enumerate(zip(D[-1], D[-1][1:]))])
+    blocks, found = [], []
+
+    def place(v, rank):
+        if v > n:
+            found.append(table[rank])
+            return
+        step, nbrs = D[n - v][len(blocks)], adj[v]
+        for k, mask in enumerate(blocks):
+            if not nbrs & mask:
+                blocks[k] = mask | 1 << v
+                place(v + 1, rank + k * step)
+                blocks[k] = mask
+        blocks.append(1 << v)
+        place(v + 1, rank + (len(blocks) - 1) * step)
+        blocks.pop()
+
+    place(1, 0)
+    yield from found
 
 
 def pchr_partition(G):

@@ -6,21 +6,21 @@ acyclic orientations, and exact isomorphism canonicalization for small
 graphs.
 
 Vertices are the integers 1..n; an edge is an unordered pair stored as
-(i, j) with i < j.  Each graph also stores its adjacency as per-vertex
-bitmasks.  Inside the package a vertex set is a mask with bit v for each
-vertex v; only `restrict` and `components_within` take or give vertex tuples.
+(i, j) with i < j.  The adjacency as per-vertex bitmasks is built on first
+read.  Inside the package a vertex set is a mask with bit v for each vertex
+v; only `restrict` and `components_within` take or give vertex tuples.
 Each Partition keeps one mask per block and its restricted-growth string;
-the table of all of them extends those of [n - 1] by n, sharing blocks,
-and any other is built from a labelling (`Partition.of_labels`).  Nested
-forests come as (member, children) pairs, acyclic orientations as edge masks.
-The empty graph (n = 0) is the algebra's unit and is accepted everywhere.
+the table of all of them, sorted by that string so an entry is found by
+its rank, extends that of [n - 1] by n, sharing blocks.  Any other is built
+from a labelling (`Partition.of_labels`).  The empty graph (n = 0) is the
+algebra's unit and is accepted everywhere.
 
-All values are immutable after construction and every operation is a pure
-function, so values can be shared freely across threads.  Memo tables only
-cache idempotent pure results.  The canonical form of a disconnected graph
-also carries its sorted connected factors, set when `canonical_form` builds
-it, so the isoclass monomial of a graph is one memo lookup
-(`canonical_factors`).
+All values are immutable after construction (the masks, once built, are
+fixed too) and every operation is a pure function, so values can be shared
+freely across threads.  Memo tables only cache idempotent pure results.
+The canonical form of a disconnected graph also carries its sorted
+connected factors, set when `canonical_form` builds it, so the isoclass
+monomial of a graph is one memo lookup (`canonical_factors`).
 """
 
 from __future__ import annotations
@@ -33,13 +33,13 @@ from functools import lru_cache
 class Graph:
     """Simple graph on vertices 1..n: the edges as a sorted tuple of pairs and
     the adjacency as a tuple of n + 1 bitmasks (bit u of adj[v] is the edge
-    v-u; adj[0] is 0).  Both and the hash are computed once, on construction.
+    v-u; adj[0] is 0), built on first read; the hash is set on construction.
 
     `factors` is None except on a disconnected canonical form, where it holds
     the canonical forms of the components, sorted; equality and the hash
     ignore it."""
 
-    __slots__ = ("n", "edges", "adj", "_hash", "factors")
+    __slots__ = ("n", "edges", "_adj", "_hash", "factors")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -55,12 +55,18 @@ class Graph:
         self._set(n, tuple(sorted(normalized)))
 
     def _set(self, n, edges):
-        adj = [0] * (n + 1)
-        for i, j in edges:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        self.n, self.edges, self.adj, self.factors = n, edges, tuple(adj), None
+        self.n, self.edges, self._adj, self.factors = n, edges, None, None
         self._hash = hash((n, edges))
+
+    @property
+    def adj(self):
+        if self._adj is None:
+            adj = [0] * (self.n + 1)
+            for i, j in self.edges:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            self._adj = tuple(adj)
+        return self._adj
 
     def has_edge(self, i, j):
         """True when i-j is an edge; False for any pair outside 1..n."""
@@ -101,7 +107,7 @@ class Partition:
     from another structure is built from a labelling by `of_labels`.
     """
 
-    __slots__ = ("n", "blocks", "masks", "growth")
+    __slots__ = ("n", "blocks", "masks", "growth", "_hash")
 
     def __init__(self, n, blocks):
         blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
@@ -125,6 +131,7 @@ class Partition:
         self.blocks = blocks
         self.masks = tuple(masks)
         self.growth = tuple(growth)
+        self._hash = hash(self.masks)
 
     @classmethod
     def of_labels(cls, labels):
@@ -162,8 +169,7 @@ class Partition:
         return isinstance(other, Partition) and self.n == other.n and self.blocks == other.blocks
 
     def __hash__(self):
-        # equal partitions have equal masks; hashing them builds no tuple
-        return hash(self.masks)
+        return self._hash
 
     def __lt__(self, other):
         return (self.n, self.blocks) < (other.n, other.blocks)
@@ -282,10 +288,10 @@ def contract(G, p):
     """
     if p.n != G.n:
         raise ValueError("partition does not match the vertex set")
-    at = (None,) + tuple(k + 1 for k in p.growth)  # the vertex of the result that v joins
+    at = (None,) + p.growth  # v joins vertex at[v] + 1 of the result
     edges = {(at[i], at[j]) if at[i] < at[j] else (at[j], at[i])
              for i, j in G.edges if at[i] != at[j]}
-    return _graph(len(p.blocks), tuple(sorted(edges)))
+    return _graph(len(p.blocks), tuple((a + 1, b + 1) for a, b in sorted(edges)))
 
 
 def extract(G, p):
@@ -321,7 +327,8 @@ def is_admissible(G, p):
     """True when every block of p induces a connected subgraph of G."""
     if p.n != G.n:
         raise ValueError("partition does not match the vertex set")
-    return all(_connected_mask(G.adj, m) for m in p.masks)
+    adj = G.adj
+    return all(_connected_mask(adj, m) for m in p.masks)
 
 
 @lru_cache(maxsize=None)
@@ -338,6 +345,7 @@ def _set_partitions_list(n):
             p.n, p.growth = n, q.growth + (k,)
             p.blocks = q.blocks[:k] + (block + (n,),) + q.blocks[k + 1:]
             p.masks = q.masks[:k] + (mask | 1 << n,) + q.masks[k + 1:]
+            p._hash = hash(p.masks)
             out.append(p)
     return tuple(out)
 
@@ -349,7 +357,8 @@ def set_partitions(n):
 
 @lru_cache(maxsize=None)
 def _admissible_list(G):
-    connected = [_connected_mask(G.adj, m) for m in range(1 << (G.n + 1))]  # by block mask
+    adj = G.adj
+    connected = [_connected_mask(adj, m) for m in range(1 << (G.n + 1))]  # by block mask
     return tuple(p for p in _set_partitions_list(G.n) if all(map(connected.__getitem__, p.masks)))
 
 
@@ -385,6 +394,14 @@ def is_bridge(G, e):
 # ---------------------------------------------------------------------------
 # components and grading
 
+def _bits(mask):
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _component_of(adj, seed, within):
     """Mask of the component that holds the one-vertex mask `seed` in the
     subgraph induced on the mask `within`: grown by OR-ing the adjacency masks
@@ -408,8 +425,9 @@ def _connected_mask(adj, mask):
 
 def component_masks(G, mask):
     """Vertex masks of the components of the subgraph induced on `mask`, by lowest vertex."""
+    adj = G.adj
     while mask:  # the vertices not yet in a component
-        comp = _component_of(G.adj, mask & -mask, mask)
+        comp = _component_of(adj, mask & -mask, mask)
         mask ^= comp
         yield comp
 
@@ -417,8 +435,7 @@ def component_masks(G, mask):
 def components_within(G, vertices):
     """Components of the subgraph induced on `vertices`: sorted vertex tuples,
     listed by minimal element."""
-    return [tuple(v for v in range(1, G.n + 1) if c >> v & 1)
-            for c in component_masks(G, sum(1 << v for v in set(vertices)))]
+    return [tuple(_bits(c)) for c in component_masks(G, sum(1 << v for v in set(vertices)))]
 
 
 def connected_components(G):
@@ -483,7 +500,7 @@ def _vertex_signature(adj):
     degs = [a.bit_count() for a in adj]
     sig = {}
     for v in range(1, len(adj)):
-        nbrs = [u for u in range(1, len(adj)) if adj[v] >> u & 1]
+        nbrs = list(_bits(adj[v]))
         tri = sum((adj[u] & adj[v]).bit_count() for u in nbrs) // 2
         sig[v] = (degs[v], tuple(sorted(degs[u] for u in nbrs)), tri)
     return sig
@@ -599,12 +616,12 @@ def isoclasses_up_to(n):
 def _connected_subsets(G):
     """All subsets of [n] of size >= 2 inducing a connected subgraph, as
     (sorted vertex tuple, vertex mask) pairs, by size and then lexicographically."""
-    out = []
+    out, adj = [], G.adj
     verts = list(range(1, G.n + 1))
     for r in range(2, G.n + 1):
         for sub in itertools.combinations(verts, r):
             mask = sum(1 << v for v in sub)
-            if _connected_mask(G.adj, mask):
+            if _connected_mask(adj, mask):
                 out.append((sub, mask))
     return tuple(out)
 

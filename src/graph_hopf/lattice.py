@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from .graphs import (
     Partition,
+    _bits,
     admissible_partitions,
     component_masks,
     components_partition,
@@ -21,14 +22,6 @@ from .graphs import (
     extract,
     is_admissible,
 )
-
-
-def _bits(mask):
-    """The set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class AdmissibleLattice:

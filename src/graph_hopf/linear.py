@@ -13,6 +13,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 # an integer, "p/q" or a plain decimal: no exponent, since Fraction computes 10**exp
 _RATIONAL = re.compile(r"\s*[-+]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*")
@@ -21,6 +22,8 @@ _RATIONAL = re.compile(r"\s*[-+]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*")
 def format_rational(q):
     """Serialize an `int` or `Fraction` as "p/q", or "p" when the denominator is 1.
     Anything else, a float included, raises TypeError rather than print inexactly."""
+    if type(q) is int:
+        return str(q)
     if not isinstance(q, (int, Fraction)):
         raise TypeError(f"not an exact rational: {q!r}")
     q = Fraction(q)
@@ -78,7 +81,7 @@ class LinComb:
         return self._c.get(key, 0)
 
     def items(self):
-        return sorted(self._c.items())
+        return sorted(self._c.items(), key=itemgetter(0))
 
     def keys(self):
         return sorted(self._c)

@@ -31,7 +31,6 @@ from .graphs import (
     Graph,
     Partition,
     acyclic_orientation_count,
-    admissible_partitions,
     all_graphs,
     cc,
     complete,
@@ -367,12 +366,17 @@ def check_bridge_lemma(G):
 
 @_each(_isoclasses)
 def check_zeta(G):
-    parts = list(admissible_partitions(G))
-    images = [lat.zeta(G, p) for p in parts]
-    for (p, zp), (q, zq) in itertools.combinations(zip(parts, images), 2):
-        if (p.refines(q)) != (zp <= zq) or (q.refines(p)) != (zq <= zp):
-            yield f"edge-set embedding not an order embedding on {format_graph(G)}"
-            break
+    L = lat.build_lattice(G)
+    parts, images = L.elements, [lat.zeta(G, p) for p in L.elements]
+    embeds = ordered = True
+    for (i, zp), (j, zq) in itertools.combinations(enumerate(images), 2):
+        pq, qp = parts[i].refines(parts[j]), parts[j].refines(parts[i])
+        embeds = embeds and pq == (zp <= zq) and qp == (zq <= zp)
+        ordered = ordered and pq == L.leq(i, j) and qp == L.leq(j, i)
+    if not embeds:
+        yield f"edge-set embedding not an order embedding on {format_graph(G)}"
+    if not ordered:
+        yield f"lattice order != refinement on {format_graph(G)}"
     if len(set(images)) != len(images):
         yield f"edge-set embedding not injective on {format_graph(G)}"
     if lat.zeta_is_bijective(G) != is_forest(G):

@@ -62,6 +62,18 @@ def independent_by_restriction(G):
     return [p for p in set_partitions(G.n) if all(not restrict(G, b).edges for b in p.blocks)]
 
 
+def independent_by_scan(G):
+    """Oracle: every set partition scanned against the table of independent
+    vertex masks, each mask independent when it is without its least vertex
+    v and v has no neighbour in it."""
+    adj = G.adj
+    independent = [True] * (1 << (G.n + 1))
+    for m in range(2, len(independent), 2):
+        low = m & -m
+        independent[m] = independent[m ^ low] and not adj[low.bit_length() - 1] & m
+    return [p for p in set_partitions(G.n) if all(map(independent.__getitem__, p.masks))]
+
+
 class TestPartitionEngine:
     def test_point(self):
         assert chrom.pchr_partition(K1) == X
@@ -83,6 +95,16 @@ class TestPartitionEngine:
         graphs += [random_graph(n, rng, p) for n in (6, 7, 8) for p in (0.2, 0.5)]
         for G in graphs:
             assert list(chrom.independent_partitions(G)) == independent_by_restriction(G)
+
+    def test_direct_generator_yields_the_scanned_table_entries(self):
+        rng = random.Random(17)
+        graphs = [G for n in range(6) for G in all_graphs(n)]
+        graphs += [make(n) for n in range(6, 10) for make in (edgeless, complete)]
+        graphs += [random_graph(n, rng, p) for n in range(6, 10) for p in (0.2, 0.5, 0.8)]
+        for G in graphs:
+            got, want = list(chrom.independent_partitions(G)), independent_by_scan(G)
+            assert len(got) == len(want)
+            assert all(p is q for p, q in zip(got, want))
 
 
 class TestDeletionContractionEngine:

@@ -9,8 +9,10 @@ from graph_hopf.graphs import (
     Graph,
     Partition,
     _set_partitions_list,
+    _vertex_signature,
     acyclic_orientations,
     admissible_partitions,
+    all_graphs,
     cc,
     complete,
     connected_components,
@@ -60,6 +62,35 @@ def is_acyclic_orientation(G, orientation):
         return True
 
     return all(state.get(v) == 2 or dfs(v) for v in range(1, G.n + 1))
+
+
+def eager_masks(G):
+    """Oracle: the adjacency masks built eagerly from the edge list."""
+    adj = [0] * (G.n + 1)
+    for i, j in G.edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return tuple(adj)
+
+
+def contract_by_vertex_table(G, p):
+    """Oracle: contraction through a table from each vertex to its result vertex."""
+    at = (None,) + tuple(k + 1 for k in p.growth)
+    edges = {(at[i], at[j]) if at[i] < at[j] else (at[j], at[i])
+             for i, j in G.edges if at[i] != at[j]}
+    return Graph(len(p.blocks), sorted(edges))
+
+
+def signature_by_vertex_sweep(adj):
+    """Oracle: the vertex signatures, each vertex's neighbours found by
+    testing every vertex."""
+    degs = [a.bit_count() for a in adj]
+    sig = {}
+    for v in range(1, len(adj)):
+        nbrs = [u for u in range(1, len(adj)) if adj[v] >> u & 1]
+        tri = sum((adj[u] & adj[v]).bit_count() for u in nbrs) // 2
+        sig[v] = (degs[v], tuple(sorted(degs[u] for u in nbrs)), tri)
+    return sig
 
 
 def bell(n):
@@ -254,6 +285,47 @@ class TestContractExtract:
                 assert cc(contract(G, p)) == cc(G)
                 assert cc(extract(G, p)) == len(p)
                 assert degree(contract(G, p)) + degree(extract(G, p)) == degree(G)
+
+
+class TestFastPathsAgainstTheirOracles:
+    def graphs(self):
+        rng = random.Random(17)
+        yield from (G for n in range(6) for G in all_graphs(n))
+        yield from (random_graph(n, rng, p) for n in range(6, 10) for p in (0.2, 0.5, 0.8))
+
+    def test_masks_read_lazily_equal_the_eager_build(self):
+        for G in self.graphs():
+            assert G.adj == eager_masks(G)
+
+    def test_derived_graphs_build_no_masks_until_read(self):
+        G = parse_graph("5: 1-2, 2-3, 3-4, 4-5, 1-5, 2-5")
+        p = Partition(5, [(1, 2), (3,), (4, 5)])
+        for H in (contract(G, p), restrict(G, [2, 3, 5]), extract(G, p)):
+            assert H._adj is None
+            hash(H)
+            assert H == Graph(H.n, H.edges) and H._adj is None
+            assert H.adj == eager_masks(H)
+            assert H._adj is H.adj
+
+    def test_contract_equals_the_vertex_table_route(self):
+        rng = random.Random(18)
+        for G in self.graphs():
+            table = _set_partitions_list(G.n)
+            for p in (table if G.n <= 4 else rng.sample(table, 20)):
+                got, want = contract(G, p), contract_by_vertex_table(G, p)
+                assert (got.n, got.edges) == (want.n, want.edges)
+
+    def test_vertex_signature_equals_the_vertex_sweep(self):
+        for G in self.graphs():
+            assert _vertex_signature(G.adj) == signature_by_vertex_sweep(G.adj)
+
+    def test_equal_partitions_hash_equal_however_built(self):
+        for n in range(7):
+            for p in _set_partitions_list(n):
+                built = (Partition(n, reversed(p.blocks)), Partition.of_labels(p.growth),
+                         Partition.of_labels([-k for k in p.growth]))
+                for q in built:
+                    assert q == p and hash(q) == hash(p) == hash(p.masks)
 
 
 class TestAdmissibility:

@@ -19,6 +19,8 @@ rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 class TestRationalFormat:
     def test_integer(self):
         assert format_rational(Fraction(-3)) == "-3"
+        assert format_rational(-3) == "-3"
+        assert format_rational(True) == "1"
 
     def test_fraction(self):
         assert format_rational(Fraction(2, 4)) == "1/2"

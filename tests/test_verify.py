@@ -93,6 +93,12 @@ MUTANTS = {
     (lattice, "AdmissibleLattice", "if up & self.down[j] == (1 << i) | (1 << j)]",
      "if up & self.down[j] == (2 << i) | (1 << j)]", "check_lattice_grading"):
         (14, "covers above an element != edges of its contraction on 2: 1-2"),
+    (lattice, "AdmissibleLattice", "return bool(self.down[j] >> i & 1)",
+     "return bool(self.down[j] << i & 1)", "check_zeta"):
+        (11, "lattice order != refinement on 3: 1-2, 1-3, 2-3"),
+    (chromatic, "independent_partitions", "if not nbrs & mask:", "if not nbrs & mask & -mask:",
+     "check_chromatic_engines"):
+        (7, "chromatic engines disagree on 3: 2-3"),
 }
 
 
@@ -104,8 +110,10 @@ def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     numbering per partition, an action that drops an admissible partition,
     monotone pairs that ignore the edges on which f falls, a forest-factor
     memo keyed by the member alone, nested forests that drop each member's
-    first child, and a Hasse diagram that lists no cover: each is seen by the
-    check that compares that side with an independent one.  A mutated
+    first child, a Hasse diagram that lists no cover, a lattice order that
+    holds only from the bottom, and independent partitions that test only
+    each block's least vertex for a neighbour: each is seen by the check
+    that compares that side with an independent one.  A mutated
     function or class replaces the original in every package module that
     imported it, and in the engine registries."""
     module, name, line, mutated, check = mutant
