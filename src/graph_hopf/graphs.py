@@ -156,10 +156,11 @@ class Partition:
         return len(self.blocks)
 
     def refines(self, other):
-        """True when every block of self lies inside a block of other."""
+        """True when every block of self lies inside the block of other that holds its minimum."""
         if self.n != other.n:
             raise ValueError("partitions on different ground sets")
-        return all(set(b) <= set(other.block_of(b[0])) for b in self.blocks)
+        masks, at = other.masks, other.growth
+        return all(not m & ~masks[at[b[0] - 1]] for b, m in zip(self.blocks, self.masks))
 
     def packed_restriction(self, subset):
         """Restrict to a subset of [n] and relabel via the increasing bijection."""

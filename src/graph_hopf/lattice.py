@@ -7,10 +7,14 @@ of v into slot v (bits v(n+1) .. v(n+1)+n), so p refines q exactly when
 code_p & ~code_q == 0.  Each element's down-set and up-set are masks over
 element indices, both holding the element itself: covers, intervals and the
 Mobius recursion are bit operations on them.  Meet and join are the paper's
-formulas on block masks, looked up by the set of the result's block masks.
+formulas on block masks, looked up by the set of the result's block masks;
+each block intersection is split into components once per lattice, in a
+table on the instance that is filled on first read.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 from .graphs import (
     Partition,
@@ -29,10 +33,11 @@ class AdmissibleLattice:
 
     def __init__(self, G):
         self.G = G
-        self.elements = sorted(admissible_partitions(G))
+        self.elements = sorted(admissible_partitions(G), key=attrgetter("blocks"))
         self._by_masks = {frozenset(p.masks): i for i, p in enumerate(self.elements)}
         width = G.n + 1
-        codes = [sum(m << v * width for m in p.masks for v in _bits(m)) for p in self.elements]
+        codes = [sum(p.masks[k] << v * width for v, k in enumerate(p.growth, 1))
+                 for p in self.elements]
         self.down = [0] * len(codes)
         self.up = [0] * len(codes)
         for j, code in enumerate(codes):
@@ -42,6 +47,7 @@ class AdmissibleLattice:
                     self.down[j] |= 1 << i
                     self.up[i] |= 1 << j
         self._mobius = {}
+        self._components = {}  # vertex mask -> its component masks, filled on first read
 
     def __len__(self):
         return len(self.elements)
@@ -76,22 +82,27 @@ class AdmissibleLattice:
 
     def meet_index(self, i, j):
         """Index of the greatest lower bound of elements i and j: the connected
-        components of their pairwise block intersections."""
-        return self._by_masks[frozenset(
-            comp for a in self.elements[i].masks for b in self.elements[j].masks if a & b
-            for comp in component_masks(self.G, a & b))]
+        components of their pairwise block intersections, each searched once."""
+        table, comps = self._components, []
+        for a in self.elements[i].masks:
+            for b in self.elements[j].masks:
+                inter = a & b
+                if inter:
+                    found = table.get(inter)
+                    if found is None:
+                        found = table[inter] = tuple(component_masks(self.G, inter))
+                    comps += found
+        return self._by_masks[frozenset(comps)]
 
     def join_index(self, i, j):
         """Index of the least upper bound of elements i and j: the transitive
         closure of the union of the two relations, which merges each block of j
-        with the blocks it overlaps."""
-        blocks = list(self.elements[i].masks)
+        with the blocks it overlaps (they cover it, and their union is their sum)."""
+        blocks = self.elements[i].masks
         for b in self.elements[j].masks:
-            merged = b
-            for a in [a for a in blocks if a & b]:
-                blocks.remove(a)
-                merged |= a
-            blocks.append(merged)
+            hit = [a for a in blocks if a & b]
+            if len(hit) > 1:
+                blocks = [a for a in blocks if not a & b] + [sum(hit)]
         return self._by_masks[frozenset(blocks)]
 
     def meet(self, p, q):
@@ -107,12 +118,13 @@ class AdmissibleLattice:
         i, j = self.index(p), self.index(q)
         if not self.leq(i, j):
             raise ValueError("mobius needs p <= q")
-        return self._mobius_idx(i, j)
+        return self.mobius_index(i, j)
 
-    def _mobius_idx(self, i, j):
+    def mobius_index(self, i, j):
+        """Mobius function on element indices i <= j, not checked."""
         if (i, j) in self._mobius:
             return self._mobius[(i, j)]
-        value = 1 if i == j else -sum(self._mobius_idx(i, k)
+        value = 1 if i == j else -sum(self.mobius_index(i, k)
                                       for k in _bits(self.up[i] & self.down[j] ^ 1 << j))
         self._mobius[(i, j)] = value
         return value

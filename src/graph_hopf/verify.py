@@ -30,6 +30,7 @@ from . import wsym as ws
 from .graphs import (
     Graph,
     Partition,
+    _bits,
     acyclic_orientation_count,
     all_graphs,
     cc,
@@ -317,8 +318,11 @@ def check_rota_signs(G):
 
 @_each(_isoclasses)
 def check_sign_positivity(G):
+    """Rota's signs: the signed character is |chromatic character| >= 1."""
     if ch.LAMBDA_CHR_TILDE(G) < 1:
         yield f"signed chromatic character < 1 on {format_graph(G)}"
+    if ch.LAMBDA_CHR_TILDE(G) != abs(ch.LAMBDA_CHR(G)):
+        yield f"signed chromatic character != |chromatic character| on {format_graph(G)}"
 
 
 @_each(_isoclasses)
@@ -468,7 +472,7 @@ def _intervals(L):
 def check_mobius_values(G):
     L = lat.build_lattice(G)
     for i, j, p, q in _intervals(L):
-        if L.mobius(p, q) != ch.LAMBDA_CHR(L.quotient(i, j)):
+        if L.mobius_index(i, j) != ch.LAMBDA_CHR(L.quotient(i, j)):
             yield (f"Mobius value != character of interval quotient "
                    f"on {format_graph(G)} at [{p}, {q}]")
     if L.mobius(L.bottom, L.top) != ch.LAMBDA_CHR(G):
@@ -490,25 +494,23 @@ def check_lattice_bridge(G):
             yield f"bridge factorization fails on {format_graph(G)} at {e}"
 
 
-def _quotient_partition(r, p):
-    """r/p for r >= p: the partition of the blocks of p, numbered as `contract`
-    numbers them, that groups the p-blocks lying in one block of r."""
-    return Partition.of_labels([r.growth[b[0] - 1] for b in p.blocks])
-
-
 @_each(_connected)
 def check_interval_isomorphism(G):
     """Intervals [p, q] are order-isomorphic to the lattice of (G|q)/p through
     the explicit map r -> r/p, checked to be a bijection that preserves and
-    reflects order on every interval."""
+    reflects order on every interval.  Each r/p is built once per pair p <= r:
+    the partition of the blocks of p, numbered as `contract` numbers them,
+    that groups the p-blocks lying in one block of r."""
     L = lat.build_lattice(G)
+    over = {(i, a): Partition.of_labels([L.elements[a].growth[b[0] - 1] for b in p.blocks])
+            for i, p in enumerate(L.elements) for a in _bits(L.up[i])}
     for i, j, p, q in _intervals(L):
-        inside = L.interval(p, q)
+        box = L.up[i] & L.down[j]
         M = lat.build_lattice(L.quotient(i, j))
-        image = [_quotient_partition(L.elements[a], p) for a in inside]
-        if sorted(image) == M.elements:
-            at = dict(zip(inside, map(M.index, image)))
-            if all(sum(1 << at[b] for b in inside if L.up[a] >> b & 1) == M.up[x]
+        by_image = sorted(_bits(box), key=lambda a: over[(i, a)].blocks)
+        if [over[(i, a)] for a in by_image] == M.elements:
+            at = {a: x for x, a in enumerate(by_image)}
+            if all(sum(1 << at[b] for b in _bits(L.up[a] & box)) == M.up[x]
                    for a, x in at.items()):
                 continue
         yield (f"r -> r/p is not an order isomorphism onto the quotient lattice "

@@ -93,6 +93,14 @@ def signature_by_vertex_sweep(adj):
     return sig
 
 
+def refines_by_sets(p, q):
+    """Oracle: every block of p is a subset of the block of q that holds its
+    least vertex, compared as sets."""
+    if p.n != q.n:
+        raise ValueError("partitions on different ground sets")
+    return all(set(b) <= set(q.block_of(b[0])) for b in p.blocks)
+
+
 def bell(n):
     # independent oracle for partition counts
     table = [[1]]
@@ -326,6 +334,17 @@ class TestFastPathsAgainstTheirOracles:
                          Partition.of_labels([-k for k in p.growth]))
                 for q in built:
                     assert q == p and hash(q) == hash(p) == hash(p.masks)
+
+    def test_refines_on_masks_equals_the_set_route(self):
+        for n in range(6):
+            table = _set_partitions_list(n)
+            for p in table:
+                for q in table:
+                    assert p.refines(q) is refines_by_sets(p, q)
+        for p, q in ((Partition.singletons(2), Partition.singletons(3)),
+                     (Partition.one_block(3), Partition.one_block(0))):
+            with pytest.raises(ValueError, match="different ground sets"):
+                p.refines(q)
 
 
 class TestAdmissibility:

@@ -102,7 +102,7 @@ class TestMobius:
                 for j, q in enumerate(L.elements):
                     if i == j or not L.leq(i, j):
                         continue
-                    total = sum(L._mobius_idx(i, k) for k in L.interval(p, q))
+                    total = sum(L.mobius_index(i, k) for k in L.interval(p, q))
                     assert total == 0
 
     def test_matches_character_of_quotient(self):

@@ -7,8 +7,14 @@ is its defining recursion, and meet and join are the partition formulas
 (components of pairwise block intersections; union-find over both block
 lists).  Beyond that bound, random labeled graphs on 6-7 vertices are checked
 against Whitney's theorem, a networkx count of the admissible partitions, and
-the greatest-lower / least-upper bound property of meet and join.
+the greatest-lower / least-upper bound property of meet and join.  The
+lattice's own fast paths, the keyed sort of its elements and the meet read
+through its table of intersection components, are compared with the routes
+they replaced on every labeled graph with at most 5 vertices and on seeded
+random graphs with 6-7.
 """
+
+import random
 
 import networkx as nx
 import pytest
@@ -20,11 +26,14 @@ from graph_hopf.chromatic import pchr_deletion_contraction
 from graph_hopf.graphs import (
     Graph,
     Partition,
+    admissible_partitions,
     all_graphs,
     cc,
+    component_masks,
     components_within,
     format_graph,
     isoclasses_up_to,
+    random_graph,
 )
 
 GRAPHS = list(isoclasses_up_to(5)) + [G for n in range(5) for G in all_graphs(n)]
@@ -54,6 +63,13 @@ def meet_formula(G, p, q):
     inters = (set(a) & set(b) for a in p.blocks for b in q.blocks)
     return Partition(G.n, [comp for inter in inters if inter
                            for comp in components_within(G, inter)])
+
+
+def meet_masks_by_search(L, i, j):
+    """Oracle: the meet's block masks with every block intersection searched
+    for components afresh, as before the lattice kept a table of them."""
+    return frozenset(comp for a in L.elements[i].masks for b in L.elements[j].masks if a & b
+                     for comp in component_masks(L.G, a & b))
 
 
 def join_formula(G, p, q):
@@ -124,3 +140,23 @@ def test_lattice_beyond_the_exhaustive_bound(G, rng):
                 assert r.refines(m)
             if p.refines(r) and q.refines(r):
                 assert j.refines(r)
+
+
+def fast_path_graphs():
+    rng = random.Random(1811)
+    yield from (G for n in range(6) for G in all_graphs(n))
+    yield from (random_graph(n, rng, p) for n in (6, 7) for p in (0.3, 0.6) for _ in range(2))
+
+
+def test_fast_paths_equal_the_routes_they_replaced():
+    """The elements sorted by their blocks are `sorted` by `Partition.__lt__`,
+    and the meet read through the component table is the searched one, on
+    up to 40 sampled pairs per graph (every pair below 8 elements)."""
+    rng = random.Random(1812)
+    for G in fast_path_graphs():
+        L = lat.build_lattice(G)
+        assert L.elements == sorted(admissible_partitions(G))
+        N = range(len(L))
+        pairs = [(i, j) for i in N for j in N]
+        for i, j in (pairs if len(pairs) <= 64 else rng.sample(pairs, 40)):
+            assert frozenset(L.elements[L.meet_index(i, j)].masks) == meet_masks_by_search(L, i, j)

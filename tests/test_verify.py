@@ -36,7 +36,7 @@ def _doubled_delta_small(monkeypatch):
 EXPECTED = {
     _zero_character: {
         "engines": (13, "chromatic engines disagree on 1:"),
-        "signs": (9, "character bound equality mischaracterized on 1:"),
+        "signs": (16, "signed chromatic character != |chromatic character| on 1:"),
         "mobius": (29, "Mobius value != character of interval quotient on 1: at [{{1}}, {{1}}]"),
         "wsym": (11, "chromatic element != acted packed-coloring morphism on 1:"),
     },
@@ -99,6 +99,9 @@ MUTANTS = {
     (chromatic, "independent_partitions", "if not nbrs & mask:", "if not nbrs & mask & -mask:",
      "check_chromatic_engines"):
         (7, "chromatic engines disagree on 3: 2-3"),
+    (characters, "LAMBDA_CHR_TILDE", "(-1) ** degree(G)", "(-2) ** degree(G)",
+     "check_sign_positivity"):
+        (14, "signed chromatic character != |chromatic character| on 2: 1-2"),
 }
 
 
@@ -111,8 +114,9 @@ def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     monotone pairs that ignore the edges on which f falls, a forest-factor
     memo keyed by the member alone, nested forests that drop each member's
     first child, a Hasse diagram that lists no cover, a lattice order that
-    holds only from the bottom, and independent partitions that test only
-    each block's least vertex for a neighbour: each is seen by the check
+    holds only from the bottom, independent partitions that test only each
+    block's least vertex for a neighbour, and a signed chromatic character
+    that is positive but 2^deg times too large: each is seen by the check
     that compares that side with an independent one.  A mutated
     function or class replaces the original in every package module that
     imported it, and in the engine registries."""
@@ -159,6 +163,15 @@ def test_labelled_suite_max_n_5_stdout_is_pinned(monkeypatch, capsys, suite, dig
     out = capsys.readouterr().out
     assert out.startswith(f'{{"ok":true,"max_n":5,"suites":{{"{suite}":{{"checks":')
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_mobius_suite_max_n_5_stdout_is_pinned(monkeypatch, capsys):
+    monkeypatch.delenv("GRAPH_HOPF_MAX_N", raising=False)
+    assert cli.main(["verify", "--suite", "mobius", "--max-n", "5"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith('{"ok":true,"max_n":5,"suites":{"mobius":{"checks":7,')
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d718ba2e02a98208ad70f8fc958c9f398c173ceafae145fc77914be29ed9274a")
 
 
 def test_every_check_runs_in_exactly_one_suite(monkeypatch):
