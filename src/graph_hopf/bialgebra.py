@@ -13,7 +13,8 @@ bipartitions; the contraction-extraction coproduct sums (G/p) (x) (G|p)
 over admissible partitions p.  The quotient by the relation "isolated
 vertex = 1" is represented by stripping single-vertex factors from
 monomials; that quotient carries the antipode, whose two independent engines
-are registered in `ANTIPODE_ENGINES`.
+are registered in `ANTIPODE_ENGINES`.  The recursive one sums over the terms
+of the commutative δ, which first groups its partitions by G/p and blocks.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from functools import lru_cache
 
 from .graphs import (
     Graph,
+    _graph,
+    _quotient_edges,
     admissible_partitions,
     block_map,
     canonical_factors,
@@ -124,11 +127,22 @@ def counit_big(x):
 # the contraction-extraction coproduct
 
 def delta_small_graph(G, indexed=False):
-    """Sum of (G/p) (x) (G|p) over admissible partitions p."""
+    """Sum of (G/p) (x) (G|p) over admissible partitions p.
+
+    Commutative terms are first counted by a key of ints: the edges of the
+    labelled G/p and the sorted per-call ids of the blocks' canonical forms,
+    each block canonicalised once.  Then each distinct key builds its term."""
     if indexed:
         return LinComb(((contract(G, p), extract(G, p)), 1) for p in admissible_partitions(G))
-    extracted = _extraction_monomial(G)
-    return LinComb(((iso(contract(G, p)), extracted(p)), 1) for p in admissible_partitions(G))
+    forms = {}  # canonical form -> id, in order of first appearance
+    form_id = block_map(G, lambda H: forms.setdefault(canonical_form(H), len(forms)))
+    adj, counts = G.adj, {}
+    for p in admissible_partitions(G):
+        key = (_quotient_edges(adj, p), tuple(sorted(map(form_id, p.masks))))
+        counts[key] = counts.get(key, 0) + 1
+    form = list(forms)
+    return LinComb(((iso(_graph(len(ids), edges)), tuple(sorted(map(form.__getitem__, ids)))), c)
+                   for (edges, ids), c in counts.items())
 
 
 def delta_small(x):
@@ -186,18 +200,18 @@ def _require_antipode_arg(G):
 
 @lru_cache(maxsize=None)
 def _antipode_rec(C):
-    antipode_of = block_map(C, lambda H: _antipode_rec(canonical_form(H)))
-
-    def peel(p):
-        # one contraction level: C/p times the antipodes of the nontrivial blocks
-        out = LinComb.term(strip_units(iso(contract(C, p))))
-        for mask in p.masks:
-            if mask & (mask - 1):
-                out = mono_element_mul(out, antipode_of(mask))
-        return out
-
-    proper = LinComb((p, 1) for p in admissible_partitions(C) if 1 < len(p) < C.n)
-    return -(LinComb.term(strip_units(iso(C))) + proper.bind(peel))
+    """S(C) for a connected canonical form C, from m(id (x) S)δ(C) = 0: -C
+    minus c·(C/p)·Π S(f) over the terms c·(C/p) (x) Π f of δ(C) with
+    1 < |p| < n, f running over the blocks of two or more vertices."""
+    total = {(C,): -1}
+    for (quotient, blocks), c in delta_small_graph(C).terms():
+        if 1 < len(blocks) < C.n:
+            term = LinComb.term(strip_units(quotient), -c)
+            for f in strip_units(blocks):
+                term = mono_element_mul(term, _antipode_rec(f))
+            for key, coeff in term.terms():
+                total[key] = total.get(key, 0) + coeff
+    return LinComb(total)
 
 
 def mono_element_mul(a, b):

@@ -156,27 +156,30 @@ def stanley_families(G, k):
     return total
 
 
-def stanley_pairs(G, k):
-    """Count pairs (f, O): f maps vertices to 1..k, O is an acyclic orientation
-    of G, and f never decreases along oriented edges.  Equals (-1)^|G| P(-k).
+def stanley_pairs(G, ks):
+    """Yield, for each k in ks, the number (-1)^|G| P(-k) of pairs (f, O):
+    f maps vertices to 1..k, O is an acyclic orientation of G, and f never
+    decreases along oriented edges.
 
     Brute force on purpose, after Stanley (1973): every f is tested against
     every acyclic orientation, and nothing is counted by products over blocks
     or levels, as `stanley_families` does.  An orientation is an edge mask
-    (see `acyclic_orientations`).  It is compatible with f when, on the edges
-    where f rises or falls, it sets exactly the rising ones."""
-    if k < 1:
+    (see `acyclic_orientations`), listed once for all ks; it is compatible
+    with f when, on the edges where f rises or falls, it sets exactly the
+    rising ones."""
+    if min(ks) < 1:
         raise ValueError("need k >= 1")
     orientations = acyclic_orientations(G)
     edges = [(i - 1, j - 1, 1 << e) for e, (i, j) in enumerate(G.edges)]
-    total = 0
-    for f in itertools.product(range(k), repeat=G.n):
-        up = down = 0
-        for i, j, bit in edges:
-            if f[i] < f[j]:
-                up |= bit
-            elif f[i] > f[j]:
-                down |= bit
-        mask = up | down
-        total += [o & mask for o in orientations].count(up)
-    return total
+    for k in ks:
+        total = 0
+        for f in itertools.product(range(k), repeat=G.n):
+            up = down = 0
+            for i, j, bit in edges:
+                if f[i] < f[j]:
+                    up |= bit
+                elif f[i] > f[j]:
+                    down |= bit
+            mask = up | down
+            total += [o & mask for o in orientations].count(up)
+        yield total

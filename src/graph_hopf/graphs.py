@@ -285,14 +285,26 @@ def contract(G, p):
     """Collapse every block of p to one vertex, dropping loops and multi-edges.
 
     Blocks are indexed by their minimal elements: the block with the b-th
-    smallest minimum becomes vertex b of the result.
+    smallest minimum becomes vertex b of the result, joined to each later
+    block that the OR of its vertices' adjacency masks meets.
     """
     if p.n != G.n:
         raise ValueError("partition does not match the vertex set")
-    at = (None,) + p.growth  # v joins vertex at[v] + 1 of the result
-    edges = {(at[i], at[j]) if at[i] < at[j] else (at[j], at[i])
-             for i, j in G.edges if at[i] != at[j]}
-    return _graph(len(p.blocks), tuple((a + 1, b + 1) for a, b in sorted(edges)))
+    return _graph(len(p.masks), _quotient_edges(G.adj, p))
+
+
+def _quotient_edges(adj, p):
+    """The sorted edge tuple of G/p, read from G's adjacency masks (see `contract`)."""
+    masks = p.masks
+    reach = [0] * len(masks)
+    for v, b in enumerate(p.growth, 1):
+        reach[b] |= adj[v]
+    edges = []
+    for a, hit in enumerate(reach):
+        for b in range(a + 1, len(masks)):
+            if hit & masks[b]:
+                edges.append((a + 1, b + 1))
+    return tuple(edges)
 
 
 def extract(G, p):

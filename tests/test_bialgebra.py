@@ -7,9 +7,12 @@ from graph_hopf import bialgebra as bi
 from graph_hopf import verify
 from graph_hopf.graphs import (
     Graph,
+    admissible_partitions,
+    block_map,
     canonical_form,
     complete,
     connected_isoclasses,
+    contract,
     disjoint_union,
     edgeless,
     forest_evaluate,
@@ -32,6 +35,26 @@ def antipode_forest_sum(G):
     `forest_evaluate`, with no memo."""
     return LinComb((bi.strip_units(mono(*forest_evaluate(G, forest))), (-1) ** len(forest))
                    for forest in nested_forests(G))
+
+
+def antipode_by_peeling(C, memo):
+    """Oracle: the quotient antipode of a connected canonical form C by one
+    signed product per proper admissible partition, C/p times the antipodes
+    of p's blocks with two or more vertices, each product its own LinComb;
+    memo holds the antipodes of earlier forms."""
+    if C not in memo:
+        antipode_of = block_map(C, lambda H: antipode_by_peeling(canonical_form(H), memo))
+
+        def peel(p):
+            out = LinComb.term(bi.strip_units(bi.iso(contract(C, p))))
+            for mask in p.masks:
+                if mask & (mask - 1):
+                    out = bi.mono_element_mul(out, antipode_of(mask))
+            return out
+
+        proper = LinComb((p, 1) for p in admissible_partitions(C) if 1 < len(p) < C.n)
+        memo[C] = -(LinComb.term(bi.strip_units(bi.iso(C))) + proper.bind(peel))
+    return memo[C]
 
 
 class TestRestrictionCoproduct:
@@ -163,6 +186,19 @@ class TestAntipode:
         G = Graph(6, edges)
         assume(is_connected(G))
         assert bi.antipode_forest(G) == antipode_forest_sum(G)
+
+    def test_recursion_matches_the_per_partition_oracle_up_to_6(self):
+        memo = {}
+        for n in range(2, 7):
+            for C in connected_isoclasses(n):
+                assert bi.antipode_recursive(C) == antipode_by_peeling(C, memo), C
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.sets(st.sampled_from(complete(7).edges), min_size=6))
+    def test_recursion_matches_the_per_partition_oracle_on_7(self, edges):
+        G = Graph(7, edges)
+        assume(is_connected(G))
+        assert bi.antipode_recursive(G) == antipode_by_peeling(canonical_form(G), {})
 
     def test_engines_agree_small(self):
         assert not verify.check_antipode_engines(5)

@@ -4,8 +4,11 @@ the extract-based formulas they replace.
 For an admissible p, G|p is the disjoint union of the subgraphs induced on
 p's blocks, so `delta_small_graph`, `pchr_character_formula`,
 `convolve_value`, `invert_character` and `act` evaluate it through
-`graphs.block_map` instead of building extract(G, p).  The functions below
-are test-only copies of the bodies that built extract(G, p) for every p.
+`graphs.block_map` instead of building extract(G, p); `delta_small_graph`
+also groups the partitions by the labelled G/p and the block forms before it
+builds any term.  The functions below are test-only copies of the bodies
+that built extract(G, p) for every p.  The restriction counts wrap
+`graphs._restrict`, through which every restriction goes.
 """
 
 import operator
@@ -118,35 +121,40 @@ def test_labeled_graphs_on_6_to_8(G):
 
 
 def count_restrictions(monkeypatch):
-    """Record every call of `graphs.restrict`, through whichever module binds it."""
+    """Record the vertex mask of every call of `graphs._restrict`, through
+    whichever module binds it: `restrict`, `block_map` and
+    `component_graphs` all restrict through it."""
     calls = []
-    restrict = graphs.restrict
+    restrict = graphs._restrict
 
-    def counted(G, subset):
-        calls.append(tuple(subset))
-        return restrict(G, subset)
+    def counted(G, mask):
+        calls.append(mask)
+        return restrict(G, mask)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("graph_hopf") and getattr(module, "restrict", None) is restrict:
-            monkeypatch.setattr(module, "restrict", counted)
+        if name.startswith("graph_hopf") and getattr(module, "_restrict", None) is restrict:
+            monkeypatch.setattr(module, "_restrict", counted)
     return calls
 
 
 def test_delta_small_restricts_each_block_once(monkeypatch):
     calls = count_restrictions(monkeypatch)
     bi.delta_small_graph(complete(6))
-    assert len(calls) <= 63  # 2^6 - 1 blocks; building every G|p takes 877
+    assert 0 < len(calls) <= 63  # 2^6 - 1 blocks; building every G|p takes 877
     assert len(set(calls)) == len(calls)
 
 
 def test_character_formula_restricts_each_block_once(monkeypatch):
     calls = count_restrictions(monkeypatch)
     chrom.pchr_character_formula(complete(6))
-    assert len(calls) <= 63  # building every G|p takes 674
+    assert 0 < len(calls) <= 63  # building every G|p takes 674
     assert len(set(calls)) == len(calls)
 
 
 def test_connected_graph_projects_without_restriction(monkeypatch):
     calls = count_restrictions(monkeypatch)
-    assert bi.iso(cycle_graph(7)) == (graphs.canonical_form(cycle_graph(7)),)
+    uncached = graphs.canonical_form.__wrapped__  # the body runs even if the form is memoised
+    assert bi.iso(cycle_graph(7)) == (uncached(cycle_graph(7)),)
     assert calls == []
+    uncached(graphs.disjoint_union(cycle_graph(3), complete(2)))
+    assert sorted(calls) == [0b111 << 1, 0b11 << 4]  # the two components, each once

@@ -111,6 +111,23 @@ class TestOtherCommands:
         assert hashlib.sha256(r.stdout).hexdigest() == (
             "2c16bc77cf19f6f1e8b8023b9080995140a4333a921809edc1a6a9d65abf944b")
 
+    @pytest.mark.parametrize("args, digest", [
+        # the 3-cube, and a triangle beside a diamond and an isolated vertex
+        (("coproduct", "--graph",
+          "8: 1-2, 1-3, 1-5, 2-4, 2-6, 3-4, 3-7, 4-8, 5-6, 5-7, 6-8, 7-8"),
+         "eea18d8015366896b4957ed2548f351dcb122b539fc8123337594cb13cc14251"),
+        (("coproduct", "--graph", "8: 1-2, 1-3, 2-3, 4-5, 4-6, 4-7, 5-6, 6-7"),
+         "a65fbea2943354a54936dcb12412e351a5c6b4747c496121e7e4073d2bd24fec"),
+        # the wheel with six spokes
+        (("antipode", "--engine", "recursive", "--graph",
+          "7: 1-2, 1-6, 1-7, 2-3, 2-7, 3-4, 3-7, 4-5, 4-7, 5-6, 5-7, 6-7"),
+         "94d9b24e1af7d2ec78b140f50b997f42873bbb2c3c33efd6cb63a48e7e0d3d43"),
+    ])
+    def test_contraction_extraction_outputs_are_pinned(self, args, digest):
+        r = run_cli(*args)
+        assert r.returncode == 0
+        assert hashlib.sha256(r.stdout).hexdigest() == digest
+
 
 class TestContract:
     def test_parse_failure_exits_2(self):
