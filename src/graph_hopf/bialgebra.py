@@ -1,20 +1,24 @@
 """The two coproducts on graph algebras, the antipode, and the cointeraction.
 
-Two parallel basis conventions:
+Two parallel bases:
 
 * commutative: basis keys are *monomials*, sorted tuples of connected graphs
   in canonical form, realizing the free commutative algebra on connected
-  isomorphism classes (unit = the empty tuple);
+  isomorphism classes (unit = the empty tuple); `delta_big` and
+  `delta_small` act here;
 * noncommutative (indexed): basis keys are the indexed graphs themselves,
-  multiplied by concatenation.
+  multiplied by concatenation; `delta_big_indexed` and `delta_small_indexed`
+  are the same two maps with every leg left indexed.
 
-The restriction coproduct splits a graph over all ordered vertex-set
-bipartitions; the contraction-extraction coproduct sums (G/p) (x) (G|p)
-over admissible partitions p.  The quotient by the relation "isolated
-vertex = 1" is represented by stripping single-vertex factors from
-monomials; that quotient carries the antipode, whose two independent engines
-are registered in `ANTIPODE_ENGINES`.  The recursive one sums over the terms
-of the commutative δ, which first groups its partitions by G/p and blocks.
+The restriction coproduct Δ splits a graph over all ordered vertex-set
+bipartitions; the contraction-extraction coproduct δ sums (G/p) (x) (G|p)
+over admissible partitions p.  The two cointeraction routes are compositions
+of these maps: (δ (x) δ)∘Δ with the extraction legs merged, and
+(Δ (x) id)∘δ.  The quotient by the relation "isolated vertex = 1" is
+represented by stripping single-vertex factors from monomials; that quotient
+carries the antipode, whose two independent engines are registered in
+`ANTIPODE_ENGINES`.  The recursive one sums over the terms of the
+commutative δ, which first groups its partitions by G/p and blocks.
 """
 
 from __future__ import annotations
@@ -104,9 +108,9 @@ def _extraction_monomial(G):
 # ---------------------------------------------------------------------------
 # the restriction coproduct
 
-def delta_big_graph(G, indexed=False):
-    """Sum of G|I (x) G|J over ordered bipartitions V = I ⊔ J (2^n terms)."""
-    side = block_map(G, (lambda g: g) if indexed else iso)
+def delta_big_graph(G):
+    """Sum of iso(G|I) (x) iso(G|J) over ordered bipartitions V = I ⊔ J (2^n terms)."""
+    side = block_map(G, iso)
     return LinComb(((side(left), side(right)), 1) for left, right in _bipartitions(G.n))
 
 
@@ -115,7 +119,12 @@ def delta_big(x):
 
 
 def delta_big_indexed(x):
-    return as_element(x, indexed=True).bind(lambda G: delta_big_graph(G, indexed=True))
+    """Sum of G|I (x) G|J over ordered bipartitions, both legs left indexed."""
+    def on_graph(G):
+        side = block_map(G, lambda g: g)
+        return LinComb(((side(left), side(right)), 1) for left, right in _bipartitions(G.n))
+
+    return as_element(x, indexed=True).bind(on_graph)
 
 
 def counit_big(x):
@@ -126,14 +135,12 @@ def counit_big(x):
 # ---------------------------------------------------------------------------
 # the contraction-extraction coproduct
 
-def delta_small_graph(G, indexed=False):
-    """Sum of (G/p) (x) (G|p) over admissible partitions p.
+def delta_small_graph(G):
+    """Sum of iso(G/p) (x) iso(G|p) over admissible partitions p.
 
-    Commutative terms are first counted by a key of ints: the edges of the
-    labelled G/p and the sorted per-call ids of the blocks' canonical forms,
-    each block canonicalised once.  Then each distinct key builds its term."""
-    if indexed:
-        return LinComb(((contract(G, p), extract(G, p)), 1) for p in admissible_partitions(G))
+    Terms are first counted by a key of ints: the edges of the labelled G/p
+    and the sorted per-call ids of the blocks' canonical forms, each block
+    canonicalised once.  Then each distinct key builds its term."""
     forms = {}  # canonical form -> id, in order of first appearance
     form_id = block_map(G, lambda H: forms.setdefault(canonical_form(H), len(forms)))
     adj, counts = G.adj, {}
@@ -150,7 +157,9 @@ def delta_small(x):
 
 
 def delta_small_indexed(x):
-    return as_element(x, indexed=True).bind(lambda G: delta_small_graph(G, indexed=True))
+    """Sum of (G/p) (x) (G|p) over admissible partitions p, both legs left indexed."""
+    return as_element(x, indexed=True).bind(lambda G: LinComb(
+        ((contract(G, p), extract(G, p)), 1) for p in admissible_partitions(G)))
 
 
 def counit_small(x):
@@ -232,45 +241,17 @@ def antipode_element(x):
 # ---------------------------------------------------------------------------
 # cointeraction of the two coproducts
 
-def cointeraction_lhs(x, indexed=False):
-    """Route one: split first, then contract-extract each side and merge the
-    extraction legs (a1 (x) b1 (x) a2 (x) b2 -> a1 (x) a2 (x) b1 b2)."""
-    proj = (lambda g: g) if indexed else iso
-
-    def legs(H):
-        return [(proj(contract(H, p)), extract(H, p)) for p in admissible_partitions(H)]
-
-    def terms(G):
-        side = block_map(G, legs)
-        for left, right in _bipartitions(G.n):
-            legs_R = side(right)
-            for a1, b1 in side(left):
-                for a2, b2 in legs_R:
-                    yield (a1, a2, proj(disjoint_union(b1, b2))), 1
-
-    return _extend_over_graphs(x, indexed, terms)
+def cointeraction_lhs(x):
+    """Route one, (δ (x) δ)∘Δ: split first, then contract-extract each side and
+    merge the extraction legs (a1 (x) b1 (x) a2 (x) b2 -> a1 (x) a2 (x) b1 b2)."""
+    return delta_big(x).bind(lambda k: bilinear(
+        delta_small(k[0]), delta_small(k[1]), lambda s, t: (s[0], t[0], mono_mul(s[1], t[1]))))
 
 
-def cointeraction_rhs(x, indexed=False):
-    """Route two: contract-extract first, then split the contracted leg."""
-    proj = (lambda g: g) if indexed else iso
-
-    def terms(G):
-        extracted_of = (lambda p: extract(G, p)) if indexed else _extraction_monomial(G)
-        for p in admissible_partitions(G):
-            contracted, extracted = contract(G, p), extracted_of(p)
-            side = block_map(contracted, proj)
-            for left, right in _bipartitions(contracted.n):
-                yield (side(left), side(right), extracted), 1
-
-    return _extend_over_graphs(x, indexed, terms)
-
-
-def _extend_over_graphs(x, indexed, terms):
-    """Linear extension of a graph -> (key, coeff) term stream to elements of either basis."""
-    if indexed:
-        return as_element(x, indexed=True).bind(lambda G: LinComb(terms(G)))
-    return as_element(x).bind(lambda mono: LinComb(terms(mono_graph(mono))))
+def cointeraction_rhs(x):
+    """Route two, (Δ (x) id)∘δ: contract-extract first, then split the contracted leg."""
+    return delta_small(x).bind(
+        lambda k: delta_big(k[0]).map_keys(lambda ab: (ab[0], ab[1], k[1])))
 
 
 # ---------------------------------------------------------------------------

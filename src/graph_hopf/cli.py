@@ -79,16 +79,13 @@ def cmd_character(args):
 
 def cmd_coproduct(args):
     G = parse_graph(args.graph)
+    big = args.which == "big"
     if args.indexed:
-        element = (bi.delta_big_indexed if args.which == "big" else bi.delta_small_indexed)(G)
-        terms = [{"coeff": format_rational(c),
-                  "left": format_graph(k[0]), "right": format_graph(k[1])}
-                 for k, c in element.items()]
+        coproduct, fmt = (bi.delta_big_indexed if big else bi.delta_small_indexed), format_graph
     else:
-        element = (bi.delta_big if args.which == "big" else bi.delta_small)(G)
-        terms = [{"coeff": format_rational(c),
-                  "left": _mono_json(k[0]), "right": _mono_json(k[1])}
-                 for k, c in element.items()]
+        coproduct, fmt = (bi.delta_big if big else bi.delta_small), _mono_json
+    terms = [{"coeff": format_rational(c), "left": fmt(k[0]), "right": fmt(k[1])}
+             for k, c in coproduct(G).items()]
     _emit({"terms": terms})
     return 0
 

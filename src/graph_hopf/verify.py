@@ -205,13 +205,24 @@ def check_grading(G):
         yield f"degree grading broken in contraction-extraction of {format_graph(G)}"
 
 
+def _indexed_cointeraction_sides(G):
+    """Both cointeraction routes with every leg left indexed: (δ (x) δ)∘Δ with
+    the extraction legs merged by disjoint union, and (Δ (x) id)∘δ."""
+    lhs = bi.delta_big_indexed(G).bind(lambda k: bilinear(
+        bi.delta_small_indexed(k[0]), bi.delta_small_indexed(k[1]),
+        lambda s, t: (s[0], t[0], disjoint_union(s[1], t[1]))))
+    rhs = bi.delta_small_indexed(G).bind(
+        lambda k: bi.delta_big_indexed(k[0]).map_keys(lambda ab: (ab[0], ab[1], k[1])))
+    return lhs, rhs
+
+
 @_over(_isoclasses)
 def check_cointeraction(max_n):
     out = [f"cointeraction identity fails on {format_graph(G)}"
            for G in _isoclasses(max_n) if bi.cointeraction_lhs(G) != bi.cointeraction_rhs(G)]
     if max_n >= 3:
-        W = INDEXED_PATH_WITNESS
-        if bi.cointeraction_lhs(W, indexed=True) == bi.cointeraction_rhs(W, indexed=True):
+        lhs, rhs = _indexed_cointeraction_sides(INDEXED_PATH_WITNESS)
+        if lhs == rhs:
             out.append("indexed cointeraction unexpectedly holds on the labeled path 3: 1-3, 2-3")
     return out
 

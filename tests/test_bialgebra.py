@@ -219,8 +219,8 @@ class TestCointeraction:
         assert bi.cointeraction_lhs(K2) == bi.cointeraction_rhs(K2)
 
     def test_indexed_path_distinguishes_routes(self):
-        W = verify.INDEXED_PATH_WITNESS
-        assert bi.cointeraction_lhs(W, indexed=True) != bi.cointeraction_rhs(W, indexed=True)
+        lhs, rhs = verify._indexed_cointeraction_sides(verify.INDEXED_PATH_WITNESS)
+        assert lhs != rhs
 
     def test_commutative_projection_heals_the_witness(self):
         W = verify.INDEXED_PATH_WITNESS

@@ -88,7 +88,7 @@ INVERSES = {lam.name: (ch.invert_character(lam), invert_by_extraction(lam))
 
 def assert_sums_match(G, characters=CHARACTERS, word_action=False):
     assert bi.delta_small_graph(G) == delta_small_by_extraction(G)
-    assert bi.delta_small_graph(G, indexed=True) == delta_small_by_extraction(G, indexed=True)
+    assert bi.delta_small_indexed(G) == delta_small_by_extraction(G, indexed=True)
     assert chrom.pchr_character_formula(G) == pchr_character_by_extraction(G)
     for lam in characters:
         for mu in characters:

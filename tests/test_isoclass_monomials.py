@@ -2,8 +2,10 @@
 subset tables, against the definitions they replaced.
 
 `old_iso` splits a graph into components and canonicalizes each one; the
-reference coproducts restrict both sides of every bipartition afresh.  The
-library must give exactly the same keys and coefficients.
+reference coproducts restrict both sides of every bipartition afresh, and
+the reference cointeraction routes contract, extract and restrict per
+partition and bipartition instead of composing Δ and δ.  The library must
+give exactly the same keys and coefficients.
 """
 
 import itertools
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from graph_hopf import bialgebra as bi
 from graph_hopf import characters as ch
 from graph_hopf import chromatic as chrom
+from graph_hopf import verify
 from graph_hopf.graphs import (
     Graph,
     acyclic_orientation_count,
@@ -128,6 +131,16 @@ def reference_cointeraction_lhs(G, proj):
     return LinComb(terms())
 
 
+def reference_cointeraction_rhs(G, proj):
+    def terms():
+        for p in admissible_partitions(G):
+            Q, E = contract(G, p), proj(extract(G, p))
+            for left, right in bipartitions(Q.n):
+                yield (proj(restrict(Q, left)), proj(restrict(Q, right)), E), 1
+
+    return LinComb(terms())
+
+
 def reference_rho(G):
     return LinComb(((contract(G, p), old_iso(extract(G, p))), 1) for p in admissible_partitions(G))
 
@@ -136,13 +149,19 @@ class TestSubsetTables:
     def test_delta_big_both_bases_up_to_4_vertices(self):
         for G in labelled_graphs(4):
             assert bi.delta_big_graph(G) == reference_delta_big(G, old_iso), G
-            assert bi.delta_big_graph(G, indexed=True) == reference_delta_big(G, lambda g: g), G
+            assert bi.delta_big_indexed(G) == reference_delta_big(G, lambda g: g), G
 
     def test_cointeraction_lhs_both_bases_up_to_4_vertices(self):
         for G in labelled_graphs(4):
             assert bi.cointeraction_lhs(G) == reference_cointeraction_lhs(G, old_iso), G
-            assert (bi.cointeraction_lhs(G, indexed=True)
+            assert (verify._indexed_cointeraction_sides(G)[0]
                     == reference_cointeraction_lhs(G, lambda g: g)), G
+
+    def test_cointeraction_rhs_both_bases_up_to_4_vertices(self):
+        for G in labelled_graphs(4):
+            assert bi.cointeraction_rhs(G) == reference_cointeraction_rhs(G, old_iso), G
+            assert (verify._indexed_cointeraction_sides(G)[1]
+                    == reference_cointeraction_rhs(G, lambda g: g)), G
 
     def test_rho_projects_the_extraction_leg_up_to_4_vertices(self):
         for G in labelled_graphs(4):

@@ -43,6 +43,7 @@ EXPECTED = {
     _doubled_delta_small: {
         "coassoc": (5, "contraction-extraction coproduct not multiplicative on 1: * 1:"),
         "counit": (8, "counit law fails for contraction-extraction coproduct on 0:"),
+        "cointeraction": (8, "cointeraction identity fails on 0:"),
         "projection": (12, "isoclass projection not a contraction-extraction morphism on 0:"),
     },
 }
