@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from operator import itemgetter
 
 from . import bialgebra as bi
 from . import characters as ch
@@ -117,9 +116,9 @@ def _over(enumerate_objects):
 
 
 def _each(enumerate_objects):
-    """Declare a per-object check: the decorated generator yields the
-    violation messages of one object, and the result is `check(max_n)`, the
-    list of messages over everything `enumerate_objects(max_n)` yields."""
+    """Declare a per-object check: the decorated generator (kept as `check.one`)
+    yields the violation messages of one object, and `check(max_n)` lists
+    them over everything `enumerate_objects(max_n)` yields."""
     def declare(check_one):
         @_over(enumerate_objects)
         def check(max_n):
@@ -127,6 +126,7 @@ def _each(enumerate_objects):
 
         check.__name__ = check.__qualname__ = check_one.__name__
         check.__doc__ = check_one.__doc__
+        check.one = check_one
         return check
     return declare
 
@@ -417,39 +417,27 @@ def check_stanley(G):
 # lattice checks
 
 def _broken_law(L):
-    """The first lattice law that the meet and join tables of L break, or None.
+    """The first law that L breaks, "order", "bounds" or "glb/lub", or None.
 
-    Associativity compares whole rows: the row of i * j against the row of j
-    read through the row of i (an `itemgetter`).  A row that differs, and the
-    one-element lattice, whose getter returns a bare index, is rescanned
-    element by element, so the law reported first is the same.  The last law
-    ties the tables to the order: the down-set of a meet is the intersection
-    of the down-sets, and the up-set of a join that of the up-sets."""
-    N = range(len(L))
-    meet = [tuple(L.meet_index(i, j) for j in N) for i in N]
-    join = [tuple(L.join_index(i, j) for j in N) for i in N]
-    if any(meet[i][i] != i or join[i][i] != i for i in N):
-        return "idempotence"
-    for i, j in itertools.product(N, repeat=2):
-        if meet[i][j] != meet[j][i] or join[i][j] != join[j][i]:
-            return "commutativity"
-        if join[i][meet[i][j]] != i or meet[i][join[i][j]] != i:
-            return "absorption"
-    meet_row = [itemgetter(*row) for row in meet]
-    join_row = [itemgetter(*row) for row in join]
-    for i, j in itertools.product(N, repeat=2):
-        if meet[meet[i][j]] == meet_row[j](meet[i]) and join[join[i][j]] == join_row[j](join[i]):
-            continue
-        for k in N:
-            if meet[meet[i][j]][k] != meet[i][meet[j][k]]:
-                return "meet associativity"
-            if join[join[i][j]][k] != join[i][join[j][k]]:
-                return "join associativity"
-    bot, top = L.index(L.bottom), L.index(L.top)
-    if any(meet[i][bot] != bot or join[i][top] != top for i in N):
+    Order: i is in down[i], no two down masks are equal, down[j] is inside
+    down[i] for each j in it, and up is the transpose.  Bounds: up[bottom]
+    and down[top] are full.  Glb/lub: down[meet(i, j)] = down[i] & down[j]
+    and up[join(i, j)] = up[i] & up[j].  A partial order whose meet and join
+    are its glb and lub is a lattice, so idempotence, commutativity,
+    associativity and absorption follow without a scan (Davey-Priestley,
+    Introduction to Lattices and Order, 2nd ed., Thm 2.10).  Meet and join
+    are never computed from the masks."""
+    down, up, N = L.down, L.up, range(len(L))
+    full = (1 << len(L)) - 1
+    if (len(set(down)) < len(L) or up != [sum(1 << j for j in N if down[j] >> i & 1) for i in N]
+            or any(not d >> i & 1 or d & ~full or any(down[j] & ~d for j in _bits(d))
+                   for i, d in enumerate(down))):
+        return "order"
+    if up[L.index(L.bottom)] != full or down[L.index(L.top)] != full:
         return "bounds"
     for i, j in itertools.product(N, repeat=2):
-        if L.down[meet[i][j]] != L.down[i] & L.down[j] or L.up[join[i][j]] != L.up[i] & L.up[j]:
+        if (down[L.meet_index(i, j)] != down[i] & down[j]
+                or up[L.join_index(i, j)] != up[i] & up[j]):
             return "glb/lub"
     return None
 

@@ -6,14 +6,19 @@ the transitive reduction found by scanning every triple, the Mobius function
 is its defining recursion, and meet and join are the partition formulas
 (components of pairwise block intersections; union-find over both block
 lists).  Beyond that bound, random labeled graphs on 6-7 vertices are checked
-against Whitney's theorem, a networkx count of the admissible partitions, and
-the greatest-lower / least-upper bound property of meet and join.  The
+against Whitney's theorem, a networkx count of the admissible partitions, the
+greatest-lower / least-upper bound property of meet and join, and (on 6
+vertices) the real `check_lattice_laws`.  The equational lattice laws,
+scanned on L x L meet and join tables, are the oracle of `verify`'s order
+and glb/lub check: both pass on every isoclass with at most 5 vertices, and
+under three broken lattices every graph the scan flags is flagged.  The
 lattice's own fast paths, the keyed sort of its elements and the meet read
 through its table of intersection components, are compared with the routes
 they replaced on every labeled graph with at most 5 vertices and on seeded
 random graphs with 6-7.
 """
 
+import itertools
 import random
 
 import networkx as nx
@@ -21,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.utilities.iterables import multiset_partitions
 
-from graph_hopf import lattice as lat
+from graph_hopf import lattice as lat, verify
 from graph_hopf.chromatic import pchr_deletion_contraction
 from graph_hopf.graphs import (
     Graph,
@@ -30,6 +35,7 @@ from graph_hopf.graphs import (
     all_graphs,
     cc,
     component_masks,
+    components_partition,
     components_within,
     format_graph,
     isoclasses_up_to,
@@ -127,6 +133,8 @@ def nx_admissible_count(G):
 @settings(max_examples=8, deadline=None)
 @given(graphs_6_7(), st.randoms(use_true_random=False))
 def test_lattice_beyond_the_exhaustive_bound(G, rng):
+    if G.n == 6:  # a 7-vertex lattice law check takes up to seconds
+        assert not list(verify.check_lattice_laws.one(G))
     L = lat.build_lattice(G)
     assert L.mobius(L.bottom, L.top) == pchr_deletion_contraction(G).coeff(cc(G))
     assert len(L) == nx_admissible_count(G)
@@ -140,6 +148,87 @@ def test_lattice_beyond_the_exhaustive_bound(G, rng):
                 assert r.refines(m)
             if p.refines(r) and q.refines(r):
                 assert j.refines(r)
+
+
+def equational_law_broken(L):
+    """Oracle: the first of the equational lattice laws that L x L meet and
+    join tables break, scanned one by one, then the glb/lub law, or None."""
+    N = range(len(L))
+    meet = [[L.meet_index(i, j) for j in N] for i in N]
+    join = [[L.join_index(i, j) for j in N] for i in N]
+    if any(meet[i][i] != i or join[i][i] != i for i in N):
+        return "idempotence"
+    for i, j in itertools.product(N, repeat=2):
+        if meet[i][j] != meet[j][i] or join[i][j] != join[j][i]:
+            return "commutativity"
+        if join[i][meet[i][j]] != i or meet[i][join[i][j]] != i:
+            return "absorption"
+    for i, j, k in itertools.product(N, repeat=3):
+        if meet[meet[i][j]][k] != meet[i][meet[j][k]]:
+            return "meet associativity"
+        if join[join[i][j]][k] != join[i][join[j][k]]:
+            return "join associativity"
+    bot, top = L.index(L.bottom), L.index(L.top)
+    if any(meet[i][bot] != bot or join[i][top] != top for i in N):
+        return "bounds"
+    for i, j in itertools.product(N, repeat=2):
+        if L.down[meet[i][j]] != L.down[i] & L.down[j] or L.up[join[i][j]] != L.up[i] & L.up[j]:
+            return "glb/lub"
+    return None
+
+
+def test_order_check_and_equational_scan_pass_up_to_5_vertices():
+    for G in isoclasses_up_to(5):
+        L = lat.build_lattice(G)
+        assert (equational_law_broken(L), verify._broken_law(L)) == (None, None), format_graph(G)
+
+
+def _relabelled(monkeypatch):
+    """Meet and join conjugated by the swap of the first atom and the first
+    coatom, on lattices of rank at least 3: every equational law holds."""
+    def swap(L):
+        ranks = [L.rank(p) for p in L.elements]
+        if max(ranks) < 3:
+            return lambda i: i
+        a, c = ranks.index(1), ranks.index(max(ranks) - 1)
+        return lambda i: c if i == a else a if i == c else i
+
+    for name in ("meet_index", "join_index"):
+        def conjugated(L, i, j, original=getattr(lat.AdmissibleLattice, name)):
+            s = swap(L)
+            return s(original(L, s(i), s(j)))
+
+        monkeypatch.setattr(lat.AdmissibleLattice, name, conjugated)
+
+
+def _bottom_is_top(monkeypatch):
+    monkeypatch.setattr(lat.AdmissibleLattice, "bottom",
+                        property(lambda L: components_partition(L.G)))
+
+
+def _up_holds_only_itself(monkeypatch):
+    """The up masks that `self.up[i] |= 1 << i` builds in place of `1 << j`."""
+    init = lat.AdmissibleLattice.__init__
+
+    def mutated(L, G):
+        init(L, G)
+        L.up = [1 << i for i in range(len(L))]
+
+    monkeypatch.setattr(lat.AdmissibleLattice, "__init__", mutated)
+
+
+@pytest.mark.parametrize("substitute", [_relabelled, _bottom_is_top, _up_holds_only_itself],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_order_check_flags_every_graph_the_equational_scan_flags(monkeypatch, substitute):
+    substitute(monkeypatch)
+    scan, order = set(), set()
+    for G in isoclasses_up_to(5):
+        L = lat.build_lattice(G)
+        if equational_law_broken(L):
+            scan.add(G)
+        if verify._broken_law(L):
+            order.add(G)
+    assert scan and scan <= order
 
 
 def fast_path_graphs():

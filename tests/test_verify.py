@@ -97,6 +97,12 @@ MUTANTS = {
     (lattice, "AdmissibleLattice", "return bool(self.down[j] >> i & 1)",
      "return bool(self.down[j] << i & 1)", "check_zeta"):
         (11, "lattice order != refinement on 3: 1-2, 1-3, 2-3"),
+    (lattice, "AdmissibleLattice", "self.up[i] |= 1 << j", "self.up[i] |= 1 << i",
+     "check_lattice_laws"):
+        (14, "lattice order fails on 2: 1-2"),
+    (lattice, "AdmissibleLattice", "return Partition.singletons(self.G.n)",
+     "return components_partition(self.G)", "check_lattice_laws"):
+        (14, "lattice bounds fails on 2: 1-2"),
     (chromatic, "independent_partitions", "if not nbrs & mask:", "if not nbrs & mask & -mask:",
      "check_chromatic_engines"):
         (7, "chromatic engines disagree on 3: 2-3"),
@@ -115,7 +121,8 @@ def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     monotone pairs that ignore the edges on which f falls, a forest-factor
     memo keyed by the member alone, nested forests that drop each member's
     first child, a Hasse diagram that lists no cover, a lattice order that
-    holds only from the bottom, independent partitions that test only each
+    holds only from the bottom, up masks that hold only the element itself, a
+    bottom that is the top, independent partitions that test only each
     block's least vertex for a neighbour, and a signed chromatic character
     that is positive but 2^deg times too large: each is seen by the check
     that compares that side with an independent one.  A mutated
@@ -205,7 +212,9 @@ def _swap_atom_and_coatom(L):
 def test_glb_lub_law_catches_a_relabelled_lattice(monkeypatch):
     """Meet and join conjugated by a swap that is not an order automorphism
     still satisfy idempotence, commutativity, absorption, associativity and
-    the bounds; only the greatest lower / least upper bound law sees it."""
+    the bounds.  Those laws are no longer checked one by one (they follow
+    from the order and the glb/lub law), but the greatest lower / least upper
+    bound law is still the only one that sees this substitution."""
     for name in ("meet_index", "join_index"):
         original = getattr(AdmissibleLattice, name)
 
