@@ -18,17 +18,19 @@ of these maps: (δ (x) δ)∘Δ with the extraction legs merged, and
 represented by stripping single-vertex factors from monomials; that quotient
 carries the antipode, whose two independent engines are registered in
 `ANTIPODE_ENGINES`.  The recursive one sums over the terms of the
-commutative δ, which first groups its partitions by G/p and blocks.
+commutative δ, which walks the admissible partitions block by block and
+counts them by G/p and blocks before it builds a term.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .graphs import (
     Graph,
+    _bits,
     _graph,
-    _quotient_edges,
+    _restrict,
     admissible_partitions,
     block_map,
     canonical_factors,
@@ -38,6 +40,7 @@ from .graphs import (
     extract,
     is_connected,
     forest_factor,
+    least_blocks,
     nested_forests,
 )
 from .linear import LinComb, bilinear
@@ -136,19 +139,35 @@ def counit_big(x):
 # the contraction-extraction coproduct
 
 def delta_small_graph(G):
-    """Sum of iso(G/p) (x) iso(G|p) over admissible partitions p.
+    """Sum of iso(G/p) (x) iso(G|p) over admissible partitions p, walked block
+    by block (`least_blocks`): block k is vertex k of G/p, as in `contract`.
+    Adding it sets edge bit j(n + 1) + k for each earlier block j that its
+    neighbourhood meets (found once per block, beside its form id).  Terms
+    are counted by those bits and the sorted form ids, then built once."""
+    forms, seen, counts = {}, {}, {}  # form -> id; block mask -> (neighbourhood, id)
+    adj, blocks_of, width = G.adj, least_blocks(G), G.n + 1
 
-    Terms are first counted by a key of ints: the edges of the labelled G/p
-    and the sorted per-call ids of the blocks' canonical forms, each block
-    canonicalised once.  Then each distinct key builds its term."""
-    forms = {}  # canonical form -> id, in order of first appearance
-    form_id = block_map(G, lambda H: forms.setdefault(canonical_form(H), len(forms)))
-    adj, counts = G.adj, {}
-    for p in admissible_partitions(G):
-        key = (_quotient_edges(adj, p), tuple(sorted(map(form_id, p.masks))))
-        counts[key] = counts.get(key, 0) + 1
+    def walk(rest, masks, edges, ids):
+        if not rest:
+            key = (edges, tuple(sorted(ids)))
+            counts[key] = counts.get(key, 0) + 1
+            return
+        k = len(masks) + 1
+        for b in blocks_of(rest):
+            if b not in seen:
+                seen[b] = (reduce(int.__or__, map(adj.__getitem__, _bits(b))),
+                           forms.setdefault(canonical_form(_restrict(G, b)), len(forms)))
+            reach, f = seen[b]
+            bits = edges
+            for j, m in enumerate(masks, 1):
+                if reach & m:
+                    bits |= 1 << j * width + k
+            walk(rest ^ b, masks + (b,), bits, ids + (f,))
+
+    walk((1 << width) - 2, (), 0, ())
     form = list(forms)
-    return LinComb(((iso(_graph(len(ids), edges)), tuple(sorted(map(form.__getitem__, ids)))), c)
+    return LinComb(((iso(_graph(len(ids), tuple(divmod(e, width) for e in _bits(edges)))),
+                     tuple(sorted(map(form.__getitem__, ids)))), c)
                    for (edges, ids), c in counts.items())
 
 
@@ -243,9 +262,12 @@ def antipode_element(x):
 
 def cointeraction_lhs(x):
     """Route one, (δ (x) δ)∘Δ: split first, then contract-extract each side and
-    merge the extraction legs (a1 (x) b1 (x) a2 (x) b2 -> a1 (x) a2 (x) b1 b2)."""
-    return delta_big(x).bind(lambda k: bilinear(
-        delta_small(k[0]), delta_small(k[1]), lambda s, t: (s[0], t[0], mono_mul(s[1], t[1]))))
+    merge the extraction legs (a1 (x) b1 (x) a2 (x) b2 -> a1 (x) a2 (x) b1 b2).
+    δ is taken once per distinct leg."""
+    split = delta_big(x)
+    small = {leg: delta_small(leg) for leg in {leg for key, _ in split.terms() for leg in key}}
+    return split.bind(lambda k: bilinear(
+        small[k[0]], small[k[1]], lambda s, t: (s[0], t[0], mono_mul(s[1], t[1]))))
 
 
 def cointeraction_rhs(x):

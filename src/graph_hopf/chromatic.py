@@ -1,7 +1,8 @@
 """The chromatic polynomial through independent routes.
 
 Engines: the independent-partition closed form, deletion-contraction, and
-the character-expansion formula.  Brute-force coloring counts and the two
+the character-expansion formula, the first and last summed block by block
+per uncovered vertex set.  Brute-force coloring counts and the two
 combinatorial interpretations of values at negative integers (block families
 with acyclic orientations; monotone function/orientation pairs) serve as
 cross-checks.
@@ -9,7 +10,6 @@ cross-checks.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 from functools import lru_cache
@@ -18,12 +18,12 @@ from .graphs import (
     _set_partitions_list,
     acyclic_orientation_count,
     acyclic_orientations,
-    admissible_partitions,
     block_map,
     canonical_form,
     component_graphs,
     contract_edge,
     delete_edge,
+    least_blocks,
 )
 from .linear import Polynomial, falling_factorial
 
@@ -60,10 +60,29 @@ def independent_partitions(G):
     yield from found
 
 
+def block_sums(G, blocks, weight):
+    """c[k] = the sum, over the partitions of [n] into k blocks of the walk
+    `blocks` (`least_blocks`), of the product of weight(block mask), kept per
+    uncovered mask."""
+    memo = {0: [1]}
+
+    def sums(rest):
+        if rest not in memo:
+            out = [0] * (rest.bit_count() + 1)
+            for b in blocks(rest):
+                w = weight(b)
+                for k, c in enumerate(sums(rest ^ b)):
+                    out[k + 1] += w * c
+            memo[rest] = out
+        return memo[rest]
+
+    return sums((1 << G.n + 1) - 2)
+
+
 def pchr_partition(G):
     """Chromatic polynomial as the sum of falling factorials over independent partitions."""
-    counts = collections.Counter(map(len, independent_partitions(G)))
-    return sum((falling_factorial(k) * a for k, a in counts.items()), Polynomial.zero())
+    counts = block_sums(G, least_blocks(G, independent=True), lambda b: 1)
+    return sum((falling_factorial(k) * a for k, a in enumerate(counts) if a), Polynomial.zero())
 
 
 def pchr_deletion_contraction(G):
@@ -84,17 +103,12 @@ def _pchr_delcon(C):
 
 
 def pchr_character_formula(G):
-    """Chromatic polynomial as sum of chromatic-character values times X^(#blocks).
-
-    The character value on G|p is the product over p's blocks (see
-    `block_map`); the values are summed by block count into one polynomial."""
+    """Chromatic polynomial as sum of chromatic-character values times X^(#blocks):
+    the value on G|p is the product over p's blocks (`block_map`), summed by
+    block count over the admissible partitions (`block_sums`)."""
     from .characters import LAMBDA_CHR
 
-    chi = block_map(G, LAMBDA_CHR.of_connected)
-    coeffs = [0] * (G.n + 1)
-    for p in admissible_partitions(G):
-        coeffs[len(p)] += math.prod(map(chi, p.masks))
-    return Polynomial(coeffs)
+    return Polynomial(block_sums(G, least_blocks(G), block_map(G, LAMBDA_CHR.of_connected)))
 
 
 ENGINES = {

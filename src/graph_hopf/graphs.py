@@ -12,7 +12,9 @@ v; only `restrict` and `components_within` take or give vertex tuples.
 Each Partition keeps one mask per block and its restricted-growth string;
 the table of all of them, sorted by that string so an entry is found by
 its rank, extends that of [n - 1] by n, sharing blocks.  Any other is built
-from a labelling (`Partition.of_labels`).  The empty graph (n = 0) is the
+from a labelling (`Partition.of_labels`).  A sum over the partitions into
+connected or into independent blocks needs no table: it walks the blocks of
+the least uncovered vertex (`least_blocks`).  The empty graph (n = 0) is the
 algebra's unit and is accepted everywhere.
 
 All values are immutable after construction (the masks, once built, are
@@ -290,21 +292,12 @@ def contract(G, p):
     """
     if p.n != G.n:
         raise ValueError("partition does not match the vertex set")
-    return _graph(len(p.masks), _quotient_edges(G.adj, p))
-
-
-def _quotient_edges(adj, p):
-    """The sorted edge tuple of G/p, read from G's adjacency masks (see `contract`)."""
-    masks = p.masks
+    adj, masks = G.adj, p.masks
     reach = [0] * len(masks)
     for v, b in enumerate(p.growth, 1):
         reach[b] |= adj[v]
-    edges = []
-    for a, hit in enumerate(reach):
-        for b in range(a + 1, len(masks)):
-            if hit & masks[b]:
-                edges.append((a + 1, b + 1))
-    return tuple(edges)
+    return _graph(len(masks), tuple((a + 1, b + 1) for a, hit in enumerate(reach)
+                                    for b in range(a + 1, len(masks)) if hit & masks[b]))
 
 
 def extract(G, p):
@@ -378,6 +371,33 @@ def _admissible_list(G):
 def admissible_partitions(G):
     """Every partition of [n] whose blocks all induce connected subgraphs."""
     yield from _admissible_list(G)
+
+
+def least_blocks(G, independent=False):
+    """The map rest -> the blocks inside the vertex mask `rest` that hold its
+    least vertex and are connected, or independent; each list is found once
+    per mask, for as long as the returned function lives.  A block of the
+    least uncovered vertex, then one of what it leaves, and so on, reaches
+    each partition into such blocks once, blocks by least vertex (the subset
+    recursion of Bjorklund-Husfeldt-Koivisto, SIAM J. Comput. 2009)."""
+    adj, memo = G.adj, {}
+
+    def blocks(rest):
+        if rest not in memo:
+            low = rest & -rest
+            memo[rest] = found = [low]
+            if independent:  # extend each independent set by each later non-neighbour
+                for u in _bits(rest & ~adj[low.bit_length() - 1] ^ low):
+                    found += [b | 1 << u for b in found if not adj[u] & b]
+            else:  # the connected subsets of low's component that hold low
+                room = s = _component_of(adj, low, rest) ^ low
+                while s:
+                    if _connected_mask(adj, low | s):
+                        found.append(low | s)
+                    s = (s - 1) & room
+        return memo[rest]
+
+    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ class AdmissibleLattice:
         if (i, j) in self._mobius:
             return self._mobius[(i, j)]
         value = 1 if i == j else -sum(self.mobius_index(i, k)
-                                      for k in _bits(self.up[i] & self.down[j] ^ 1 << j))
+                                      for k in _bits(self.up[i] & self.down[j] & ~(1 << j)))
         self._mobius[(i, j)] = value
         return value
 

@@ -140,10 +140,11 @@ def _coproducts():
 
 def _coassoc_sides(cop, G):
     first = cop(G)
+    legs = {leg: cop(LinComb.term(leg)) for leg in {leg for key, _ in first.terms() for leg in key}}
     left = LinComb(((a1, a2, b), c * c2) for (a, b), c in first.items()
-                   for (a1, a2), c2 in cop(LinComb.term(a)).items())
+                   for (a1, a2), c2 in legs[a].items())
     right = LinComb(((a, b1, b2), c * c2) for (a, b), c in first.items()
-                    for (b1, b2), c2 in cop(LinComb.term(b)).items())
+                    for (b1, b2), c2 in legs[b].items())
     return left, right
 
 
@@ -421,12 +422,12 @@ def _broken_law(L):
 
     Order: i is in down[i], no two down masks are equal, down[j] is inside
     down[i] for each j in it, and up is the transpose.  Bounds: up[bottom]
-    and down[top] are full.  Glb/lub: down[meet(i, j)] = down[i] & down[j]
-    and up[join(i, j)] = up[i] & up[j].  A partial order whose meet and join
-    are its glb and lub is a lattice, so idempotence, commutativity,
-    associativity and absorption follow without a scan (Davey-Priestley,
-    Introduction to Lattices and Order, 2nd ed., Thm 2.10).  Meet and join
-    are never computed from the masks."""
+    and down[top] are full.  Glb/lub: meet(i, j) and join(i, j) are elements
+    with down[meet] = down[i] & down[j] and up[join] = up[i] & up[j].  A
+    partial order whose meet and join are its glb and lub is a lattice, so
+    idempotence, commutativity, associativity and absorption follow without
+    a scan (Davey-Priestley, Introduction to Lattices and Order, 2nd ed.,
+    Thm 2.10).  Meet and join are never computed from the masks."""
     down, up, N = L.down, L.up, range(len(L))
     full = (1 << len(L)) - 1
     if (len(set(down)) < len(L) or up != [sum(1 << j for j in N if down[j] >> i & 1) for i in N]
@@ -436,8 +437,11 @@ def _broken_law(L):
     if up[L.index(L.bottom)] != full or down[L.index(L.top)] != full:
         return "bounds"
     for i, j in itertools.product(N, repeat=2):
-        if (down[L.meet_index(i, j)] != down[i] & down[j]
-                or up[L.join_index(i, j)] != up[i] & up[j]):
+        try:
+            meet, join = L.meet_index(i, j), L.join_index(i, j)
+        except KeyError:  # a meet or join whose block masks are not an element
+            return "glb/lub"
+        if down[meet] != down[i] & down[j] or up[join] != up[i] & up[j]:
             return "glb/lub"
     return None
 

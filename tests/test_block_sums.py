@@ -9,9 +9,19 @@ also groups the partitions by the labelled G/p and the block forms before it
 builds any term.  The functions below are test-only copies of the bodies
 that built extract(G, p) for every p.  The restriction counts wrap
 `graphs._restrict`, through which every restriction goes.
+
+`delta_small_graph`, `pchr_character_formula` and `pchr_partition` no longer
+run over a list of partitions: they walk the blocks of the least uncovered
+vertex (`graphs.least_blocks`).  The per-partition bodies they replaced are
+kept below as oracles (`..._by_partition`) and compared with them on every
+labelled graph with at most 5 vertices, every isoclass with at most 6, and
+relabelled 7-9-vertex graphs, vertex-transitive ones among them.
 """
 
+import collections
+import math
 import operator
+import random
 import sys
 from fractions import Fraction
 from functools import reduce
@@ -26,13 +36,16 @@ from graph_hopf import wsym as ws
 from graph_hopf.graphs import (
     Graph,
     admissible_partitions,
+    all_graphs,
     complete,
     contract,
     cycle_graph,
     extract,
     isoclasses_up_to,
+    random_graph,
+    relabel,
 )
-from graph_hopf.linear import LinComb, Polynomial
+from graph_hopf.linear import LinComb, Polynomial, falling_factorial
 
 K1 = Graph(1)
 
@@ -158,3 +171,92 @@ def test_connected_graph_projects_without_restriction(monkeypatch):
     assert calls == []
     uncached(graphs.disjoint_union(cycle_graph(3), complete(2)))
     assert sorted(calls) == [0b111 << 1, 0b11 << 4]  # the two components, each once
+
+
+def delta_small_by_partition(G):
+    """δ counted per admissible partition: the edges of each G/p and the
+    sorted form ids of p's blocks."""
+    forms = {}
+    form_id = graphs.block_map(G, lambda H: forms.setdefault(graphs.canonical_form(H), len(forms)))
+    counts = {}
+    for p in admissible_partitions(G):
+        key = (contract(G, p).edges, tuple(sorted(map(form_id, p.masks))))
+        counts[key] = counts.get(key, 0) + 1
+    form = list(forms)
+    return LinComb(((bi.iso(graphs._graph(len(ids), edges)),
+                     tuple(sorted(map(form.__getitem__, ids)))), c)
+                   for (edges, ids), c in counts.items())
+
+
+def pchr_partition_by_partition(G):
+    counts = collections.Counter(map(len, chrom.independent_partitions(G)))
+    return sum((falling_factorial(k) * a for k, a in counts.items()), Polynomial.zero())
+
+
+def pchr_character_by_partition(G):
+    chi = graphs.block_map(G, ch.LAMBDA_CHR.of_connected)
+    coeffs = [0] * (G.n + 1)
+    for p in admissible_partitions(G):
+        coeffs[len(p)] += math.prod(map(chi, p.masks))
+    return Polynomial(coeffs)
+
+
+def walked_partitions(G, independent):
+    """The block masks of every partition the walk reaches, in walk order."""
+    blocks = graphs.least_blocks(G, independent)
+
+    def walk(rest):
+        if not rest:
+            yield ()
+            return
+        for b in blocks(rest):
+            for tail in walk(rest ^ b):
+                yield (b,) + tail
+
+    return list(walk((1 << G.n + 1) - 2))
+
+
+def assert_walks_match(G):
+    assert bi.delta_small_graph(G) == delta_small_by_partition(G)
+    assert chrom.pchr_partition(G) == pchr_partition_by_partition(G)
+    assert chrom.pchr_character_formula(G) == pchr_character_by_partition(G)
+
+
+def test_walks_match_the_partition_sums_on_every_labelled_graph_up_to_5():
+    for n in range(6):
+        for G in all_graphs(n):
+            assert_walks_match(G)
+            for independent, listed in ((False, admissible_partitions(G)),
+                                        (True, chrom.independent_partitions(G))):
+                walked = walked_partitions(G, independent)
+                assert len(set(walked)) == len(walked)  # each partition reached once
+                assert sorted(walked) == sorted(p.masks for p in listed)
+
+
+def test_walks_match_the_partition_sums_on_every_isoclass_up_to_6():
+    for G in isoclasses_up_to(6):
+        assert_walks_match(G)
+
+
+def circulant(n, steps):
+    return Graph(n, [(v, (v + d - 1) % n + 1) for v in range(1, n + 1) for d in steps])
+
+
+VERTEX_TRANSITIVE = (
+    circulant(7, (1, 2)),
+    circulant(8, (1, 4)),  # the Wagner graph
+    circulant(9, (1, 3)),
+    Graph(8, [(a + 1, (a ^ 1 << k) + 1) for a in range(8) for k in range(3)]),  # the cube
+    Graph(8, [(i, j) for i in range(1, 5) for j in range(5, 9)]),  # K4,4
+    Graph(9, [(i, j) for i in range(1, 10) for j in range(i + 1, 10)  # the 3x3 rook graph
+              if (i - 1) // 3 == (j - 1) // 3 or (i - 1) % 3 == (j - 1) % 3]),
+)
+
+
+def test_walks_match_the_partition_sums_on_relabelled_7_to_9_vertex_graphs():
+    rng = random.Random(2201)
+    graphs_ = [random_graph(n, rng, p) for n in (7, 8, 9) for p in (0.3, 0.5, 0.7)]
+    for G in VERTEX_TRANSITIVE + tuple(graphs_):
+        perm = list(range(1, G.n + 1))
+        rng.shuffle(perm)
+        assert_walks_match(relabel(G, perm))

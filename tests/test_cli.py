@@ -340,3 +340,31 @@ def test_one_parser_serves_every_call_of_a_process(monkeypatch, capsys):
     assert capsys.readouterr().out.encode() == first
     assert first == b'{"poly":["0","4","-10","10","-5","1"],"value":"30"}\n'
     assert built == [1]
+
+
+@pytest.mark.parametrize("engine", ["all", "partition", "character", "delcon"])
+def test_edgeless_eleven_vertices_needs_no_set_partition_table(capsys, engine):
+    """The edgeless graph on 11 vertices has X^11 on every engine, and no
+    engine asks for a table of set partitions: `_set_partitions_list` is not
+    called at all, so Bell(11) = 678570 partitions are never built."""
+    from graph_hopf import cli, graphs
+
+    before = graphs._set_partitions_list.cache_info()
+    assert cli.main(["chromatic", "--graph", "11:", "--engine", engine]) == 0
+    assert json.loads(capsys.readouterr().out)["poly"] == ["0"] * 11 + ["1"]
+    assert graphs._set_partitions_list.cache_info() == before
+
+
+@pytest.mark.parametrize("engine", ["partition", "character"])
+def test_twelve_cycle_on_the_partition_sum_engines(capsys, engine):
+    """P(C12) = (X - 1)^12 + (X - 1), summed block by block without a table
+    of set partitions."""
+    from graph_hopf import cli, graphs
+    from graph_hopf.linear import Polynomial
+
+    before = graphs._set_partitions_list.cache_info()
+    cycle = "12: " + ", ".join(f"{v}-{v % 12 + 1}" for v in range(1, 13))
+    assert cli.main(["chromatic", "--graph", cycle, "--engine", engine]) == 0
+    x_minus_1 = Polynomial([-1, 1])
+    assert json.loads(capsys.readouterr().out)["poly"] == (x_minus_1 ** 12 + x_minus_1).to_json()
+    assert graphs._set_partitions_list.cache_info() == before

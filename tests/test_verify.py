@@ -104,8 +104,26 @@ MUTANTS = {
      "return components_partition(self.G)", "check_lattice_laws"):
         (14, "lattice bounds fails on 2: 1-2"),
     (chromatic, "independent_partitions", "if not nbrs & mask:", "if not nbrs & mask & -mask:",
+     "check_projection_chromatic"):
+        (26, "Hilbert projection of chromatic element is wrong on 3: 2-3"),
+    (graphs, "least_blocks", "if _connected_mask(adj, low | s):", "if _connected_mask(adj, s):",
+     "check_varpi_morphism"):
+        (52, "isoclass projection not a contraction-extraction morphism on 3: 1-2, 1-3"),
+    (graphs, "least_blocks", "if not adj[u] & b]", "if not adj[u] & b & -b]",
      "check_chromatic_engines"):
         (7, "chromatic engines disagree on 3: 2-3"),
+    (bialgebra, "delta_small_graph", "if reach & m:", "if reach & m & -m:",
+     "check_antipode_engines"):
+        (6, "antipode engines disagree on 3: 1-3, 2-3"),
+    (chromatic, "block_sums", "out[k + 1] += w * c", "out[k] += w * c", "check_chromatic_engines"):
+        (18, "chromatic engines disagree on 1:"),
+    (lattice, "AdmissibleLattice", "self.up[i] |= 1 << j", "self.up[i] |= 1 << i",
+     "check_mobius_values"):
+        (66, "Mobius value != character of interval quotient on 3: 1-2, 1-3, 2-3 "
+             "at [{{1},{2},{3}}, {{1,2,3}}]"),
+    (lattice, "AdmissibleLattice", "hit = [a for a in blocks if a & b]",
+     "hit = [a for a in blocks if a | b]", "check_lattice_laws"):
+        (17, "lattice glb/lub fails on 2:"),
     (characters, "LAMBDA_CHR_TILDE", "(-1) ** degree(G)", "(-2) ** degree(G)",
      "check_sign_positivity"):
         (14, "signed chromatic character != |chromatic character| on 2: 1-2"),
@@ -121,13 +139,20 @@ def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     monotone pairs that ignore the edges on which f falls, a forest-factor
     memo keyed by the member alone, nested forests that drop each member's
     first child, a Hasse diagram that lists no cover, a lattice order that
-    holds only from the bottom, up masks that hold only the element itself, a
-    bottom that is the top, independent partitions that test only each
-    block's least vertex for a neighbour, and a signed chromatic character
-    that is positive but 2^deg times too large: each is seen by the check
-    that compares that side with an independent one.  A mutated
-    function or class replaces the original in every package module that
-    imported it, and in the engine registries."""
+    holds only from the bottom, up masks that hold only the element itself
+    (seen by the order law and by the Mobius values, which no longer recurse
+    without end on them), a bottom that is the top, a join whose blocks are
+    not an element, independent partitions or independent blocks that test
+    only one vertex of the block for a neighbour, connected blocks that leave
+    out the least vertex from the connectivity test, quotient edges that
+    look only at the least vertex of each earlier block, block sums that do not count the block
+    they add, and a signed chromatic character that is positive but 2^deg
+    times too large: each is seen by the check that compares that side with
+    an independent one.  A mutated function or class replaces the original
+    in every package module that imported it, and in the engine registries.
+    The package's memos are emptied before the check, so a memo filled
+    earlier does not hide the mutant, and after it, so no mutant value
+    outlives the test."""
     module, name, line, mutated, check = mutant
     original = getattr(module, name)
     replacement = getattr(_one_line_mutant(module, line, mutated), name)
@@ -138,7 +163,15 @@ def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     for registry in (bialgebra.ANTIPODE_ENGINES, chromatic.ENGINES):
         for key in [key for key, engine in registry.items() if engine is original]:
             monkeypatch.setitem(registry, key, replacement)
-    found = getattr(verify, check)(4)
+    memos = {id(obj): obj for mod in packages for obj in vars(mod).values()
+             if hasattr(obj, "cache_clear")}.values()
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        found = getattr(verify, check)(4)
+    finally:
+        for memo in memos:
+            memo.cache_clear()
     assert (len(found), found[0]) == MUTANTS[mutant]
 
 
