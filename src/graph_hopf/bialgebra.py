@@ -143,7 +143,8 @@ def delta_small_graph(G):
     by block (`least_blocks`): block k is vertex k of G/p, as in `contract`.
     Adding it sets edge bit j(n + 1) + k for each earlier block j that its
     neighbourhood meets (found once per block, beside its form id).  Terms
-    are counted by those bits and the sorted form ids, then built once."""
+    are counted by those bits and the sorted form ids, then built once, and
+    each distinct G/p (its size and bits) is projected once."""
     forms, seen, counts = {}, {}, {}  # form -> id; block mask -> (neighbourhood, id)
     adj, blocks_of, width = G.adj, least_blocks(G), G.n + 1
 
@@ -166,8 +167,9 @@ def delta_small_graph(G):
 
     walk((1 << width) - 2, (), 0, ())
     form = list(forms)
-    return LinComb(((iso(_graph(len(ids), tuple(divmod(e, width) for e in _bits(edges)))),
-                     tuple(sorted(map(form.__getitem__, ids)))), c)
+    quotient = {(k, edges): iso(_graph(k, tuple(divmod(e, width) for e in _bits(edges))))
+                for k, edges in {(len(ids), edges) for edges, ids in counts}}
+    return LinComb(((quotient[len(ids), edges], tuple(sorted(map(form.__getitem__, ids)))), c)
                    for (edges, ids), c in counts.items())
 
 

@@ -503,13 +503,15 @@ def check_interval_isomorphism(G):
     the explicit map r -> r/p, checked to be a bijection that preserves and
     reflects order on every interval.  Each r/p is built once per pair p <= r:
     the partition of the blocks of p, numbered as `contract` numbers them,
-    that groups the p-blocks lying in one block of r."""
-    L = lat.build_lattice(G)
+    that groups the p-blocks lying in one block of r.  One lattice is built
+    per distinct labelled quotient (G|q)/p."""
+    L, lattices = lat.build_lattice(G), {}
     over = {(i, a): Partition.of_labels([L.elements[a].growth[b[0] - 1] for b in p.blocks])
             for i, p in enumerate(L.elements) for a in _bits(L.up[i])}
     for i, j, p, q in _intervals(L):
         box = L.up[i] & L.down[j]
-        M = lat.build_lattice(L.quotient(i, j))
+        Q = L.quotient(i, j)
+        M = lattices[Q] if Q in lattices else lattices.setdefault(Q, lat.build_lattice(Q))
         by_image = sorted(_bits(box), key=lambda a: over[(i, a)].blocks)
         if [over[(i, a)] for a in by_image] == M.elements:
             at = {a: x for x, a in enumerate(by_image)}

@@ -3,7 +3,10 @@
 `oracle` is the old sweep: it tries every labeling inside each vertex
 signature class and keeps the least adjacency bitstring.  The row-by-row
 search must return exactly its representative, so bialgebra keys, memo
-contents and every CLI output stay the same.
+contents and every CLI output stay the same.  `row_search_connected` is the
+first row-by-row search, which builds each row from slot bits; it is fast
+enough to check the position-bit search on 7-12 vertices, where the sweep
+is not.
 """
 
 import itertools
@@ -15,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from graph_hopf.graphs import (
     Graph,
+    _canonical_connected,
+    _slot_table,
     all_graphs,
     canonical_form,
     complete,
@@ -23,7 +28,9 @@ from graph_hopf.graphs import (
     disjoint_union,
     format_graph,
     graph_isoclasses,
+    is_connected,
     parse_graph,
+    random_graph,
     relabel,
     restrict,
 )
@@ -51,6 +58,40 @@ def _oracle_connected(G):
         if best is None or mask < best:
             best = mask
     return Graph(n, [e for e, k in slots.items() if best >> k & 1])
+
+
+def row_search_connected(G):
+    """The row-by-row search that the position-bit search replaced: each
+    candidate's row is the ORed slot bits (p, q) of its placed neighbours, and
+    the twin rule is an `any` over the vertices tried."""
+    n, adj = G.n, G.adj
+    slots = {e: k for k, e in enumerate(itertools.combinations(range(1, n + 1), 2))}
+    degs = [a.bit_count() for a in adj]
+    classes = {}
+    for v in range(1, n + 1):
+        nbrs = [u for u in range(1, n + 1) if adj[v] >> u & 1]
+        tri = sum((adj[u] & adj[v]).bit_count() for u in nbrs) // 2
+        classes.setdefault((degs[v], tuple(sorted(degs[u] for u in nbrs)), tri), []).append(v)
+    owner = [None] + [classes[s] for s in sorted(classes) for _ in classes[s]]
+    mask, states = 0, [()]  # the tied labelings' vertices at positions p+1..n
+    for p in range(n, 0, -1):
+        best, ties = None, []
+        for placed in states:
+            tried = []
+            for v in owner[p]:
+                if v in placed or any(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in tried):
+                    continue
+                tried.append(v)
+                row = mask
+                for q, w in enumerate(placed, p + 1):
+                    if adj[v] >> w & 1:
+                        row |= 1 << slots[(p, q)]
+                if best is None or row < best:
+                    best, ties = row, []
+                if row == best:
+                    ties.append((v,) + placed)
+        mask, states = best, ties
+    return Graph(n, [e for e, k in slots.items() if mask >> k & 1])
 
 
 def oracle(G):
@@ -162,3 +203,29 @@ def test_symmetric_10_vertex_graphs_within_budget():
     forms = [canonical_form(G) for G in graphs]
     assert time.perf_counter() - t0 < 1.0
     assert [len(C.edges) for C in forms] == [10, 15, 45, 25]
+
+
+def test_position_bit_search_equals_the_row_search_on_7_to_12_vertices():
+    rng = random.Random(23)
+    graphs = [shuffled(G, rng) for G, _ in PINNED]
+    graphs += [shuffled(cycle_graph(n), rng) for n in (10, 12) for _ in range(2)]
+    while len(graphs) < 320:
+        G = random_graph(rng.randint(7, 10), rng, rng.uniform(0.2, 0.9))
+        if is_connected(G):
+            graphs.append(G)
+    t0 = time.perf_counter()
+    for G in graphs:
+        assert _canonical_connected(G) == row_search_connected(G), format_graph(G)
+    assert time.perf_counter() - t0 < 3.0
+
+
+def test_canonical_edges_are_the_slot_table_keys():
+    """Every memoised form shares its edge tuples with `_slot_table(n)`
+    instead of holding its own: over a long query stream, fresh pairs per
+    form cost several MB of peak memory."""
+    rng = random.Random(5)
+    forms = [f for n in range(6) for C in graph_isoclasses(n) for f in C.factors or (C,)]
+    forms += [canonical_form(shuffled(G, rng)) for G, _ in PINNED]
+    for C in forms:
+        keys = {id(e) for e in _slot_table(C.n)}
+        assert all(id(e) in keys for e in C.edges), format_graph(C)

@@ -325,7 +325,10 @@ class TestFastPathsAgainstTheirOracles:
 
     def test_vertex_signature_equals_the_vertex_sweep(self):
         for G in self.graphs():
-            assert _vertex_signature(G.adj) == signature_by_vertex_sweep(G.adj)
+            nbrs, sig = _vertex_signature(G.adj)
+            assert sig == signature_by_vertex_sweep(G.adj)
+            assert nbrs == [[u for u in range(1, G.n + 1) if G.has_edge(v, u)]
+                            for v in range(G.n + 1)]
 
     def test_equal_partitions_hash_equal_however_built(self):
         for n in range(7):

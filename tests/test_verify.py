@@ -127,6 +127,9 @@ MUTANTS = {
     (characters, "LAMBDA_CHR_TILDE", "(-1) ** degree(G)", "(-2) ** degree(G)",
      "check_sign_positivity"):
         (14, "signed chromatic character != |chromatic character| on 2: 1-2"),
+    (graphs, "_canonical_connected", "ties[-1][v] = 1 << p", "ties[-1][v] = 1 << p - 1",
+     "check_cointeraction"):
+        (4, "cointeraction identity fails on 3: 1-3, 2-3"),
 }
 
 
@@ -146,16 +149,22 @@ def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     only one vertex of the block for a neighbour, connected blocks that leave
     out the least vertex from the connectivity test, quotient edges that
     look only at the least vertex of each earlier block, block sums that do not count the block
-    they add, and a signed chromatic character that is positive but 2^deg
-    times too large: each is seen by the check that compares that side with
-    an independent one.  A mutated function or class replaces the original
-    in every package module that imported it, and in the engine registries.
+    they add, a signed chromatic character that is positive but 2^deg
+    times too large, and a canonical search that places each tied labeling's
+    new vertex one position low: each is seen by the check that compares
+    that side with an independent one.  A mutated function or class replaces
+    the original in every package module that imported it, and in the engine
+    registries.  A mutated plain function runs over its own module's names,
+    so the graphs it builds are that module's `Graph`s.
     The package's memos are emptied before the check, so a memo filled
     earlier does not hide the mutant, and after it, so no mutant value
     outlives the test."""
     module, name, line, mutated, check = mutant
     original = getattr(module, name)
     replacement = getattr(_one_line_mutant(module, line, mutated), name)
+    if isinstance(replacement, types.FunctionType):
+        replacement = types.FunctionType(replacement.__code__, vars(module), name,
+                                         replacement.__defaults__, replacement.__closure__)
     packages = [m for key, m in sys.modules.items() if key.split(".")[0] == "graph_hopf"]
     for mod in packages:
         for attr in [attr for attr, obj in vars(mod).items() if obj is original]:
