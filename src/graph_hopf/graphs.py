@@ -521,25 +521,31 @@ def components_partition(G):
 # - Twin rule: if unplaced u and v have equal neighborhoods apart from each
 #   other, swapping them is an automorphism fixing every placed vertex, so
 #   only one is tried.  A plain loop: a generator per candidate cost more.
-# - Forced placement: a one-vertex class under one tied labeling is placed
-#   without the compare loop.
 # - The edges of the result are the `_slot_table(n)` keys, read through the
 #   slot mask, so all memoised forms share them; fresh pairs per form raised
 #   query-mix `peak_rss_mb` by 3-4 %.
 
 @lru_cache(maxsize=None)
 def _slot_table(n):
-    return {e: k for k, e in enumerate(itertools.combinations(range(1, n + 1), 2))}
+    table = {}
+    k = 0
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            table[(i, j)] = k
+            k += 1
+    return table
 
 
 def _vertex_signature(adj):
     """Each vertex's neighbor list, by vertex, and its invariants (degree,
     sorted neighbor degrees, triangle count) from adjacency bitmasks (bit u of
-    adj[v] is edge v-u), in one pass over the lists."""
+    adj[v] is edge v-u)."""
     nbrs = [list(_bits(a)) for a in adj]
-    return nbrs, {v: (len(nbrs[v]), tuple(sorted([len(nbrs[u]) for u in nbrs[v]])),
-                      sum([(adj[u] & adj[v]).bit_count() for u in nbrs[v]]) // 2)
-                  for v in range(1, len(adj))}
+    sig = {}
+    for v in range(1, len(adj)):
+        tri = sum([(adj[u] & adj[v]).bit_count() for u in nbrs[v]]) // 2
+        sig[v] = (len(nbrs[v]), tuple(sorted([len(nbrs[u]) for u in nbrs[v]])), tri)
+    return nbrs, sig
 
 
 def _canonical_connected(G):
@@ -552,33 +558,26 @@ def _canonical_connected(G):
     slots = _slot_table(n)
     mask, states = 0, [[0] * (n + 1)]  # the tied labelings' position bits
     for p in range(n, 0, -1):
-        if len(owner[p]) == 1 and len(states) == 1:
-            at, v = states[0], owner[p][0]
-            best = 0
-            for w in nbrs[v]:
-                best |= at[w]
-            at[v] = 1 << p
-        else:
-            best, ties = 2 << n, []  # above every row
-            for at in states:
-                tried = []
-                for v in owner[p]:
-                    if at[v]:
-                        continue
-                    for u in tried:
-                        if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
-                            break
-                    else:
-                        tried.append(v)
-                        row = 0
-                        for w in nbrs[v]:
-                            row |= at[w]
-                        if row < best:
-                            best, ties = row, []
-                        if row == best:
-                            ties.append(at[:])
-                            ties[-1][v] = 1 << p
-            states = ties
+        best, ties = 2 << n, []  # above every row
+        for at in states:
+            tried = []
+            for v in owner[p]:
+                if at[v]:
+                    continue
+                for u in tried:
+                    if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                        break
+                else:
+                    tried.append(v)
+                    row = 0
+                    for w in nbrs[v]:
+                        row |= at[w]
+                    if row < best:
+                        best, ties = row, []
+                    if row == best:
+                        ties.append(at[:])
+                        ties[-1][v] = 1 << p
+        states = ties
         if best:  # bit q of the row is slot (p, q)
             mask |= best >> p + 1 << slots[(p, p + 1)]
     return _graph(n, tuple(e for e, k in slots.items() if mask >> k & 1))

@@ -511,7 +511,9 @@ def check_interval_isomorphism(G):
     for i, j, p, q in _intervals(L):
         box = L.up[i] & L.down[j]
         Q = L.quotient(i, j)
-        M = lattices[Q] if Q in lattices else lattices.setdefault(Q, lat.build_lattice(Q))
+        if Q not in lattices:
+            lattices[Q] = lat.build_lattice(Q)
+        M = lattices[Q]
         by_image = sorted(_bits(box), key=lambda a: over[(i, a)].blocks)
         if [over[(i, a)] for a in by_image] == M.elements:
             at = {a: x for x, a in enumerate(by_image)}

@@ -129,7 +129,7 @@ MUTANTS = {
         (14, "signed chromatic character != |chromatic character| on 2: 1-2"),
     (graphs, "_canonical_connected", "ties[-1][v] = 1 << p", "ties[-1][v] = 1 << p - 1",
      "check_cointeraction"):
-        (4, "cointeraction identity fails on 3: 1-3, 2-3"),
+        (2, "cointeraction identity fails on 4: 1-2, 1-3, 2-3"),
 }
 
 
