@@ -11,6 +11,7 @@ from .graphs import (
     edgeless,
     path_graph,
     disjoint_union,
+    restrict,
 )
 from .linear import LinComb, Polynomial, falling_factorial, hilbert
 
@@ -18,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "Partition", "parse_graph", "format_graph",
-    "complete", "cycle_graph", "edgeless", "path_graph", "disjoint_union",
+    "complete", "cycle_graph", "edgeless", "path_graph", "disjoint_union", "restrict",
     "LinComb", "Polynomial", "falling_factorial", "hilbert",
     "__version__",
 ]

@@ -22,6 +22,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .bialgebra import delta_small_graph
 from .graphs import (
     Graph,
     admissible_partitions,
@@ -94,7 +95,7 @@ def invert_character(lam):
 
     Computed by induction on the vertex count: for connected G the full-block
     partition isolates lam(K1) * inverse(G), every other admissible partition
-    only extracts strictly smaller connected pieces.
+    only extracts strictly smaller connected pieces: a sum over the terms of δ(G).
     """
     c = lam(K1)
     if c == 0:
@@ -103,9 +104,8 @@ def invert_character(lam):
     def value(G):
         if G.n == 1:
             return Fraction(1) / c
-        inv_of = block_map(G, inv.of_connected)
-        total = sum(lam(contract(G, p)) * math.prod(map(inv_of, p.masks))
-                    for p in admissible_partitions(G) if len(p) > 1)
+        total = sum(coeff * lam(a) * inv(b)
+                    for (a, b), coeff in delta_small_graph(G).terms() if len(b) > 1)
         # counit vanishes on connected graphs with an edge
         return Fraction(-total) / c
 

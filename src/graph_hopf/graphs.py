@@ -147,10 +147,6 @@ class Partition:
     def singletons(cls, n):
         return cls(n, [(v,) for v in range(1, n + 1)])
 
-    @classmethod
-    def one_block(cls, n):
-        return cls(n, [tuple(range(1, n + 1))] if n else [])
-
     def block_of(self, v):
         return self.blocks[self.growth[v - 1]]
 
@@ -164,9 +160,9 @@ class Partition:
         masks, at = other.masks, other.growth
         return all(not m & ~masks[at[b[0] - 1]] for b, m in zip(self.blocks, self.masks))
 
-    def packed_restriction(self, subset):
-        """Restrict to a subset of [n] and relabel via the increasing bijection."""
-        return Partition.of_labels([self.growth[v - 1] for v in sorted(subset)])
+    def packed_restriction(self, mask):
+        """Restrict to the vertices of a mask, relabelled 1..k in increasing order."""
+        return Partition.of_labels([self.growth[v - 1] for v in _bits(mask)])
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.n == other.n and self.blocks == other.blocks
@@ -247,18 +243,6 @@ def disjoint_union(G, H):
     """Concatenate: H's vertices are shifted by |G|.  This is the graph product."""
     k = G.n
     return _graph(k + H.n, G.edges + tuple((i + k, j + k) for i, j in H.edges))
-
-
-def relabel(G, perm):
-    """Apply a bijection [n] -> [n] given as a dict or as a tuple with perm[v-1] = image."""
-    if not isinstance(perm, dict):
-        perm = {v: perm[v - 1] for v in range(1, G.n + 1)}
-    return Graph(G.n, [(perm[i], perm[j]) for i, j in G.edges])
-
-
-def random_graph(n, rng, p=0.5):
-    """Erdos-Renyi style sample; rng is a random.Random for reproducibility."""
-    return Graph(n, [e for e in complete(n).edges if rng.random() < p])
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +637,7 @@ def isoclasses_up_to(n):
 # ---------------------------------------------------------------------------
 # nested forests
 #
-# A nested forest of a connected graph is a family of vertex subsets that
+# A nested forest of a connected graph is a family of vertex masks that
 # contains the full vertex set, is pairwise nested-or-disjoint, and whose
 # members all induce connected subgraphs.  Proper members have size >= 2:
 # allowing singleton proper members would break both the stated forest
@@ -661,72 +645,59 @@ def isoclasses_up_to(n):
 
 @lru_cache(maxsize=None)
 def _connected_subsets(G):
-    """All subsets of [n] of size >= 2 inducing a connected subgraph, as
-    (sorted vertex tuple, vertex mask) pairs, by size and then lexicographically."""
-    out, adj = [], G.adj
-    verts = list(range(1, G.n + 1))
-    for r in range(2, G.n + 1):
-        for sub in itertools.combinations(verts, r):
-            mask = sum(1 << v for v in sub)
-            if _connected_mask(adj, mask):
-                out.append((sub, mask))
-    return tuple(out)
+    """The masks of the vertex sets of size >= 2 that induce a connected
+    subgraph, ascending."""
+    adj = G.adj
+    return tuple(m for m in range(2, 1 << (G.n + 1), 2)
+                 if m & (m - 1) and _connected_mask(adj, m))
 
 
 def nested_forests(G):
     """Yield every nested forest of a connected graph, each exactly once.
 
     A forest is yielded as a tuple of (member, children) pairs, one per
-    member, the full vertex set first.  A member is a sorted vertex tuple and
-    its children are the maximal members strictly below it, ordered by size
-    and then lexicographically.
+    member, the full vertex mask first.  A member is a vertex mask and its
+    children are the masks of the maximal members strictly below it,
+    ascending.
     """
     if G.n == 0 or not is_connected(G):
         raise ValueError("nested forests are defined for nonempty connected graphs")
     subsets = _connected_subsets(G)
     memo = {}
 
-    def families(S, mask):
-        # all forests of the induced subgraph on S, as tuples of pairs, S first
+    def families(mask):
+        # all forests of the induced subgraph on mask, as tuples of pairs, mask first
         if mask in memo:
             return memo[mask]
-        proper = [(C, m) for C, m in subsets if m & mask == m != mask]
+        proper = [m for m in subsets if m & mask == m != mask]
         results = []
 
         def antichains(start, chosen, used):
-            # the pairwise disjoint families of proper members: S's possible children
+            # the pairwise disjoint families of proper members: the possible children
             yield chosen
             for k in range(start, len(proper)):
-                if not proper[k][1] & used:
+                if not proper[k] & used:
                     chosen.append(proper[k])
-                    yield from antichains(k + 1, chosen, used | proper[k][1])
+                    yield from antichains(k + 1, chosen, used | proper[k])
                     chosen.pop()
 
         for children in antichains(0, [], 0):
-            head = (S, tuple(C for C, _ in children))
-            for combo in itertools.product(*(families(C, m) for C, m in children)):
-                members = [head]
-                for forest in combo:
-                    members.extend(forest)
-                results.append(tuple(members))
+            head = (mask, tuple(children))
+            results.extend(sum(combo, (head,))
+                           for combo in itertools.product(*map(families, children)))
         memo[mask] = results
         return results
 
-    yield from families(tuple(range(1, G.n + 1)), (1 << (G.n + 1)) - 2)
+    yield from families((1 << (G.n + 1)) - 2)
 
 
 def forest_factor(G, member, children):
-    """The factor of one forest member: restrict to it and contract each child
-    to one vertex (the member's other vertices stay single).  Each vertex is
-    labelled by the least vertex of its child, or by itself."""
-    label = {v: J[0] for J in children for v in J}
-    return contract(restrict(G, member),
-                    Partition.of_labels([label.get(v, v) for v in sorted(member)]))
-
-
-def forest_evaluate(G, forest):
-    """Factor graphs of a nested forest, one per member (see `forest_factor`)."""
-    return [forest_factor(G, S, children) for S, children in forest]
+    """The factor of one forest member, given by masks: restrict to the member
+    and contract each child to one vertex (its other vertices stay single).
+    Each vertex is labelled by the lowest bit of its child, or by its own."""
+    label = {v: J & -J for J in children for v in _bits(J)}
+    return contract(_restrict(G, member),
+                    Partition.of_labels([label.get(v, 1 << v) for v in _bits(member)]))
 
 
 # ---------------------------------------------------------------------------

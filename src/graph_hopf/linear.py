@@ -223,9 +223,6 @@ class Polynomial:
             acc = acc * q + c
         return acc
 
-    def derivative(self):
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def compose_sum(self):
         """Coefficients of P(X+Y) as a dict {(i, j): coeff}."""
         out = {}
@@ -246,10 +243,6 @@ class Polynomial:
         if not self.coeffs:
             return ["0"]
         return [format_rational(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([parse_rational(s) for s in data])
 
     def pretty(self):
         """Readable form like "X^3 - 3X^2 + 2X"."""

@@ -18,15 +18,16 @@ has fiber partition Q(G, p), and the k! numberings read each word with that
 fiber partition once.  Words of different lengths are W elements of
 different degrees.
 
-Both work on bitmasks: a packed word carries a clash mask over the edge
-slots (`graphs._slot_table`), and `phi0_nc` reads components from one table
-per graph, its terms the shared partitions that `set_partitions` yields.
+All of it works on bitmasks: a packed word carries a clash mask over the
+edge slots (`graphs._slot_table`), `phi0_nc` reads components from one table
+per graph, its terms the shared partitions that `set_partitions` yields, and
+the W product and coproduct restrict partitions to masks of positions.
 
-The projection onto univariate polynomials sends a packed word w to the
-Hilbert polynomial of max(w); on the W basis this is k! times the k-th
-Hilbert polynomial for a k-block partition, the normalization under which
-the projection intertwines both chromatic morphisms exactly: the falling
-factorial X(X-1)...(X-k+1), with integer coefficients.
+The projection onto univariate polynomials takes W keys only: the W element
+of a k-block partition goes to k! times the k-th Hilbert polynomial, the
+normalization under which the projection intertwines both chromatic
+morphisms exactly: the falling factorial X(X-1)...(X-k+1), with integer
+coefficients.
 """
 
 from __future__ import annotations
@@ -37,14 +38,8 @@ from functools import lru_cache
 from operator import attrgetter, itemgetter
 
 from .chromatic import independent_partitions
-from .graphs import Partition, _set_partitions_list, _slot_table, component_masks, set_partitions
-from .linear import LinComb, Polynomial, bilinear, falling_factorial, hilbert
-
-
-def pack(word):
-    """Standardize letters by the increasing bijection onto 1..k, preserving order."""
-    relabel = {x: i for i, x in enumerate(sorted(set(word)), start=1)}
-    return tuple(relabel[x] for x in word)
+from .graphs import _set_partitions_list, _slot_table, component_masks, set_partitions
+from .linear import LinComb, Polynomial, bilinear, falling_factorial
 
 
 def is_packed(word):
@@ -59,13 +54,6 @@ def _shared_partition(growth):
     return parts[bisect_left(parts, growth, key=attrgetter("growth"))]
 
 
-def partition_of_word(w):
-    """Fiber partition of a packed word: positions grouped by letter."""
-    if not is_packed(w):
-        raise ValueError(f"{w!r} is not packed")
-    return Partition.of_labels(w)
-
-
 def _words(p):
     """The k! packed words with fiber partition p, for p with k blocks: one
     per numbering of the blocks, giving every position its block's number."""
@@ -73,11 +61,6 @@ def _words(p):
     # itemgetter returns a bare item for one index and needs at least one
     read = itemgetter(*at) if len(at) > 1 else lambda sigma: tuple(sigma[i] for i in at)
     return map(read, itertools.permutations(range(1, len(p) + 1)))
-
-
-def expand_W(p):
-    """The W basis element of a set partition p: the sum of its packed words."""
-    return LinComb(zip(_words(p), itertools.repeat(1)))
 
 
 def expand(x):
@@ -95,9 +78,9 @@ def expand(x):
 def wsym_product(p, q):
     """Product of two W elements: all partitions of [k+l] whose packed
     restrictions to the first k and last l positions recover the factors."""
-    k, l = p.n, q.n
-    first, last = range(1, k + 1), range(k + 1, k + l + 1)
-    return LinComb((r, 1) for r in set_partitions(k + l)
+    first = (1 << (p.n + 1)) - 2  # positions 1..k
+    last = ((1 << q.n) - 1) << (p.n + 1)  # positions k+1..k+l
+    return LinComb((r, 1) for r in set_partitions(p.n + q.n)
                    if r.packed_restriction(first) == p and r.packed_restriction(last) == q)
 
 
@@ -107,10 +90,10 @@ def wsym_element_product(x, y):
 
 def wsym_coproduct(p):
     """Coproduct on the W basis: split the block set and pack each side."""
-    everything = set(range(1, p.n + 1))
-    lefts = (set().union(*chosen)
-             for r in range(len(p) + 1) for chosen in itertools.combinations(p.blocks, r))
-    return LinComb(((p.packed_restriction(left), p.packed_restriction(everything - left)), 1)
+    full = (1 << (p.n + 1)) - 2
+    lefts = (sum(chosen)
+             for r in range(len(p) + 1) for chosen in itertools.combinations(p.masks, r))
+    return LinComb(((p.packed_restriction(left), p.packed_restriction(full ^ left)), 1)
                    for left in lefts)
 
 
@@ -133,7 +116,7 @@ def _packed_words(n):
     its clash mask: bit `_slot_table(n)[(i, j)]` is set when positions i and j
     carry equal letters.  The words are kept as a filter of all n^n words on
     purpose: through `packed_valid_colorings` this is the side of
-    `verify.check_wsym_words` that does not use `expand_W`."""
+    `verify.check_wsym_words` that does not use `expand`."""
     slots = _slot_table(n).items()
     return tuple((f, sum(1 << k for (i, j), k in slots if f[i - 1] == f[j - 1]))
                  for f in itertools.product(range(1, n + 1), repeat=n) if is_packed(f))
@@ -183,16 +166,11 @@ def act_nc(G, lam):
 # projection onto univariate polynomials
 
 def hilbert_morphism(x):
-    """Linear projection to polynomials: word w -> H_max(w); W element of a
-    k-block partition -> k! H_k, the falling factorial.  Accepts word-space or
-    W-basis elements.  W keys add up in falling-factorial units as they are,
-    so an int W element projects to int coefficients."""
-    units, words = {}, {}  # by k: the coefficient of k! H_k, of H_k
+    """Linear projection of a W-basis element to polynomials: the W element of
+    a k-block partition goes to k! H_k, the falling factorial.  W keys only, as
+    no caller hands it words; they add up in falling-factorial units as they
+    are, so an int W element projects to int coefficients."""
+    units = {}  # by k: the coefficient of k! H_k
     for key, coeff in x.terms():
-        if isinstance(key, Partition):
-            units[len(key)] = units.get(len(key), 0) + coeff
-        else:
-            k = max(key) if key else 0
-            words[k] = words.get(k, 0) + coeff
-    return sum((falling_factorial(k) * c for k, c in sorted(units.items())),
-               sum((hilbert(k) * c for k, c in sorted(words.items())), Polynomial.zero()))
+        units[len(key)] = units.get(len(key), 0) + coeff
+    return sum((falling_factorial(k) * c for k, c in sorted(units.items())), Polynomial.zero())

@@ -24,9 +24,10 @@ from graph_hopf.graphs import (
     connected_isoclasses,
     isoclasses_up_to,
     path_graph,
-    random_graph,
 )
 from graph_hopf.linear import LinComb
+
+from helpers import random_graph
 
 
 class _Criterion:

@@ -15,12 +15,13 @@ from graph_hopf.graphs import (
     contract,
     disjoint_union,
     edgeless,
-    forest_evaluate,
     is_connected,
     nested_forests,
     path_graph,
 )
 from graph_hopf.linear import LinComb
+
+from helpers import forest_evaluate
 
 K1, K2, K3 = complete(1), complete(2), complete(3)
 P3 = path_graph(3)

@@ -42,10 +42,10 @@ from graph_hopf.graphs import (
     cycle_graph,
     extract,
     isoclasses_up_to,
-    random_graph,
-    relabel,
 )
 from graph_hopf.linear import LinComb, Polynomial, falling_factorial
+
+from helpers import random_graph, relabel
 
 K1 = Graph(1)
 

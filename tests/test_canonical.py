@@ -30,10 +30,10 @@ from graph_hopf.graphs import (
     graph_isoclasses,
     is_connected,
     parse_graph,
-    random_graph,
-    relabel,
     restrict,
 )
+
+from helpers import random_graph, relabel
 
 
 def _oracle_connected(G):

@@ -24,11 +24,12 @@ from graph_hopf.graphs import (
     graph_isoclasses,
     isoclasses_up_to,
     path_graph,
-    random_graph,
     restrict,
     set_partitions,
 )
 from graph_hopf.linear import Polynomial, falling_factorial
+
+from helpers import random_graph
 
 K1, K2, K3, K4 = complete(1), complete(2), complete(3), complete(4)
 P3 = path_graph(3)

@@ -84,8 +84,14 @@ class TestOtherCommands:
         assert {"coeff": "3", "monomial": ["2: 1-2", "2: 1-2"]} in terms
 
     def test_antipode_rejects_disconnected(self):
-        r = run_cli("antipode", "--graph", "2:")
-        assert r.returncode == 2
+        # one guard, the engines' own, for every engine choice
+        for graph in ("2:", "1:", "3: 1-2"):
+            for engine in ("forest", "recursive", "all"):
+                r = run_cli("antipode", "--graph", graph, "--engine", engine)
+                assert r.returncode == 2
+                assert r.stdout == b""
+                assert r.stderr == (b"error: antipode is defined on connected graphs "
+                                    b"with >= 2 vertices\n")
 
     def test_lattice(self):
         r = run_cli("lattice", "--graph", "3: 1-2, 2-3, 1-3", "--mobius")
@@ -352,6 +358,19 @@ def test_edgeless_eleven_vertices_needs_no_set_partition_table(capsys, engine):
     before = graphs._set_partitions_list.cache_info()
     assert cli.main(["chromatic", "--graph", "11:", "--engine", engine]) == 0
     assert json.loads(capsys.readouterr().out)["poly"] == ["0"] * 11 + ["1"]
+    assert graphs._set_partitions_list.cache_info() == before
+
+
+def test_inverse_character_on_the_eleven_vertex_path_needs_no_set_partition_table(capsys):
+    """The inverse of the chromatic character is the all-ones character; on
+    the path with 11 vertices it sums over the counted terms of δ, so the
+    Bell(11) table of set partitions is never built."""
+    from graph_hopf import cli, graphs
+
+    before = graphs._set_partitions_list.cache_info()
+    path = "11: " + ", ".join(f"{v}-{v + 1}" for v in range(1, 11))
+    assert cli.main(["character", "--graph", path, "--which", "chr-inverse"]) == 0
+    assert capsys.readouterr().out == '{"value":"1"}\n'
     assert graphs._set_partitions_list.cache_info() == before
 
 

@@ -22,11 +22,12 @@ from graph_hopf.graphs import (
     components_within,
     connected_components,
     is_admissible,
-    random_graph,
     restrict,
     set_partitions,
 )
 from graph_hopf.linear import LinComb
+
+from helpers import random_graph
 
 
 @st.composite

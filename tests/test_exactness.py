@@ -14,8 +14,10 @@ from graph_hopf import characters as ch
 from graph_hopf import chromatic as chrom
 from graph_hopf import lattice as lat
 from graph_hopf import wsym as ws
-from graph_hopf.graphs import Graph, complete, connected_components, restrict
+from graph_hopf.graphs import Graph, Partition, complete, connected_components, restrict
 from graph_hopf.linear import LinComb, Polynomial
+
+from helpers import hilbert_by_fractions
 
 TWO = ch.Character(lambda G: 2, "two")
 
@@ -63,15 +65,20 @@ def test_every_value_is_int_or_fraction(G):
 
 def test_projection_divides_only_word_coefficients():
     """W keys project to falling factorials, so an int W element projects to
-    int coefficients; a word's coefficient is divided by max(w)!, exactly."""
+    int coefficients; a word's coefficient is divided by max(w)!, exactly.
+    The package projects W keys only, so words go through the tests' oracle,
+    and the W element with the same projection keeps its Fractions exact."""
     for G in (Graph(0), complete(1), Graph(4, [(1, 2), (2, 3)]), complete(5)):
         for x in (ws.pchr_nc(G), ws.phi0_nc(G)):
             assert all(type(c) is int for c in ws.hilbert_morphism(x).coeffs)
-    # (1/3) * X(X-1)/2 + 2 * X
+    # (1/3) * X(X-1)/2 + 2 * X, from words and from (1/6) W{1}{2} + 2 W{12}
     x = LinComb([((1, 2), Fraction(1, 3)), ((1, 1), 2)])
-    got = ws.hilbert_morphism(x)
+    got = hilbert_by_fractions(x)
     assert got == Polynomial([0, Fraction(11, 6), Fraction(1, 6)])
-    assert_exact("hilbert_morphism of words", got.coeffs)
+    assert_exact("hilbert projection of words", got.coeffs)
+    w = LinComb([(Partition.singletons(2), Fraction(1, 6)), (Partition(2, [(1, 2)]), 2)])
+    assert ws.hilbert_morphism(w) == got
+    assert_exact("hilbert_morphism of a Fraction W element", ws.hilbert_morphism(w).coeffs)
 
 
 def test_inverse_of_constant_two_is_not_integral():

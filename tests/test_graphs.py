@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from graph_hopf.graphs import (
     disjoint_union,
     edgeless,
     extract,
-    forest_evaluate,
+    forest_factor,
     format_graph,
     graph_isoclasses,
     connected_isoclasses,
@@ -33,11 +34,11 @@ from graph_hopf.graphs import (
     nested_forests,
     parse_graph,
     path_graph,
-    random_graph,
-    relabel,
     restrict,
     set_partitions,
 )
+
+from helpers import forest_evaluate, one_block, random_graph, relabel
 
 K1, K2, K3, K4 = complete(1), complete(2), complete(3), complete(4)
 P3 = path_graph(3)
@@ -345,7 +346,7 @@ class TestFastPathsAgainstTheirOracles:
                 for q in table:
                     assert p.refines(q) is refines_by_sets(p, q)
         for p, q in ((Partition.singletons(2), Partition.singletons(3)),
-                     (Partition.one_block(3), Partition.one_block(0))):
+                     (one_block(3), one_block(0))):
             with pytest.raises(ValueError, match="different ground sets"):
                 p.refines(q)
 
@@ -368,7 +369,7 @@ class TestAdmissibility:
             Partition(3, [(1, 2), (3,)]),
             Partition(3, [(1, 3), (2,)]),
             Partition(3, [(1,), (2, 3)]),
-            Partition.one_block(3),
+            one_block(3),
         }
         assert got == want
 
@@ -446,6 +447,52 @@ class TestCanonicalKeys:
         assert [len(connected_isoclasses(n)) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
 
 
+def nested_forests_by_tuples(G):
+    """Oracle: the enumeration that the mask one replaced, kept as it was.
+    Members are sorted vertex tuples from `itertools.combinations`, paired
+    with their masks for the disjointness tests; each forest is a tuple of
+    (member, children) pairs, full vertex set first, children by size and
+    then lexicographically."""
+    subsets = [(sub, sum(1 << v for v in sub)) for r in range(2, G.n + 1)
+               for sub in itertools.combinations(range(1, G.n + 1), r)
+               if is_connected(restrict(G, sub))]
+    memo = {}
+
+    def families(S, mask):
+        if mask in memo:
+            return memo[mask]
+        proper = [(C, m) for C, m in subsets if m & mask == m != mask]
+        results = []
+
+        def antichains(start, chosen, used):
+            yield chosen
+            for k in range(start, len(proper)):
+                if not proper[k][1] & used:
+                    chosen.append(proper[k])
+                    yield from antichains(k + 1, chosen, used | proper[k][1])
+                    chosen.pop()
+
+        for children in antichains(0, [], 0):
+            head = (S, tuple(C for C, _ in children))
+            for combo in itertools.product(*(families(C, m) for C, m in children)):
+                members = [head]
+                for forest in combo:
+                    members.extend(forest)
+                results.append(tuple(members))
+        memo[mask] = results
+        return results
+
+    yield from families(tuple(range(1, G.n + 1)), (1 << (G.n + 1)) - 2)
+
+
+def mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def vertices(m):
+    return [v for v in range(1, m.bit_length()) if m >> v & 1]
+
+
 class TestNestedForests:
     def test_small_counts(self):
         assert sum(1 for _ in nested_forests(K1)) == 1
@@ -454,19 +501,17 @@ class TestNestedForests:
         assert sum(1 for _ in nested_forests(P3)) == 3
 
     def test_children_are_the_maximal_members_below(self):
-        # oracle: the definition, over frozensets
+        # oracle: the definition, over masks read as sets
         for n in range(1, 6):
             for G in connected_isoclasses(n):
                 for F in nested_forests(G):
                     members = [S for S, _ in F]
-                    assert members[0] == tuple(range(1, n + 1))
+                    assert members[0] == mask(range(1, n + 1))
                     assert len(set(members)) == len(members)
-                    sets = {S: frozenset(S) for S in members}
                     for S, children in F:
-                        below = [J for J in members if sets[J] < sets[S]]
-                        maximal = {J for J in below
-                                   if not any(sets[J] < sets[K] for K in below)}
-                        assert set(children) == maximal and len(children) == len(maximal)
+                        below = [J for J in members if J & S == J != S]
+                        maximal = [J for J in below if not any(J & K == J != K for K in below)]
+                        assert children == tuple(sorted(maximal))
 
     def test_triangle_factors(self):
         # the three two-member forests of the triangle factor into two edges
@@ -479,15 +524,36 @@ class TestNestedForests:
             forests = [[S for S, _ in F] for F in nested_forests(G)]
             assert forests
             assert len({frozenset(F) for F in forests}) == len(forests)
-            full = tuple(range(1, G.n + 1))
+            full = mask(range(1, G.n + 1))
             for F in forests:
                 assert full in F
                 # pairwise nested or disjoint, all members connected
                 for A in F:
-                    assert is_connected(restrict(G, A))
+                    assert is_connected(restrict(G, vertices(A)))
                     for B in F:
-                        sa, sb = set(A), set(B)
-                        assert sa <= sb or sb <= sa or not (sa & sb)
+                        assert A & B in (A, B, 0)
+
+    def test_masks_give_the_forests_of_the_tuple_enumeration(self):
+        """Every connected isoclass with <= 6 vertices and seeded labelled
+        7-vertex graphs: the same forests, each once, member for member."""
+        rng = random.Random(7)
+        graphs = [G for n in range(1, 7) for G in connected_isoclasses(n)]
+        graphs += [G for G in (random_graph(7, rng, 0.4) for _ in range(12)) if is_connected(G)][:4]
+        assert len(graphs) == 143 + 4
+        for G in graphs:
+            oracle = list(nested_forests_by_tuples(G))
+            as_masks = {pair: (mask(pair[0]), tuple(sorted(map(mask, pair[1]))))
+                        for pair in {pair for F in oracle for pair in F}}
+            want = {frozenset(map(as_masks.__getitem__, F)) for F in oracle}
+            got = [frozenset(F) for F in nested_forests(G)]
+            assert len(want) == len(oracle) == len(got) and set(got) == want
+
+    def test_forest_factor_labels_each_child_by_its_lowest_vertex(self):
+        # member {1,2,3,4} of the 4-cycle with child {2,3}: the cycle 1-2-3-4-1 with 2-3 shrunk
+        C4 = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        assert format_graph(forest_factor(C4, mask((1, 2, 3, 4)), (mask((2, 3)),))) == (
+            "3: 1-2, 1-3, 2-3")
+        assert format_graph(forest_factor(C4, mask((2, 3, 4)), ())) == "3: 1-2, 2-3"
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
@@ -509,7 +575,6 @@ class TestOrientations:
 
     def test_matches_brute_force(self):
         # oracle: flip every edge subset and keep the acyclic results
-        import itertools
         for n in range(6):
             for G in graph_isoclasses(n):
                 want = set()

@@ -12,6 +12,8 @@ from graph_hopf.graphs import (
     path_graph,
 )
 
+from helpers import one_block
+
 K2, K3 = complete(2), complete(3)
 P3 = path_graph(3)
 
@@ -116,7 +118,7 @@ class TestIntervalQuotient:
             assert lat.interval_quotient(G, L.bottom, L.top) == G
 
     def test_triangle_atom_to_top(self):
-        q = lat.interval_quotient(K3, Partition(3, [(1, 2), (3,)]), Partition.one_block(3))
+        q = lat.interval_quotient(K3, Partition(3, [(1, 2), (3,)]), one_block(3))
         assert q == K2
 
     def test_degenerate_interval(self):
@@ -125,7 +127,7 @@ class TestIntervalQuotient:
 
     def test_rejects_incomparable(self):
         with pytest.raises(ValueError):
-            lat.interval_quotient(K3, Partition.one_block(3), Partition.singletons(3))
+            lat.interval_quotient(K3, one_block(3), Partition.singletons(3))
 
     def test_lattice_quotient_by_index_matches_the_checked_one(self):
         for G in connected_isoclasses(4):

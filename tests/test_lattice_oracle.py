@@ -39,8 +39,9 @@ from graph_hopf.graphs import (
     components_within,
     format_graph,
     isoclasses_up_to,
-    random_graph,
 )
+
+from helpers import random_graph
 
 GRAPHS = list(isoclasses_up_to(5)) + [G for n in range(5) for G in all_graphs(n)]
 

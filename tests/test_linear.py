@@ -13,6 +13,8 @@ from graph_hopf.linear import (
     parse_rational,
 )
 
+from helpers import derivative, poly_from_json
+
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
@@ -46,7 +48,7 @@ class TestRationalFormat:
 
     def test_polynomial_from_json_uses_the_same_parser(self):
         with pytest.raises(ValueError):
-            Polynomial.from_json(["1e5"])
+            poly_from_json(["1e5"])
 
     def test_format_rejects_inexact_values(self):
         for q in [0.5, 2.0, "1/2", None]:
@@ -134,7 +136,7 @@ class TestPolynomial:
     def test_json_round_trip(self):
         P = Polynomial([0, 2, -3, 1])
         assert P.to_json() == ["0", "2", "-3", "1"]
-        assert Polynomial.from_json(P.to_json()) == P
+        assert poly_from_json(P.to_json()) == P
         assert Polynomial.zero().to_json() == ["0"]
 
     def test_pretty(self):
@@ -143,7 +145,7 @@ class TestPolynomial:
         assert Polynomial([Fraction(1, 2)]).pretty() == "1/2"
 
     def test_derivative(self):
-        assert Polynomial([5, 1, 3]).derivative() == Polynomial([1, 6])
+        assert derivative(Polynomial([5, 1, 3])) == Polynomial([1, 6])
 
 
 class TestHilbert:

@@ -22,10 +22,11 @@ from graph_hopf.graphs import (
     cycle_graph,
     edgeless,
     path_graph,
-    random_graph,
     set_partitions,
 )
-from graph_hopf.linear import LinComb, Polynomial, hilbert
+from graph_hopf.linear import LinComb, Polynomial
+
+from helpers import expand_W, hilbert_by_fractions, pack, partition_of_word, random_graph
 
 K1, K2, K3 = complete(1), complete(2), complete(3)
 P3 = path_graph(3)
@@ -48,43 +49,43 @@ def words(n):
 
 class TestPackedWords:
     def test_pack(self):
-        assert ws.pack((3, 5, 3)) == (1, 2, 1)
-        assert ws.pack(()) == ()
+        assert pack((3, 5, 3)) == (1, 2, 1)
+        assert pack(()) == ()
 
     def test_fiber_partition(self):
-        assert ws.partition_of_word((1, 2, 1)) == part((1, 3), (2,))
-        assert ws.partition_of_word((1, 2)) == ws.partition_of_word((2, 1))
+        assert partition_of_word((1, 2, 1)) == part((1, 3), (2,))
+        assert partition_of_word((1, 2)) == partition_of_word((2, 1))
 
     def test_rejects_unpacked(self):
         with pytest.raises(ValueError):
-            ws.partition_of_word((1, 3))
+            partition_of_word((1, 3))
 
     def test_pack_then_fibers_round_trip(self):
         for w in [(2, 2, 5), (4, 1, 4, 2)]:
-            p = ws.partition_of_word(ws.pack(w))
-            assert ws.expand_W(p).coeff(ws.pack(w)) == 1
+            p = partition_of_word(pack(w))
+            assert expand_W(p).coeff(pack(w)) == 1
 
 
 class TestWBasis:
     def test_two_singletons(self):
-        assert ws.expand_W(part((1,), (2,))) == LinComb.term((1, 2)) + LinComb.term((2, 1))
+        assert expand_W(part((1,), (2,))) == LinComb.term((1, 2)) + LinComb.term((2, 1))
 
     def test_one_block(self):
-        assert ws.expand_W(part((1, 2))) == LinComb.term((1, 1))
+        assert expand_W(part((1, 2))) == LinComb.term((1, 1))
 
     def test_split_block(self):
-        assert ws.expand_W(part((1, 3), (2,))) == LinComb.term((1, 2, 1)) + LinComb.term((2, 1, 2))
+        assert expand_W(part((1, 3), (2,))) == LinComb.term((1, 2, 1)) + LinComb.term((2, 1, 2))
 
     def test_empty(self):
-        assert ws.expand_W(Partition(0, [])) == LinComb.term(())
+        assert expand_W(Partition(0, [])) == LinComb.term(())
 
     def test_matches_packed_words_by_fiber_partition(self):
         for n in range(7):
             fibers = {}
             for w in words(n):
-                fibers.setdefault(ws.partition_of_word(w), []).append(w)
+                fibers.setdefault(partition_of_word(w), []).append(w)
             for p in set_partitions(n):
-                assert ws.expand_W(p) == LinComb((w, 1) for w in fibers[p])
+                assert expand_W(p) == LinComb((w, 1) for w in fibers[p])
 
 
 class TestHopfStructure:
@@ -103,7 +104,7 @@ class TestHopfStructure:
             k = p.n
             want = LinComb.zero()
             for w in words(p.n + q.n):
-                if ws.pack(w[:k]) in ws.expand_W(p) and ws.pack(w[k:]) in ws.expand_W(q):
+                if pack(w[:k]) in expand_W(p) and pack(w[k:]) in expand_W(q):
                     want = want + LinComb.term(w)
             assert got == want
 
@@ -307,7 +308,8 @@ def test_coloring_morphism_beyond_the_exhaustive_bound(n, rng, p):
 
 class TestHilbertProjection:
     def test_single_letter(self):
-        assert ws.hilbert_morphism(LinComb.term((1,))) == Polynomial.x()
+        # the W element of the one-point partition is the one-letter word 1
+        assert ws.hilbert_morphism(LinComb.term(part((1,)))) == Polynomial.x()
 
     def test_coloring_morphism_of_edgeless_pair(self):
         got = ws.hilbert_morphism(ws.phi0_nc(edgeless(2)))
@@ -320,7 +322,7 @@ class TestHilbertProjection:
     def test_word_and_w_basis_agree(self):
         for G in [K2, K3, P3, edgeless(3)]:
             element = ws.pchr_nc(G)
-            assert ws.hilbert_morphism(element) == ws.hilbert_morphism(ws.expand(element))
+            assert ws.hilbert_morphism(element) == hilbert_by_fractions(ws.expand(element))
 
     def test_intertwines_both_morphisms(self):
         assert not verify.check_projection_chromatic(4)
@@ -329,28 +331,15 @@ class TestHilbertProjection:
         assert not verify.check_hilbert_algebra_morphism(4)
 
 
-def hilbert_by_fractions(x):
-    """Oracle: the projection as a sum of Hilbert polynomials H_k = X(X-1)...(X-k+1)/k!,
-    in Fractions: coeff * k! * H_k for a k-block W key, coeff * H_max(w) for a word."""
-    weights = {}
-    for key, coeff in x.terms():
-        if isinstance(key, Partition):
-            k = len(key)
-            coeff = coeff * math.factorial(k)
-        else:
-            k = max(key) if key else 0
-        weights[k] = weights.get(k, 0) + coeff
-    return sum((hilbert(k) * coeff for k, coeff in sorted(weights.items())), Polynomial.zero())
-
-
 def expand_by_bind(x):
     """Oracle: one LinComb of words per W key, merged by `bind`."""
-    return x.bind(ws.expand_W)
+    return x.bind(expand_W)
 
 
 class TestOneRouteAgainstTheOther:
     """`hilbert_morphism` in integer falling-factorial units and the one-dict
-    `expand` against the Fraction sum and the per-key `bind` they replaced."""
+    `expand` against the Fraction sum and the per-key `bind` they replaced;
+    the word projection, which the package no longer has, against the W one."""
 
     def test_on_every_labelled_graph_up_to_5(self):
         for n in range(6):
@@ -371,12 +360,16 @@ class TestOneRouteAgainstTheOther:
         x = LinComb(terms)
         assert ws.expand(x) == expand_by_bind(x)
         assert ws.hilbert_morphism(x) == hilbert_by_fractions(x)
-        assert ws.hilbert_morphism(ws.expand(x)) == ws.hilbert_morphism(x)
+        assert hilbert_by_fractions(ws.expand(x)) == ws.hilbert_morphism(x)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(WORD_KEYS), COEFFS), max_size=8))
     @example([((), 1)])
     @example([((), Fraction(5, 2)), ((1, 2, 1), Fraction(1, 3)), ((3, 1, 2), 2)])
     def test_on_word_basis_elements(self, terms):
+        # a word w with k letters is 1/k! of the W element of its fiber
+        # partition, and its projection H_k is 1/k! of that of k! H_k
         x = LinComb(terms)
-        assert ws.hilbert_morphism(x) == hilbert_by_fractions(x)
+        regrouped = LinComb((partition_of_word(w), Fraction(c, math.factorial(max(w, default=0))))
+                            for w, c in x.terms())
+        assert hilbert_by_fractions(x) == ws.hilbert_morphism(regrouped)
