@@ -448,8 +448,8 @@ class TestCanonicalKeys:
 
 
 def nested_forests_by_tuples(G):
-    """Oracle: the enumeration that the mask one replaced, kept as it was.
-    Members are sorted vertex tuples from `itertools.combinations`, paired
+    """Oracle: the enumeration that the mask one replaced.  Members are
+    sorted vertex tuples from `itertools.combinations`, paired
     with their masks for the disjointness tests; each forest is a tuple of
     (member, children) pairs, full vertex set first, children by size and
     then lexicographically."""
@@ -485,12 +485,12 @@ def nested_forests_by_tuples(G):
     yield from families(tuple(range(1, G.n + 1)), (1 << (G.n + 1)) - 2)
 
 
-def mask(vertices):
+def mask_of(vertices):
     return sum(1 << v for v in vertices)
 
 
-def vertices(m):
-    return [v for v in range(1, m.bit_length()) if m >> v & 1]
+def vertices_of(mask):
+    return [v for v in range(1, mask.bit_length()) if mask >> v & 1]
 
 
 class TestNestedForests:
@@ -506,7 +506,7 @@ class TestNestedForests:
             for G in connected_isoclasses(n):
                 for F in nested_forests(G):
                     members = [S for S, _ in F]
-                    assert members[0] == mask(range(1, n + 1))
+                    assert members[0] == mask_of(range(1, n + 1))
                     assert len(set(members)) == len(members)
                     for S, children in F:
                         below = [J for J in members if J & S == J != S]
@@ -524,12 +524,12 @@ class TestNestedForests:
             forests = [[S for S, _ in F] for F in nested_forests(G)]
             assert forests
             assert len({frozenset(F) for F in forests}) == len(forests)
-            full = mask(range(1, G.n + 1))
+            full = mask_of(range(1, G.n + 1))
             for F in forests:
                 assert full in F
                 # pairwise nested or disjoint, all members connected
                 for A in F:
-                    assert is_connected(restrict(G, vertices(A)))
+                    assert is_connected(restrict(G, vertices_of(A)))
                     for B in F:
                         assert A & B in (A, B, 0)
 
@@ -542,18 +542,19 @@ class TestNestedForests:
         assert len(graphs) == 143 + 4
         for G in graphs:
             oracle = list(nested_forests_by_tuples(G))
-            as_masks = {pair: (mask(pair[0]), tuple(sorted(map(mask, pair[1]))))
+            as_masks = {pair: (mask_of(pair[0]), tuple(sorted(map(mask_of, pair[1]))))
                         for pair in {pair for F in oracle for pair in F}}
             want = {frozenset(map(as_masks.__getitem__, F)) for F in oracle}
             got = [frozenset(F) for F in nested_forests(G)]
             assert len(want) == len(oracle) == len(got) and set(got) == want
 
-    def test_forest_factor_labels_each_child_by_its_lowest_vertex(self):
-        # member {1,2,3,4} of the 4-cycle with child {2,3}: the cycle 1-2-3-4-1 with 2-3 shrunk
+    def test_forest_factor_restricts_to_the_member_and_contracts_each_child(self):
+        # member {1,2,3,4} of the 4-cycle with child {2,3}: the cycle with 2-3 shrunk;
+        # member {2,3,4} without children: the path 2-3-4, relabelled 1-2-3
         C4 = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-        assert format_graph(forest_factor(C4, mask((1, 2, 3, 4)), (mask((2, 3)),))) == (
+        assert format_graph(forest_factor(C4, mask_of((1, 2, 3, 4)), (mask_of((2, 3)),))) == (
             "3: 1-2, 1-3, 2-3")
-        assert format_graph(forest_factor(C4, mask((2, 3, 4)), ())) == "3: 1-2, 2-3"
+        assert format_graph(forest_factor(C4, mask_of((2, 3, 4)), ())) == "3: 1-2, 2-3"
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
