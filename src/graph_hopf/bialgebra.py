@@ -185,7 +185,7 @@ def delta_small_indexed(x):
 
 def counit_small(x):
     """1 on totally disconnected basis keys, 0 elsewhere, extended linearly."""
-    return sum(coeff for key, coeff in as_element(x).items() if mono_totally_disconnected(key))
+    return sum(coeff for key, coeff in as_element(x).terms() if mono_totally_disconnected(key))
 
 
 # ---------------------------------------------------------------------------

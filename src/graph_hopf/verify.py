@@ -3,12 +3,17 @@
 A check is a generator of violation messages for one object, declared with
 the enumerator it walks: `@_each(_isoclasses)`, `_connected`, `_labeled`,
 set partitions, or the pairs of the product checks.  `_each` turns it into
-`check_x(max_n) -> list[str]` through one loop.  Cocommutativity and
-cointeraction (which end with a witness), the character inverse and the
-monoid laws (which do work once per call) keep an explicit body.  A suite
-runs its checks in order at the size bound, a `(check, cap)` row at
-`min(max_n, cap)`.  Engines are looked up when a check runs, so a
-substituted or wrapped engine is the one checked.
+`check_x(max_n) -> list[str]` through one loop, and `check_x.one(obj)` runs
+one object.  Cocommutativity and cointeraction (which end with a witness),
+the character inverse and the monoid laws (which do work once per call) keep
+an explicit body.  A suite runs its checks in order at the size bound, a
+`(check, cap)` row at `min(max_n, cap)`.  Engines are looked up when a check
+runs, so a substituted or wrapped engine is the one checked.
+
+A check may memoise pure structure maps (a coproduct, a convolution) for one
+call: `_each`'s scope makes the memos once per call of the check and once per
+call of `.one`, and an explicit body makes its own.  No memo outlives the
+call or spans two checks, and none holds a side of the identity checked.
 
 Each check carries its enumerator as `objects` (`_each` sets it, `_over`
 declares it for an explicit body).  Given a `timings` dict, a suite records
@@ -115,20 +120,28 @@ def _over(enumerate_objects):
     return declare
 
 
-def _each(enumerate_objects):
-    """Declare a per-object check: the decorated generator (kept as `check.one`)
-    yields the violation messages of one object, and `check(max_n)` lists
-    them over everything `enumerate_objects(max_n)` yields."""
+def _each(enumerate_objects, scope=tuple):
+    """Declare a per-object check: the decorated generator yields the violation
+    messages of one object, and `check(max_n)` lists them over everything
+    `enumerate_objects(max_n)` yields.  The generator also takes the items of
+    `scope()`, made once per call (memos); `check.one(obj)` makes its own."""
     def declare(check_one):
         @_over(enumerate_objects)
         def check(max_n):
-            return [message for obj in enumerate_objects(max_n) for message in check_one(obj)]
+            shared = scope()
+            return [msg for obj in enumerate_objects(max_n) for msg in check_one(obj, *shared)]
 
         check.__name__ = check.__qualname__ = check_one.__name__
         check.__doc__ = check_one.__doc__
-        check.one = check_one
+        check.one = lambda obj: check_one(obj, *scope())
         return check
     return declare
+
+
+def _memoised(f):
+    """f with a memo that lives as long as the returned function does."""
+    memo = {}
+    return lambda x: memo[x] if x in memo else memo.setdefault(x, f(x))
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +151,18 @@ def _coproducts():
     return (("restriction", bi.delta_big), ("contraction-extraction", bi.delta_small))
 
 
+def _memoised_coproducts():
+    """Each coproduct beside a memoised copy for one call of a check."""
+    return tuple((name, cop, _memoised(cop)) for name, cop in _coproducts())
+
+
 def _coassoc_sides(cop, G):
-    first = cop(G)
-    legs = {leg: cop(LinComb.term(leg)) for leg in {leg for key, _ in first.terms() for leg in key}}
-    left = LinComb(((a1, a2, b), c * c2) for (a, b), c in first.items()
-                   for (a1, a2), c2 in legs[a].items())
-    right = LinComb(((a, b1, b2), c * c2) for (a, b), c in first.items()
-                    for (b1, b2), c2 in legs[b].items())
+    """(cop (x) id)∘cop and (id (x) cop)∘cop on G, for a memoised coproduct of monomials."""
+    first = cop(bi.iso(G))
+    left = LinComb(((a1, a2, b), c * c2) for (a, b), c in first.terms()
+                   for (a1, a2), c2 in cop(a).terms())
+    right = LinComb(((a, b1, b2), c * c2) for (a, b), c in first.terms()
+                    for (b1, b2), c2 in cop(b).terms())
     return left, right
 
 
@@ -157,9 +175,9 @@ def _swap_legs(x):
     return x.map_keys(lambda k: (k[1], k[0]))
 
 
-@_each(_isoclasses)
-def check_coassociativity(G):
-    for name, cop in _coproducts():
+@_each(_isoclasses, _memoised_coproducts)
+def check_coassociativity(G, *coproducts):
+    for name, _, cop in coproducts:
         left, right = _coassoc_sides(cop, G)
         if left != right:
             yield f"{name} coproduct not coassociative on {format_graph(G)}"
@@ -168,7 +186,7 @@ def check_coassociativity(G):
 @_over(_isoclasses)
 def check_cocommutativity(max_n):
     out = [f"restriction coproduct not cocommutative on {format_graph(G)}"
-           for G in _isoclasses(max_n) if _swap_legs(bi.delta_big(G)) != bi.delta_big(G)]
+           for G in _isoclasses(max_n) if _swap_legs(cop := bi.delta_big(G)) != cop]
     # the contraction-extraction coproduct must NOT be cocommutative; the
     # two-vertex complete graph is the smallest witness
     if max_n >= 2:
@@ -183,26 +201,26 @@ def check_counit_laws(G):
     ident = LinComb.term(bi.iso(G))
     for (name, cop), counit in zip(_coproducts(), (bi.counit_big, bi.counit_small)):
         pairs = cop(G)
-        left = LinComb((b, c * counit(LinComb.term(a))) for (a, b), c in pairs.items())
-        right = LinComb((a, c * counit(LinComb.term(b))) for (a, b), c in pairs.items())
+        left = LinComb((b, c * counit(a)) for (a, b), c in pairs.terms())
+        right = LinComb((a, c * counit(b)) for (a, b), c in pairs.terms())
         if left != ident or right != ident:
             yield f"counit law fails for {name} coproduct on {format_graph(G)}"
 
 
-@_each(_isoclass_pairs)
-def check_multiplicativity(pair):
+@_each(_isoclass_pairs, _memoised_coproducts)
+def check_multiplicativity(pair, *coproducts):
     G, H = pair
     GH = disjoint_union(G, H)
-    for name, cop in _coproducts():
-        if cop(GH) != _pair_element_mul(cop(G), cop(H)):
+    for name, cop, memoised in coproducts:
+        if cop(GH) != _pair_element_mul(memoised(G), memoised(H)):
             yield f"{name} coproduct not multiplicative on {format_graph(G)} * {format_graph(H)}"
 
 
 @_each(_isoclasses)
 def check_grading(G):
-    if any(bi.mono_vertices(a) + bi.mono_vertices(b) != G.n for a, b in bi.delta_big(G)):
+    if any(bi.mono_vertices(a + b) != G.n for (a, b), _ in bi.delta_big(G).terms()):
         yield f"vertex grading broken in restriction coproduct of {format_graph(G)}"
-    if any(bi.mono_degree(a) + bi.mono_degree(b) != degree(G) for a, b in bi.delta_small(G)):
+    if any(bi.mono_degree(a + b) != degree(G) for (a, b), _ in bi.delta_small(G).terms()):
         yield f"degree grading broken in contraction-extraction of {format_graph(G)}"
 
 
@@ -289,22 +307,23 @@ def check_monoid_laws(max_n):
            for G in graphs for lam in chars
            if ch.convolve_value(ch.EPSILON_PRIME, lam, G) != lam(G)
            or ch.convolve_value(lam, ch.EPSILON_PRIME, G) != lam(G)]
+    pairs = {(a, b): ch.convolve(a, b) for a, b in itertools.product(chars, repeat=2)}
     for a, b, c in itertools.product(chars, repeat=3):
-        left = ch.convolve(ch.convolve(a, b), c)
-        right = ch.convolve(a, ch.convolve(b, c))
+        left = ch.convolve(pairs[a, b], c)
+        right = ch.convolve(a, pairs[b, c])
         out.extend(f"convolution not associative on {format_graph(G)}"
                    for G in graphs if left(G) != right(G))
     return out
 
 
-@_each(_isoclasses)
-def check_action_axioms(G):
+@_each(_isoclasses, lambda: (_memoised(lambda pair: ch.convolve(*pair)),))
+def check_action_axioms(G, convolve):
     if ch.act(chrom.phi_zero, ch.EPSILON_PRIME)(G) != chrom.phi_zero(G):
         yield f"acting by the counit is not the identity on {format_graph(G)}"
     for lam, mu in ((ch.LAMBDA_ZERO, ch.LAMBDA_CHR), (ch.LAMBDA_CHR, ch.LAMBDA_CHR),
                     (ch.LAMBDA_CHR, ch.LAMBDA_ZERO)):
         stepwise = ch.act(ch.act(chrom.phi_zero, lam), mu)(G)
-        if stepwise != ch.act(chrom.phi_zero, ch.convolve(lam, mu))(G):
+        if stepwise != ch.act(chrom.phi_zero, convolve((lam, mu)))(G):
             yield f"action axiom fails on {format_graph(G)}"
 
 

@@ -261,3 +261,9 @@ class TestStructuralLaws:
 
     def test_grading_small(self):
         assert not verify.check_grading(4)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.sets(st.sampled_from(complete(6).edges)))
+    def test_coassociativity_beyond_the_exhaustive_bound(self, edges):
+        """`check.one` runs one graph with memos of its own."""
+        assert not list(verify.check_coassociativity.one(Graph(6, edges)))

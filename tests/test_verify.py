@@ -1,10 +1,12 @@
 """Pins on what `verify` reports: the violation messages, the suite payload
-of `graph-hopf verify --max-n 3` and `--max-n 4` and of the two labelled
-suites at `--max-n 5` byte for byte, and which checks each suite runs.  A
-passing run prints no violation, so the message text is pinned here by
-substituting a wrong engine at run time, or a copy of a module with one
-source line changed."""
+of `graph-hopf verify --max-n 3` and `--max-n 4` and of the `coassoc`,
+`counit`, `engines`, `mobius`, `wsym` and `projection` suites at `--max-n 5`
+byte for byte, which checks each suite runs, and how often a check takes a
+coproduct.  A passing run prints no violation, so the message text is pinned
+here by substituting a wrong engine at run time, or a copy of a module with
+one source line changed."""
 
+import collections
 import hashlib
 import inspect
 import sys
@@ -132,6 +134,22 @@ MUTANTS = {
     (graphs, "_canonical_connected", "ties[-1][v] = 1 << p", "ties[-1][v] = 1 << p - 1",
      "check_cointeraction"):
         (2, "cointeraction identity fails on 4: 1-2, 1-3, 2-3"),
+    (bialgebra, "delta_big_graph",
+     "side = block_map(G, iso)\n    return LinComb(((side(left), side(right)), 1)",
+     "side = block_map(G, iso)\n    return LinComb(((side(left), side(left)), 1)",
+     "check_coassociativity"):
+        (18, "restriction coproduct not coassociative on 1:"),
+    (bialgebra, "mono_mul", "return tuple(sorted(a + b))", "return tuple(a + b)",
+     "check_multiplicativity"):
+        (12, "restriction coproduct not multiplicative on 2: 1-2 * 1:"),
+    (characters, "convolve", "lambda G: convolve_value(lam, mu, G)",
+     "lambda G: convolve_value(lam, lam, G)", "check_monoid_laws"):
+        (252, "convolution not associative on 2: 1-2"),
+    (characters, "convolve", "lambda G: convolve_value(lam, mu, G)",
+     "lambda G: convolve_value(lam, lam, G)", "check_action_axioms"):
+        (28, "action axiom fails on 2: 1-2"),
+    (characters, "act", "values[0][0] * values[0][1])", "values[0][0])", "check_action_axioms"):
+        (56, "acting by the counit is not the identity on 2: 1-2"),
 }
 
 
@@ -153,9 +171,12 @@ def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     out the least vertex from the connectivity test, quotient edges that
     look only at the least vertex of each earlier block, block sums that do not count the block
     they add, a signed chromatic character that is positive but 2^deg
-    times too large, and a canonical search that places each tied labeling's
-    new vertex one position low: each is seen by the check that compares
-    that side with an independent one.  A mutated function or class replaces
+    times too large, a canonical search that places each tied labeling's
+    new vertex one position low, a restriction coproduct whose right leg
+    repeats the left one, monomial products left unsorted, a convolution of
+    lam with itself in place of lam * mu, and an action on polynomial values
+    that drops the weight of its first partition: each is seen by the check
+    that compares that side with an independent one.  A mutated function or class replaces
     the original in every package module that imported it, and in the engine
     registries.  A mutated plain function runs over its own module's names,
     so the graphs it builds are that module's `Graph`s.
@@ -207,6 +228,19 @@ def test_verify_max_n_4_stdout_is_pinned(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("suite, digest", [
+    ("coassoc", "ac6856a401cc8de980d1314850af6babbc9cc5cf132bd9e9b0c2d0916886d3df"),
+    ("counit", "aa2f019849a62ca2f9aaccc58e0a0c7f24a269fb960fd13391280e748a5544c4"),
+    ("engines", "d73765c60b18efec7d220c5ba9cf0a1e35ea1c05adefc130cf4595959c37d3e7"),
+])
+def test_isoclass_suite_max_n_5_stdout_is_pinned(monkeypatch, capsys, suite, digest):
+    monkeypatch.delenv("GRAPH_HOPF_MAX_N", raising=False)
+    assert cli.main(["verify", "--suite", suite, "--max-n", "5"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f'{{"ok":true,"max_n":5,"suites":{{"{suite}":{{"checks":')
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("suite, digest", [
     ("wsym", "0e89a93256e9da884c8ab3035f2ae88cefa9d358f4963531b5cdce984393edee"),
     ("projection", "14ab4ecc6b5411079ca70d8a23c6089239136825f731741b7c4962ad9fcac5e6"),
 ])
@@ -225,6 +259,35 @@ def test_mobius_suite_max_n_5_stdout_is_pinned(monkeypatch, capsys):
     assert out.startswith('{"ok":true,"max_n":5,"suites":{"mobius":{"checks":7,')
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d718ba2e02a98208ad70f8fc958c9f398c173ceafae145fc77914be29ed9274a")
+
+
+def count_coproduct_calls(monkeypatch):
+    """Count the calls of `bialgebra.delta_small_graph` and `delta_big_graph`
+    by graph argument, through whichever module binds them."""
+    counts = {}
+    for name in ("delta_small_graph", "delta_big_graph"):
+        original, calls = getattr(bialgebra, name), collections.Counter()
+
+        def counted(G, original=original, calls=calls):
+            calls[G] += 1
+            return original(G)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("graph_hopf") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+        counts[name] = calls
+    return counts
+
+
+def test_coassociativity_takes_each_coproduct_once_per_distinct_argument(monkeypatch):
+    """Every leg's coproduct is a monomial that other isoclasses of the sweep
+    also split into; one call of the check takes each once (53 graphs at
+    max_n 5, against 543 calls of δ and 505 of Δ when each isoclass took its
+    legs afresh)."""
+    counts = count_coproduct_calls(monkeypatch)
+    assert not verify.check_coassociativity(5)
+    for calls in counts.values():
+        assert len(calls) == 53 and set(calls.values()) == {1}
 
 
 def test_every_check_runs_in_exactly_one_suite(monkeypatch):
