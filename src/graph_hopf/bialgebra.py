@@ -262,20 +262,20 @@ def antipode_element(x):
 # ---------------------------------------------------------------------------
 # cointeraction of the two coproducts
 
-def cointeraction_lhs(x):
-    """Route one, (δ (x) δ)∘Δ: split first, then contract-extract each side and
-    merge the extraction legs (a1 (x) b1 (x) a2 (x) b2 -> a1 (x) a2 (x) b1 b2).
-    δ is taken once per distinct leg."""
-    split = delta_big(x)
-    small = {leg: delta_small(leg) for leg in {leg for key, _ in split.terms() for leg in key}}
-    return split.bind(lambda k: bilinear(
-        small[k[0]], small[k[1]], lambda s, t: (s[0], t[0], mono_mul(s[1], t[1]))))
+def cointeraction_lhs(x, big, small):
+    """Route one, (δ (x) δ)∘Δ, for a restriction coproduct `big` and a
+    contraction-extraction coproduct `small` of monomials: split first, then
+    contract-extract each side and merge the extraction legs
+    (a1 (x) b1 (x) a2 (x) b2 -> a1 (x) a2 (x) b1 b2).  A memoised `small`
+    takes δ once per distinct leg."""
+    return big(x).bind(lambda k: bilinear(
+        small(k[0]), small(k[1]), lambda s, t: (s[0], t[0], mono_mul(s[1], t[1]))))
 
 
-def cointeraction_rhs(x):
-    """Route two, (Δ (x) id)∘δ: contract-extract first, then split the contracted leg."""
-    return delta_small(x).bind(
-        lambda k: delta_big(k[0]).map_keys(lambda ab: (ab[0], ab[1], k[1])))
+def cointeraction_rhs(x, big, small):
+    """Route two, (Δ (x) id)∘δ, for coproducts `big` and `small` as in route
+    one: contract-extract first, then split the contracted leg."""
+    return small(x).bind(lambda k: big(k[0]).map_keys(lambda ab: (ab[0], ab[1], k[1])))
 
 
 # ---------------------------------------------------------------------------

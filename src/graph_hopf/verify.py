@@ -4,20 +4,18 @@ A check is a generator of violation messages for one object, declared with
 the enumerator it walks: `@_each(_isoclasses)`, `_connected`, `_labeled`,
 set partitions, or the pairs of the product checks.  `_each` turns it into
 `check_x(max_n) -> list[str]` through one loop, and `check_x.one(obj)` runs
-one object.  Cocommutativity and cointeraction (which end with a witness),
-the character inverse and the monoid laws (which do work once per call) keep
-an explicit body.  A suite runs its checks in order at the size bound, a
+one object.  A suite runs its checks in order at the size bound, a
 `(check, cap)` row at `min(max_n, cap)`.  Engines are looked up when a check
 runs, so a substituted or wrapped engine is the one checked.
 
-A check may memoise pure structure maps (a coproduct, a convolution) for one
-call: `_each`'s scope makes the memos once per call of the check and once per
-call of `.one`, and an explicit body makes its own.  No memo outlives the
-call or spans two checks, and none holds a side of the identity checked.
+A check may share values across its objects (a memoised coproduct, a
+convolution, an inverse character): `_each`'s scope makes them once per call
+of the check and once per call of `.one`.  No memo outlives the call or
+spans two checks, and none holds a side of the identity checked.
 
-Each check carries its enumerator as `objects` (`_each` sets it, `_over`
-declares it for an explicit body).  Given a `timings` dict, a suite records
-each check's seconds and, after the clock stops, its object count.
+Each check carries its enumerator as `objects`.  Given a `timings` dict, a
+suite records each check's seconds and, after the clock stops, its object
+count.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ from .graphs import (
     _bits,
     acyclic_orientation_count,
     all_graphs,
+    canonical_form,
     cc,
     complete,
     component_graphs,
@@ -112,27 +111,19 @@ def _partition_pairs(n):
     return ((p, q) for p in parts for q in parts if p.n + q.n <= n)
 
 
-def _over(enumerate_objects):
-    """Declare the enumerator that an explicit-body check walks."""
-    def declare(check):
-        check.objects = enumerate_objects
-        return check
-    return declare
-
-
 def _each(enumerate_objects, scope=tuple):
     """Declare a per-object check: the decorated generator yields the violation
     messages of one object, and `check(max_n)` lists them over everything
     `enumerate_objects(max_n)` yields.  The generator also takes the items of
     `scope()`, made once per call (memos); `check.one(obj)` makes its own."""
     def declare(check_one):
-        @_over(enumerate_objects)
         def check(max_n):
             shared = scope()
             return [msg for obj in enumerate_objects(max_n) for msg in check_one(obj, *shared)]
 
         check.__name__ = check.__qualname__ = check_one.__name__
         check.__doc__ = check_one.__doc__
+        check.objects = enumerate_objects
         check.one = lambda obj: check_one(obj, *scope())
         return check
     return declare
@@ -183,17 +174,14 @@ def check_coassociativity(G, *coproducts):
             yield f"{name} coproduct not coassociative on {format_graph(G)}"
 
 
-@_over(_isoclasses)
-def check_cocommutativity(max_n):
-    out = [f"restriction coproduct not cocommutative on {format_graph(G)}"
-           for G in _isoclasses(max_n) if _swap_legs(cop := bi.delta_big(G)) != cop]
+@_each(_isoclasses)
+def check_cocommutativity(G):
+    if _swap_legs(cop := bi.delta_big(G)) != cop:
+        yield f"restriction coproduct not cocommutative on {format_graph(G)}"
     # the contraction-extraction coproduct must NOT be cocommutative; the
     # two-vertex complete graph is the smallest witness
-    if max_n >= 2:
-        K2 = complete(2)
-        if _swap_legs(bi.delta_small(K2)) == bi.delta_small(K2):
-            out.append("contraction-extraction coproduct unexpectedly cocommutative on 2: 1-2")
-    return out
+    if G == complete(2) and _swap_legs(cop := bi.delta_small(G)) == cop:
+        yield "contraction-extraction coproduct unexpectedly cocommutative on 2: 1-2"
 
 
 @_each(_isoclasses)
@@ -235,15 +223,16 @@ def _indexed_cointeraction_sides(G):
     return lhs, rhs
 
 
-@_over(_isoclasses)
-def check_cointeraction(max_n):
-    out = [f"cointeraction identity fails on {format_graph(G)}"
-           for G in _isoclasses(max_n) if bi.cointeraction_lhs(G) != bi.cointeraction_rhs(G)]
-    if max_n >= 3:
+@_each(_isoclasses, _memoised_coproducts)
+def check_cointeraction(G, *coproducts):
+    (_, _, big), (_, _, small) = coproducts
+    mono = bi.iso(G)
+    if bi.cointeraction_lhs(mono, big, small) != bi.cointeraction_rhs(mono, big, small):
+        yield f"cointeraction identity fails on {format_graph(G)}"
+    if G == canonical_form(INDEXED_PATH_WITNESS):
         lhs, rhs = _indexed_cointeraction_sides(INDEXED_PATH_WITNESS)
         if lhs == rhs:
-            out.append("indexed cointeraction unexpectedly holds on the labeled path 3: 1-3, 2-3")
-    return out
+            yield "indexed cointeraction unexpectedly holds on the labeled path 3: 1-3, 2-3"
 
 
 @_each(_connected_nontrivial)
@@ -284,36 +273,35 @@ def check_character_engines(G):
         yield f"chromatic character engines disagree on {format_graph(G)}"
 
 
-@_over(_connected)
-def check_character_inverse(max_n):
-    out = []
-    inv0 = ch.invert_character(ch.LAMBDA_ZERO)
-    for G in _connected(max_n):
-        if ch.convolve_value(ch.LAMBDA_CHR, ch.LAMBDA_ZERO, G) != ch.EPSILON_PRIME(G):
-            out.append(f"chromatic * all-ones != counit on {format_graph(G)}")
-        if ch.convolve_value(ch.LAMBDA_ZERO, ch.LAMBDA_CHR, G) != ch.EPSILON_PRIME(G):
-            out.append(f"all-ones * chromatic != counit on {format_graph(G)}")
-        if inv0(G) != ch.LAMBDA_CHR(G):
-            out.append(f"inverse of all-ones != chromatic character on {format_graph(G)}")
-    return out
+@_each(_connected, lambda: (ch.invert_character(ch.LAMBDA_ZERO),))
+def check_character_inverse(G, inv0):
+    if ch.convolve_value(ch.LAMBDA_CHR, ch.LAMBDA_ZERO, G) != ch.EPSILON_PRIME(G):
+        yield f"chromatic * all-ones != counit on {format_graph(G)}"
+    if ch.convolve_value(ch.LAMBDA_ZERO, ch.LAMBDA_CHR, G) != ch.EPSILON_PRIME(G):
+        yield f"all-ones * chromatic != counit on {format_graph(G)}"
+    if inv0(G) != ch.LAMBDA_CHR(G):
+        yield f"inverse of all-ones != chromatic character on {format_graph(G)}"
 
 
-@_over(_isoclasses)
-def check_monoid_laws(max_n):
-    """Associativity of convolution with unit the counit, on small graphs."""
-    chars = [ch.EPSILON_PRIME, ch.LAMBDA_ZERO, ch.LAMBDA_CHR]
-    graphs = _isoclasses(max_n)
-    out = [f"counit is not a convolution unit on {format_graph(G)}"
-           for G in graphs for lam in chars
-           if ch.convolve_value(ch.EPSILON_PRIME, lam, G) != lam(G)
-           or ch.convolve_value(lam, ch.EPSILON_PRIME, G) != lam(G)]
+def _monoid_sides():
+    """The three characters, and both sides (a*b)*c and a*(b*c) of each of
+    the 27 triples, built on the nine pair convolutions."""
+    chars = (ch.EPSILON_PRIME, ch.LAMBDA_ZERO, ch.LAMBDA_CHR)
     pairs = {(a, b): ch.convolve(a, b) for a, b in itertools.product(chars, repeat=2)}
-    for a, b, c in itertools.product(chars, repeat=3):
-        left = ch.convolve(pairs[a, b], c)
-        right = ch.convolve(a, pairs[b, c])
-        out.extend(f"convolution not associative on {format_graph(G)}"
-                   for G in graphs if left(G) != right(G))
-    return out
+    return chars, [(ch.convolve(pairs[a, b], c), ch.convolve(a, pairs[b, c]))
+                   for a, b, c in itertools.product(chars, repeat=3)]
+
+
+@_each(_isoclasses, _monoid_sides)
+def check_monoid_laws(G, chars, triples):
+    """Associativity of convolution with unit the counit, on small graphs."""
+    for lam in chars:
+        if ch.convolve_value(ch.EPSILON_PRIME, lam, G) != lam(G) \
+                or ch.convolve_value(lam, ch.EPSILON_PRIME, G) != lam(G):
+            yield f"counit is not a convolution unit on {format_graph(G)}"
+    for left, right in triples:
+        if left(G) != right(G):
+            yield f"convolution not associative on {format_graph(G)}"
 
 
 @_each(_isoclasses, lambda: (_memoised(lambda pair: ch.convolve(*pair)),))

@@ -153,13 +153,15 @@ class TestSubsetTables:
 
     def test_cointeraction_lhs_both_bases_up_to_4_vertices(self):
         for G in labelled_graphs(4):
-            assert bi.cointeraction_lhs(G) == reference_cointeraction_lhs(G, old_iso), G
+            assert (bi.cointeraction_lhs(G, bi.delta_big, bi.delta_small)
+                    == reference_cointeraction_lhs(G, old_iso)), G
             assert (verify._indexed_cointeraction_sides(G)[0]
                     == reference_cointeraction_lhs(G, lambda g: g)), G
 
     def test_cointeraction_rhs_both_bases_up_to_4_vertices(self):
         for G in labelled_graphs(4):
-            assert bi.cointeraction_rhs(G) == reference_cointeraction_rhs(G, old_iso), G
+            assert (bi.cointeraction_rhs(G, bi.delta_big, bi.delta_small)
+                    == reference_cointeraction_rhs(G, old_iso)), G
             assert (verify._indexed_cointeraction_sides(G)[1]
                     == reference_cointeraction_rhs(G, lambda g: g)), G
 

@@ -150,6 +150,9 @@ MUTANTS = {
         (28, "action axiom fails on 2: 1-2"),
     (characters, "act", "values[0][0] * values[0][1])", "values[0][0])", "check_action_axioms"):
         (56, "acting by the counit is not the identity on 2: 1-2"),
+    (characters, "invert_character", "return Fraction(-total) / c", "return Fraction(total) / c",
+     "check_character_inverse"):
+        (9, "inverse of all-ones != chromatic character on 2: 1-2"),
 }
 
 
@@ -174,8 +177,9 @@ def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     times too large, a canonical search that places each tied labeling's
     new vertex one position low, a restriction coproduct whose right leg
     repeats the left one, monomial products left unsorted, a convolution of
-    lam with itself in place of lam * mu, and an action on polynomial values
-    that drops the weight of its first partition: each is seen by the check
+    lam with itself in place of lam * mu, an action on polynomial values
+    that drops the weight of its first partition, and a character inverse
+    that adds the smaller pieces' sum instead of subtracting it: each is seen by the check
     that compares that side with an independent one.  A mutated function or class replaces
     the original in every package module that imported it, and in the engine
     registries.  A mutated plain function runs over its own module's names,
@@ -290,6 +294,16 @@ def test_coassociativity_takes_each_coproduct_once_per_distinct_argument(monkeyp
         assert len(calls) == 53 and set(calls.values()) == {1}
 
 
+def test_cointeraction_takes_each_coproduct_once_per_distinct_argument(monkeypatch):
+    """Both routes on every isoclass share one memo of each coproduct, keyed
+    by monomial: 53 graphs at max_n 5, against 505 calls of δ and 402 of Δ
+    when each route took its legs afresh."""
+    counts = count_coproduct_calls(monkeypatch)
+    assert not verify.check_cointeraction(5)
+    for calls in counts.values():
+        assert len(calls) == 53 and set(calls.values()) == {1}
+
+
 def test_every_check_runs_in_exactly_one_suite(monkeypatch):
     names = [name for name in vars(verify) if name.startswith("check_")]
     calls = []
@@ -304,6 +318,25 @@ def test_every_check_runs_in_exactly_one_suite(monkeypatch):
     assert {s: len(c) for s, c in runs.items()} == SUITE_SIZES
     assert sorted(c for ran in runs.values() for c in ran) == sorted(names)
     assert len(names) == 38
+
+
+def test_every_check_is_a_per_object_check():
+    """One check shape: each check walks its enumerator and runs one object
+    through `.one`."""
+    for name in [name for name in vars(verify) if name.startswith("check_")]:
+        check = getattr(verify, name)
+        assert callable(check.one) and callable(check.objects), name
+
+
+def test_witness_tails_run_on_their_own_object(monkeypatch):
+    """The indexed-path witness is the tail of `check_cointeraction` on the
+    isoclass of the path and on no other object: with equal indexed sides it
+    reports that one object, and a bound below 3 never reaches it."""
+    monkeypatch.setattr(verify, "_indexed_cointeraction_sides", lambda G: (1, 1))
+    witness = graphs.canonical_form(verify.INDEXED_PATH_WITNESS)
+    assert list(verify.check_cointeraction.one(witness)) == [
+        "indexed cointeraction unexpectedly holds on the labeled path 3: 1-3, 2-3"]
+    assert verify.check_cointeraction(2) == []
 
 
 def _swap_atom_and_coatom(L):
