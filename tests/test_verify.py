@@ -1,10 +1,10 @@
 """Pins on what `verify` reports: the violation messages, the suite payload
 of `graph-hopf verify --max-n 3` and `--max-n 4` and of the `coassoc`,
 `counit`, `engines`, `mobius`, `wsym` and `projection` suites at `--max-n 5`
-byte for byte, which checks each suite runs, and how often a check takes a
-coproduct.  A passing run prints no violation, so the message text is pinned
-here by substituting a wrong engine at run time, or a copy of a module with
-one source line changed."""
+byte for byte, which checks each suite runs, where each witness runs, and
+how often a check takes a coproduct.  A passing run prints no violation, so
+the message text is pinned here by substituting a wrong engine at run time,
+or a copy of a module with one source line changed."""
 
 import collections
 import hashlib
@@ -179,8 +179,8 @@ def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     repeats the left one, monomial products left unsorted, a convolution of
     lam with itself in place of lam * mu, an action on polynomial values
     that drops the weight of its first partition, and a character inverse
-    that adds the smaller pieces' sum instead of subtracting it: each is seen by the check
-    that compares that side with an independent one.  A mutated function or class replaces
+    that adds the sum over smaller pieces instead of subtracting it: each is
+    seen by the check that compares that side with an independent one.  A mutated function or class replaces
     the original in every package module that imported it, and in the engine
     registries.  A mutated plain function runs over its own module's names,
     so the graphs it builds are that module's `Graph`s.
@@ -305,7 +305,12 @@ def test_cointeraction_takes_each_coproduct_once_per_distinct_argument(monkeypat
 
 
 def test_every_check_runs_in_exactly_one_suite(monkeypatch):
+    """Each check is a per-object check: it carries its enumerator and runs
+    one object through `.one`."""
     names = [name for name in vars(verify) if name.startswith("check_")]
+    for name in names:
+        check = getattr(verify, name)
+        assert callable(check.one) and callable(check.objects), name
     calls = []
     for name in names:
         monkeypatch.setattr(verify, name, lambda *args, name=name: calls.append(name) or [])
@@ -320,23 +325,20 @@ def test_every_check_runs_in_exactly_one_suite(monkeypatch):
     assert len(names) == 38
 
 
-def test_every_check_is_a_per_object_check():
-    """One check shape: each check walks its enumerator and runs one object
-    through `.one`."""
-    for name in [name for name in vars(verify) if name.startswith("check_")]:
-        check = getattr(verify, name)
-        assert callable(check.one) and callable(check.objects), name
-
-
 def test_witness_tails_run_on_their_own_object(monkeypatch):
-    """The indexed-path witness is the tail of `check_cointeraction` on the
-    isoclass of the path and on no other object: with equal indexed sides it
-    reports that one object, and a bound below 3 never reaches it."""
+    """Each witness is the tail of its check on one object and on no other:
+    with equal indexed cointeraction sides, or a leg swap that leaves δ of the
+    edge alone, the check reports that one object, and a bound below the
+    witness never reaches it."""
     monkeypatch.setattr(verify, "_indexed_cointeraction_sides", lambda G: (1, 1))
     witness = graphs.canonical_form(verify.INDEXED_PATH_WITNESS)
     assert list(verify.check_cointeraction.one(witness)) == [
         "indexed cointeraction unexpectedly holds on the labeled path 3: 1-3, 2-3"]
     assert verify.check_cointeraction(2) == []
+    monkeypatch.setattr(verify, "_swap_legs", lambda x: x)
+    assert list(verify.check_cocommutativity.one(graphs.complete(2))) == [
+        "contraction-extraction coproduct unexpectedly cocommutative on 2: 1-2"]
+    assert verify.check_cocommutativity(1) == []
 
 
 def _swap_atom_and_coatom(L):
