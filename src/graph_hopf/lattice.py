@@ -6,23 +6,23 @@ bitsets.  Element p gets the refinement code that ORs the mask of the block
 of v into slot v (bits v(n+1) .. v(n+1)+n), so p refines q exactly when
 code_p & ~code_q == 0.  Each element's down-set and up-set are masks over
 element indices, both holding the element itself: covers, intervals and the
-Mobius recursion are bit operations on them.  Meet and join are the paper's
-formulas on block masks, looked up by the set of the result's block masks;
-each block intersection is split into components once per lattice, in a
-table on the instance that is filled on first read.
+Mobius recursion are bit operations on them.  Meet and join read flats, made
+on first read: p's flat masks the edges inside p's blocks, bit k for G.edges[k].
+The meet's flat is an AND of two; the join spans their OR, once per distinct
+OR.  The interval quotient (G|q)/p is built in one pass over the vertices.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import attrgetter
 
 from .graphs import (
     Partition,
     _bits,
+    _graph,
     admissible_partitions,
-    component_masks,
     components_partition,
-    contract,
     extract,
     is_admissible,
 )
@@ -46,8 +46,7 @@ class AdmissibleLattice:
                 if not other & outside:
                     self.down[j] |= 1 << i
                     self.up[i] |= 1 << j
-        self._mobius = {}
-        self._components = {}  # vertex mask -> its component masks, filled on first read
+        self._mobius, self._joins = {}, {}  # _joins: the join of each OR of two flats met so far
 
     def __len__(self):
         return len(self.elements)
@@ -80,30 +79,47 @@ class AdmissibleLattice:
         return [(i, j) for i, up in enumerate(self.up) for j in _bits(up ^ 1 << i)
                 if up & self.down[j] == (1 << i) | (1 << j)]
 
+    @cached_property
+    def _inside(self):
+        """Per vertex mask, the mask of the edges with both ends in it."""
+        ends = [1 << a | 1 << b for a, b in self.G.edges]
+        return [sum(1 << k for k, e in enumerate(ends) if not e & ~m) for m in range(2 << self.G.n)]
+
+    @cached_property
+    def flats(self):
+        """Per element, the mask of the edges inside its blocks, bit k for G.edges[k]."""
+        return [sum(map(self._inside.__getitem__, p.masks)) for p in self.elements]
+
+    @cached_property
+    def _by_flat(self):
+        return {flat: i for i, flat in enumerate(self.flats)}
+
     def meet_index(self, i, j):
-        """Index of the greatest lower bound of elements i and j: the connected
-        components of their pairwise block intersections, each searched once."""
-        table, comps = self._components, []
-        for a in self.elements[i].masks:
-            for b in self.elements[j].masks:
-                inter = a & b
-                if inter:
-                    found = table.get(inter)
-                    if found is None:
-                        found = table[inter] = tuple(component_masks(self.G, inter))
-                    comps += found
-        return self._by_masks[frozenset(comps)]
+        """Index of the greatest lower bound of elements i and j: the flats of
+        the cycle matroid are closed under intersection."""
+        return self._by_flat[self.flats[i] & self.flats[j]]
 
     def join_index(self, i, j):
-        """Index of the least upper bound of elements i and j: the transitive
-        closure of the union of the two relations, which merges each block of j
-        with the blocks it overlaps (they cover it, and their union is their sum)."""
-        blocks = self.elements[i].masks
-        for b in self.elements[j].masks:
-            hit = [a for a in blocks if a & b]
-            if len(hit) > 1:
-                blocks = [a for a in blocks if not a & b] + [sum(hit)]
-        return self._by_masks[frozenset(blocks)]
+        """Index of the least upper bound of elements i and j: its blocks are the
+        components of the edges in either flat, spanned once per distinct union."""
+        union = self.flats[i] | self.flats[j]
+        if union not in self._joins:
+            self._joins[union] = self._by_flat[self._span(union)]
+        return self._joins[union]
+
+    def _span(self, edges):
+        """The flat spanned by an edge mask, one merge of two blocks per edge between them."""
+        block, flat = [1 << v for v in range(self.G.n + 1)], 0  # block[v]: v's block so far
+        while edges:
+            a, b = self.G.edges[(edges & -edges).bit_length() - 1]
+            rest = merged = block[a] | block[b]
+            while rest:
+                low = rest & -rest
+                block[low.bit_length() - 1] = merged
+                rest ^= low
+            flat |= self._inside[merged]
+            edges &= ~flat  # the edges now inside a block
+        return flat
 
     def meet(self, p, q):
         """The meet of two elements; ValueError if either is not admissible."""
@@ -165,7 +181,12 @@ def interval_quotient(G, p, q):
 
 
 def _quotient(G, p, q):
-    return contract(extract(G, q), p)
+    """(G|q)/p, numbered as `contract` numbers it, from the edges of G inside q's blocks."""
+    adj, masks, reach = G.adj, p.masks, [0] * len(p.masks)
+    for v, b in enumerate(p.growth, 1):
+        reach[b] |= adj[v] & q.masks[q.growth[v - 1]]
+    return _graph(len(masks), tuple((a + 1, b + 1) for a, hit in enumerate(reach)
+                                    for b in range(a + 1, len(masks)) if hit & masks[b]))
 
 
 def zeta(G, p):

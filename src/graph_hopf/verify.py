@@ -446,7 +446,7 @@ def _broken_law(L):
     for i, j in itertools.product(N, repeat=2):
         try:
             meet, join = L.meet_index(i, j), L.join_index(i, j)
-        except KeyError:  # a meet or join whose block masks are not an element
+        except KeyError:  # a meet or join whose flat is not an element's
             return "glb/lub"
         if down[meet] != down[i] & down[j] or up[join] != up[i] & up[j]:
             return "glb/lub"
@@ -475,7 +475,7 @@ def check_lattice_grading(G):
 def _intervals(L):
     """Every pair p <= q of the lattice L, with their element indices i and j."""
     return ((i, j, p, q) for i, p in enumerate(L.elements) for j, q in enumerate(L.elements)
-            if L.leq(i, j))
+            if L.down[j] >> i & 1)
 
 
 @_each(_connected)
@@ -508,25 +508,23 @@ def check_lattice_bridge(G):
 def check_interval_isomorphism(G):
     """Intervals [p, q] are order-isomorphic to the lattice of (G|q)/p through
     the explicit map r -> r/p, checked to be a bijection that preserves and
-    reflects order on every interval.  Each r/p is built once per pair p <= r:
-    the partition of the blocks of p, numbered as `contract` numbers them,
-    that groups the p-blocks lying in one block of r.  One lattice is built
-    per distinct labelled quotient (G|q)/p."""
+    reflects order on every interval.  The minimum of each block of r >= p is
+    the minimum of a block of p, so r's growth string read at those minima is
+    that of r/p.  One lattice is built per distinct labelled quotient (G|q)/p."""
     L, lattices = lat.build_lattice(G), {}
-    over = {(i, a): Partition.of_labels([L.elements[a].growth[b[0] - 1] for b in p.blocks])
+    over = {(i, a): tuple(L.elements[a].growth[b[0] - 1] for b in p.blocks)
             for i, p in enumerate(L.elements) for a in _bits(L.up[i])}
     for i, j, p, q in _intervals(L):
         box = L.up[i] & L.down[j]
         Q = L.quotient(i, j)
         if Q not in lattices:
-            lattices[Q] = lat.build_lattice(Q)
-        M = lattices[Q]
-        by_image = sorted(_bits(box), key=lambda a: over[(i, a)].blocks)
-        if [over[(i, a)] for a in by_image] == M.elements:
-            at = {a: x for x, a in enumerate(by_image)}
-            if all(sum(1 << at[b] for b in _bits(L.up[a] & box)) == M.up[x]
-                   for a, x in at.items()):
-                continue
+            M = lat.build_lattice(Q)
+            lattices[Q] = M, {r.growth: x for x, r in enumerate(M.elements)}
+        M, by_growth = lattices[Q]
+        at = {a: by_growth.get(over[(i, a)]) for a in _bits(box)}
+        if len(set(at.values()) - {None}) == len(M) == len(at) and all(
+                sum(1 << at[b] for b in _bits(L.up[a] & box)) == M.up[x] for a, x in at.items()):
+            continue
         yield (f"r -> r/p is not an order isomorphism onto the quotient lattice "
                f"on {format_graph(G)} at [{p}, {q}]")
 

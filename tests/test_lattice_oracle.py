@@ -12,10 +12,10 @@ vertices) the real `check_lattice_laws`.  The equational lattice laws,
 scanned on L x L meet and join tables, are the oracle of `verify`'s order
 and glb/lub check: both pass on every isoclass with at most 5 vertices, and
 under three broken lattices every graph the scan flags is flagged.  The
-lattice's own fast paths, the keyed sort of its elements and the meet read
-through its table of intersection components, are compared with the routes
-they replaced on every labeled graph with at most 5 vertices and on seeded
-random graphs with 6-7.
+lattice's own fast paths, the keyed sort of its elements, the meet and join
+read through the flats and the one-pass interval quotient, are compared with
+the routes they replaced on every labeled graph with at most 5 vertices and
+on seeded random graphs with 6-7.
 """
 
 import itertools
@@ -37,6 +37,8 @@ from graph_hopf.graphs import (
     component_masks,
     components_partition,
     components_within,
+    contract,
+    extract,
     format_graph,
     isoclasses_up_to,
 )
@@ -74,7 +76,7 @@ def meet_formula(G, p, q):
 
 def meet_masks_by_search(L, i, j):
     """Oracle: the meet's block masks with every block intersection searched
-    for components afresh, as before the lattice kept a table of them."""
+    for components afresh, as before the lattice read flats."""
     return frozenset(comp for a in L.elements[i].masks for b in L.elements[j].masks if a & b
                      for comp in component_masks(L.G, a & b))
 
@@ -239,14 +241,21 @@ def fast_path_graphs():
 
 
 def test_fast_paths_equal_the_routes_they_replaced():
-    """The elements sorted by their blocks are `sorted` by `Partition.__lt__`,
-    and the meet read through the component table is the searched one, on
-    up to 40 sampled pairs per graph (every pair below 8 elements)."""
+    """The elements sorted by their blocks are `sorted` by `Partition.__lt__`;
+    the meet and join read through the flats are the searched meet and the
+    union-find join, on up to 40 sampled pairs per graph (every pair below 8
+    elements); and the one-pass quotient is contract(extract(G, q), p) on
+    every interval [p, q]."""
     rng = random.Random(1812)
     for G in fast_path_graphs():
         L = lat.build_lattice(G)
-        assert L.elements == sorted(admissible_partitions(G))
+        E = L.elements
+        assert E == sorted(admissible_partitions(G))
         N = range(len(L))
         pairs = [(i, j) for i in N for j in N]
         for i, j in (pairs if len(pairs) <= 64 else rng.sample(pairs, 40)):
-            assert frozenset(L.elements[L.meet_index(i, j)].masks) == meet_masks_by_search(L, i, j)
+            assert frozenset(E[L.meet_index(i, j)].masks) == meet_masks_by_search(L, i, j)
+            assert E[L.join_index(i, j)] == join_formula(G, E[i], E[j])
+        for i, j in pairs:
+            if L.leq(i, j):
+                assert lat._quotient(G, E[i], E[j]) == contract(extract(G, E[j]), E[i])
