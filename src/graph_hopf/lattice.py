@@ -113,7 +113,7 @@ class AdmissibleLattice:
         while edges:
             a, b = self.G.edges[(edges & -edges).bit_length() - 1]
             rest = merged = block[a] | block[b]
-            while rest:
+            while rest:  # `_bits` inlined: its generator took over a quarter of the span's time
                 low = rest & -rest
                 block[low.bit_length() - 1] = merged
                 rest ^= low
