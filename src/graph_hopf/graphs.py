@@ -313,14 +313,6 @@ def block_map(G, fn):
     return value
 
 
-def is_admissible(G, p):
-    """True when every block of p induces a connected subgraph of G."""
-    if p.n != G.n:
-        raise ValueError("partition does not match the vertex set")
-    adj = G.adj
-    return all(_connected_mask(adj, m) for m in p.masks)
-
-
 @lru_cache(maxsize=None)
 def _set_partitions_list(n):
     """The set partitions of [n] by increasing `growth`, built by extension:
@@ -606,20 +598,18 @@ def all_graphs(n):
 
 @lru_cache(maxsize=None)
 def graph_isoclasses(n):
-    """Canonical representatives of all isomorphism classes on exactly n vertices."""
-    pairs = list(complete(n).edges)
-    reps = set()
-    for mask in range(1 << len(pairs)):
-        edges = [e for k, e in enumerate(pairs) if mask >> k & 1]
-        degs = [0] * n
-        for i, j in edges:
-            degs[i - 1] += 1
-            degs[j - 1] += 1
-        # one representative per class has non-increasing labeled degrees
-        if any(degs[i] < degs[i + 1] for i in range(n - 1)):
-            continue
-        reps.add(canonical_form(Graph(n, edges)))
-    return tuple(sorted(reps))
+    """Canonical representatives of all isomorphism classes on exactly n
+    vertices, sorted.  Each is a class H on n - 1 vertices with vertex n
+    joined to a subset of [n - 1] (the extension step of McKay, Isomorph-free
+    exhaustive generation, J. Algorithms 1998), deduplicated by canonical form."""
+    if n == 0:
+        return (Graph(0),)
+    forms = set()
+    for H in graph_isoclasses(n - 1):
+        for S in range(0, 1 << n, 2):  # bit v of S: the edge v-n
+            edges = sorted(H.edges + tuple((v, n) for v in _bits(S)))
+            forms.add(canonical_form(_graph(n, tuple(edges))))
+    return tuple(sorted(forms))
 
 
 def connected_isoclasses(n):

@@ -1,31 +1,26 @@
 """The bounded graded lattice of admissible partitions of a graph.
 
 Elements are the partitions of [n] whose blocks induce connected subgraphs,
-ordered by refinement and listed in sorted order.  The order is held in
-bitsets.  Element p gets the refinement code that ORs the mask of the block
-of v into slot v (bits v(n+1) .. v(n+1)+n), so p refines q exactly when
+ordered by refinement and listed in sorted order.  The methods take element
+indices, except `index(p)` and `mobius(p, q)`.  The order is held in bitsets.
+Element p gets the refinement code that ORs the mask of the block of v into
+slot v (bits v(n+1) .. v(n+1)+n), so p refines q exactly when
 code_p & ~code_q == 0.  Each element's down-set and up-set are masks over
 element indices, both holding the element itself: covers, intervals and the
 Mobius recursion are bit operations on them.  Meet and join read flats, made
-on first read: p's flat masks the edges inside p's blocks, bit k for G.edges[k].
-The meet's flat is an AND of two; the join spans their OR, once per distinct
-OR.  The interval quotient (G|q)/p is built in one pass over the vertices.
+on first read: p's flat masks the edges inside p's blocks, bit k for G.edges[k],
+and p refines q exactly when p's flat is inside q's.  The meet's flat is an
+AND of two; the join spans their OR, once per distinct OR.  The interval
+quotient (G|q)/p is built in one pass over the vertices.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 from operator import attrgetter
 
-from .graphs import (
-    Partition,
-    _bits,
-    _graph,
-    admissible_partitions,
-    components_partition,
-    extract,
-    is_admissible,
-)
+from .graphs import Partition, _bits, _graph, admissible_partitions, components_partition
 
 
 class AdmissibleLattice:
@@ -34,7 +29,6 @@ class AdmissibleLattice:
     def __init__(self, G):
         self.G = G
         self.elements = sorted(admissible_partitions(G), key=attrgetter("blocks"))
-        self._by_masks = {frozenset(p.masks): i for i, p in enumerate(self.elements)}
         width = G.n + 1
         codes = [sum(p.masks[k] << v * width for v, k in enumerate(p.growth, 1))
                  for p in self.elements]
@@ -52,8 +46,9 @@ class AdmissibleLattice:
         return len(self.elements)
 
     def index(self, p):
-        i = self._by_masks.get(frozenset(p.masks))
-        if i is None:
+        E = self.elements
+        i = bisect_left(E, p.blocks, key=attrgetter("blocks"))
+        if i == len(E) or E[i] != p:
             raise ValueError(f"{p} is not an admissible partition of the graph")
         return i
 
@@ -68,10 +63,6 @@ class AdmissibleLattice:
     @property
     def top(self):
         return components_partition(self.G)
-
-    def rank(self, p):
-        self.index(p)
-        return self.G.n - len(p)
 
     def covers(self):
         """Hasse diagram: index pairs (i, j) with element i covered by element j,
@@ -121,14 +112,6 @@ class AdmissibleLattice:
             edges &= ~flat  # the edges now inside a block
         return flat
 
-    def meet(self, p, q):
-        """The meet of two elements; ValueError if either is not admissible."""
-        return self.elements[self.meet_index(self.index(p), self.index(q))]
-
-    def join(self, p, q):
-        """The join of two elements; ValueError if either is not admissible."""
-        return self.elements[self.join_index(self.index(p), self.index(q))]
-
     def mobius(self, p, q):
         """Mobius function of the lattice; requires p <= q."""
         i, j = self.index(p), self.index(q)
@@ -146,56 +129,17 @@ class AdmissibleLattice:
         return value
 
     def quotient(self, i, j):
-        """The interval quotient (G|q)/p of elements i <= j, taken without
-        re-checking that they are admissible (see `interval_quotient`)."""
+        """The interval quotient (G|q)/p of elements p = i <= q = j, numbered as
+        `contract` numbers it, from the edges of G inside q's blocks."""
         if not self.leq(i, j):
             raise ValueError("quotient needs element i <= element j")
-        return _quotient(self.G, self.elements[i], self.elements[j])
-
-    def interval(self, p, q):
-        """Indices of the elements between p and q."""
-        i, j = self.index(p), self.index(q)
-        if not self.leq(i, j):
-            raise ValueError("empty interval: p <= q fails")
-        return list(_bits(self.up[i] & self.down[j]))
+        p, q = self.elements[i], self.elements[j]
+        adj, masks, reach = self.G.adj, p.masks, [0] * len(p.masks)
+        for v, b in enumerate(p.growth, 1):
+            reach[b] |= adj[v] & q.masks[q.growth[v - 1]]
+        return _graph(len(masks), tuple((a + 1, b + 1) for a, hit in enumerate(reach)
+                                        for b in range(a + 1, len(masks)) if hit & masks[b]))
 
 
 def build_lattice(G):
     return AdmissibleLattice(G)
-
-
-def _require_admissible(G, *parts):
-    for p in parts:
-        if not is_admissible(G, p):
-            raise ValueError(f"{p} is not admissible")
-
-
-def interval_quotient(G, p, q):
-    """The graph (G|q)/p: extract along the coarser partition, then contract
-    the finer one.  The interval [p, q] is order-isomorphic to the admissible
-    lattice of the result."""
-    _require_admissible(G, p, q)
-    if not p.refines(q):
-        raise ValueError("interval_quotient needs p <= q")
-    return _quotient(G, p, q)
-
-
-def _quotient(G, p, q):
-    """(G|q)/p, numbered as `contract` numbers it, from the edges of G inside q's blocks."""
-    adj, masks, reach = G.adj, p.masks, [0] * len(p.masks)
-    for v, b in enumerate(p.growth, 1):
-        reach[b] |= adj[v] & q.masks[q.growth[v - 1]]
-    return _graph(len(masks), tuple((a + 1, b + 1) for a, hit in enumerate(reach)
-                                    for b in range(a + 1, len(masks)) if hit & masks[b]))
-
-
-def zeta(G, p):
-    """Edges internal to blocks of p: an order embedding into subsets of E(G)."""
-    _require_admissible(G, p)
-    return frozenset(extract(G, p).edges)
-
-
-def zeta_is_bijective(G):
-    """True exactly when every edge subset arises, i.e. the lattice has 2^|E| elements."""
-    count = sum(1 for _ in admissible_partitions(G))
-    return count == 2 ** len(G.edges)

@@ -6,7 +6,14 @@ a `verify` suite or the public API reaches.  Not collected by pytest (no
 import itertools
 import math
 
-from graph_hopf.graphs import Graph, Partition, complete, forest_factor
+from graph_hopf.graphs import (
+    Graph,
+    Partition,
+    _connected_mask,
+    canonical_form,
+    complete,
+    forest_factor,
+)
 from graph_hopf.linear import LinComb, Polynomial, hilbert, parse_rational
 from graph_hopf.wsym import is_packed
 
@@ -14,6 +21,32 @@ from graph_hopf.wsym import is_packed
 def random_graph(n, rng, p=0.5):
     """Erdos-Renyi style sample; rng is a random.Random for reproducibility."""
     return Graph(n, [e for e in complete(n).edges if rng.random() < p])
+
+
+def is_admissible(G, p):
+    """True when every block of p induces a connected subgraph of G."""
+    if p.n != G.n:
+        raise ValueError("partition does not match the vertex set")
+    adj = G.adj
+    return all(_connected_mask(adj, m) for m in p.masks)
+
+
+def isoclasses_by_sweep(n):
+    """Oracle of `graph_isoclasses`: the canonical forms of every labelled
+    graph on [n] whose labelled degrees do not increase, sorted (every class
+    has such a labelling)."""
+    pairs = list(complete(n).edges)
+    reps = set()
+    for mask in range(1 << len(pairs)):
+        edges = [e for k, e in enumerate(pairs) if mask >> k & 1]
+        degs = [0] * n
+        for i, j in edges:
+            degs[i - 1] += 1
+            degs[j - 1] += 1
+        if any(degs[i] < degs[i + 1] for i in range(n - 1)):
+            continue
+        reps.add(canonical_form(Graph(n, edges)))
+    return tuple(sorted(reps))
 
 
 def relabel(G, perm):

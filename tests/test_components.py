@@ -21,13 +21,12 @@ from graph_hopf.graphs import (
     component_masks,
     components_within,
     connected_components,
-    is_admissible,
     restrict,
     set_partitions,
 )
 from graph_hopf.linear import LinComb
 
-from helpers import random_graph
+from helpers import is_admissible, random_graph
 
 
 @st.composite

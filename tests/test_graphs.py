@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,7 +29,6 @@ from graph_hopf.graphs import (
     format_graph,
     graph_isoclasses,
     connected_isoclasses,
-    is_admissible,
     is_bridge,
     is_connected,
     nested_forests,
@@ -38,7 +38,14 @@ from graph_hopf.graphs import (
     set_partitions,
 )
 
-from helpers import forest_evaluate, one_block, random_graph, relabel
+from helpers import (
+    forest_evaluate,
+    is_admissible,
+    isoclasses_by_sweep,
+    one_block,
+    random_graph,
+    relabel,
+)
 
 K1, K2, K3, K4 = complete(1), complete(2), complete(3), complete(4)
 P3 = path_graph(3)
@@ -443,8 +450,21 @@ class TestCanonicalKeys:
 
     def test_isoclass_counts(self):
         # counts of graphs and connected graphs on n unlabeled vertices
-        assert [len(graph_isoclasses(n)) for n in range(7)] == [1, 1, 2, 4, 11, 34, 156]
-        assert [len(connected_isoclasses(n)) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+        assert [len(graph_isoclasses(n)) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
+        assert [len(connected_isoclasses(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+
+    def test_extension_equals_the_degree_filtered_sweep(self):
+        for n in range(7):
+            assert graph_isoclasses(n) == isoclasses_by_sweep(n)
+
+    def test_representatives_are_pairwise_non_isomorphic(self):
+        for n in range(6):
+            reps = []
+            for G in graph_isoclasses(n):
+                H = nx.Graph(G.edges)
+                H.add_nodes_from(range(1, n + 1))
+                reps.append(H)
+            assert not any(nx.is_isomorphic(a, b) for a, b in itertools.combinations(reps, 2))
 
 
 def nested_forests_by_tuples(G):

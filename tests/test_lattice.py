@@ -4,11 +4,13 @@ from graph_hopf import characters as ch
 from graph_hopf import lattice as lat
 from graph_hopf import verify
 from graph_hopf.graphs import (
-    Graph,
     Partition,
+    _bits,
     complete,
     connected_isoclasses,
+    contract,
     edgeless,
+    extract,
     path_graph,
 )
 
@@ -32,8 +34,7 @@ class TestConstruction:
     def test_triangle(self):
         L = lat.build_lattice(K3)
         assert len(L) == 5
-        assert L.rank(L.bottom) == 0
-        assert L.rank(L.top) == 2
+        assert (len(L.bottom), len(L.top)) == (3, 1)  # ranks 0 and 2
 
     def test_bounds(self):
         for G in [K2, P3, K3, edgeless(3)]:
@@ -54,21 +55,22 @@ class TestConstruction:
 class TestMeetJoin:
     def test_bound_absorption(self):
         L = lat.build_lattice(K3)
-        for p in L.elements:
-            assert L.meet(p, L.bottom) == L.bottom
-            assert L.join(p, L.top) == L.top
+        bottom, top = L.index(L.bottom), L.index(L.top)
+        for i in range(len(L)):
+            assert L.meet_index(i, bottom) == bottom
+            assert L.join_index(i, top) == top
 
     def test_triangle_atoms(self):
         L = lat.build_lattice(K3)
-        a = Partition(3, [(1, 2), (3,)])
-        b = Partition(3, [(1, 3), (2,)])
-        assert L.join(a, b) == L.top
-        assert L.meet(a, b) == L.bottom
+        a = L.index(Partition(3, [(1, 2), (3,)]))
+        b = L.index(Partition(3, [(1, 3), (2,)]))
+        assert L.elements[L.join_index(a, b)] == L.top
+        assert L.elements[L.meet_index(a, b)] == L.bottom
 
     def test_rejects_non_admissible(self):
         L = lat.build_lattice(P3)
-        with pytest.raises(ValueError):
-            L.meet(Partition(3, [(1, 3), (2,)]), L.bottom)
+        with pytest.raises(ValueError, match="not an admissible partition"):
+            L.mobius(L.bottom, Partition(3, [(1, 3), (2,)]))
 
     def test_lattice_laws_small(self):
         assert not verify.check_lattice_laws(4)
@@ -100,11 +102,11 @@ class TestMobius:
         # independent oracle: the defining recursion of the Mobius function
         for G in connected_isoclasses(4):
             L = lat.build_lattice(G)
-            for i, p in enumerate(L.elements):
-                for j, q in enumerate(L.elements):
+            for i in range(len(L)):
+                for j in range(len(L)):
                     if i == j or not L.leq(i, j):
                         continue
-                    total = sum(L.mobius_index(i, k) for k in L.interval(p, q))
+                    total = sum(L.mobius_index(i, k) for k in _bits(L.up[i] & L.down[j]))
                     assert total == 0
 
     def test_matches_character_of_quotient(self):
@@ -115,27 +117,30 @@ class TestIntervalQuotient:
     def test_full_interval_of_connected(self):
         for G in connected_isoclasses(4):
             L = lat.build_lattice(G)
-            assert lat.interval_quotient(G, L.bottom, L.top) == G
+            assert L.quotient(L.index(L.bottom), L.index(L.top)) == G
 
     def test_triangle_atom_to_top(self):
-        q = lat.interval_quotient(K3, Partition(3, [(1, 2), (3,)]), one_block(3))
-        assert q == K2
+        L = lat.build_lattice(K3)
+        assert L.quotient(L.index(Partition(3, [(1, 2), (3,)])), L.index(one_block(3))) == K2
 
     def test_degenerate_interval(self):
-        p = Partition(3, [(1, 2), (3,)])
-        assert lat.interval_quotient(K3, p, p).edges == ()
+        L = lat.build_lattice(K3)
+        i = L.index(Partition(3, [(1, 2), (3,)]))
+        assert L.quotient(i, i).edges == ()
 
     def test_rejects_incomparable(self):
+        L = lat.build_lattice(K3)
         with pytest.raises(ValueError):
-            lat.interval_quotient(K3, one_block(3), Partition.singletons(3))
+            L.quotient(L.index(L.top), L.index(L.bottom))
 
     def test_lattice_quotient_by_index_matches_the_checked_one(self):
+        """The checked route: extract along q, then contract p."""
         for G in connected_isoclasses(4):
             L = lat.build_lattice(G)
             for i, p in enumerate(L.elements):
                 for j, q in enumerate(L.elements):
                     if L.leq(i, j):
-                        assert L.quotient(i, j) == lat.interval_quotient(G, p, q)
+                        assert L.quotient(i, j) == contract(extract(G, q), p)
                     else:
                         with pytest.raises(ValueError):
                             L.quotient(i, j)
@@ -146,16 +151,17 @@ class TestIntervalQuotient:
 
 class TestZeta:
     def test_bottom_is_empty(self):
-        assert lat.zeta(P3, Partition.singletons(3)) == frozenset()
+        L = lat.build_lattice(P3)
+        assert L.flats[L.index(L.bottom)] == 0
 
     def test_tree_is_bijective(self):
-        T = path_graph(4)
-        assert lat.zeta_is_bijective(T)
-        assert len(lat.build_lattice(T)) == 8
+        L = lat.build_lattice(path_graph(4))
+        assert sorted(L.flats) == list(range(8))
 
     def test_triangle_is_not(self):
-        assert not lat.zeta_is_bijective(K3)
-        assert len(lat.build_lattice(K3)) == 5
+        L = lat.build_lattice(K3)
+        assert len(L) == 5 < 2 ** len(K3.edges)
+        assert 0b111 in L.flats and 0b011 not in L.flats
 
     def test_embedding_small(self):
         assert not verify.check_zeta(4)

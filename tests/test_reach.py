@@ -23,10 +23,6 @@ ALLOWED = {
     "bialgebra.rho": "the coaction; a coaction suite in `verify` will call it",
     "linear.Polynomial.compose_sum": "P(X+Y); a morphism check in `verify` will call it",
     "linear.Polynomial.compose_prod": "P(XY); a morphism check in `verify` will call it",
-    "lattice.AdmissibleLattice.meet": "the lattice's partition-keyed API",
-    "lattice.AdmissibleLattice.join": "the lattice's partition-keyed API",
-    "lattice.AdmissibleLattice.interval": "the lattice's partition-keyed API",
-    "lattice.interval_quotient": "the lattice's partition-keyed API",
 }
 
 

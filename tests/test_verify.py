@@ -134,7 +134,7 @@ MUTANTS = {
         (14, "signed chromatic character != |chromatic character| on 2: 1-2"),
     (graphs, "_canonical_connected", "ties[-1][v] = 1 << p", "ties[-1][v] = 1 << p - 1",
      "check_cointeraction"):
-        (2, "cointeraction identity fails on 4: 1-2, 1-3, 2-3"),
+        (1, "cointeraction identity fails on 4: 1-3, 2-3"),
     (bialgebra, "delta_big_graph",
      "side = block_map(G, iso)\n    return LinComb(((side(left), side(right)), 1)",
      "side = block_map(G, iso)\n    return LinComb(((side(left), side(left)), 1)",
@@ -157,12 +157,15 @@ MUTANTS = {
     (lattice, "AdmissibleLattice", "return self._by_flat[self.flats[i] & self.flats[j]]",
      "return self._by_flat[self.flats[i] | self.flats[j]]", "check_lattice_laws"):
         (14, "lattice glb/lub fails on 2: 1-2"),
-    (lattice, "_quotient", "reach[b] |= adj[v] & q.masks[q.growth[v - 1]]", "reach[b] |= adj[v]",
-     "check_mobius_values"):
+    (lattice, "AdmissibleLattice", "self._inside.__getitem__, p.masks))",
+     "self._inside.__getitem__, p.masks[1:]))", "check_zeta"):
+        (20, "edge-set embedding not an order embedding on 2: 1-2"),
+    (lattice, "AdmissibleLattice", "reach[b] |= adj[v] & q.masks[q.growth[v - 1]]",
+     "reach[b] |= adj[v]", "check_mobius_values"):
         (175, "Mobius value != character of interval quotient on 2: 1-2 "
               "at [{{1},{2}}, {{1},{2}}]"),
-    (lattice, "_quotient", "reach[b] |= adj[v] & q.masks[q.growth[v - 1]]", "reach[b] |= adj[v]",
-     "check_interval_isomorphism"):
+    (lattice, "AdmissibleLattice", "reach[b] |= adj[v] & q.masks[q.growth[v - 1]]",
+     "reach[b] |= adj[v]", "check_interval_isomorphism"):
         (192, "r -> r/p is not an order isomorphism onto the quotient lattice on 2: 1-2 "
               "at [{{1},{2}}, {{1},{2}}]"),
 }
@@ -181,7 +184,8 @@ def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     holds only from the bottom, up masks that hold only the element itself
     (seen by the order law and by the Mobius values, which no longer recurse
     without end on them), a bottom that is the top, a join that spans the
-    intersection of two flats, a meet read at their union, interval
+    intersection of two flats, a meet read at their union, flats that leave
+    out each element's first block, interval
     quotients that keep the edges leaving the blocks of q, independent
     partitions or independent blocks that test
     only one vertex of the block for a neighbour, connected blocks that leave
@@ -382,7 +386,7 @@ def test_witness_tails_run_on_their_own_object(monkeypatch):
 def _swap_atom_and_coatom(L):
     """The transposition of the first atom and the first coatom of L, when its
     rank is at least 3 (so they differ and neither is a bound); else the identity."""
-    ranks = [L.rank(p) for p in L.elements]
+    ranks = [L.G.n - len(p) for p in L.elements]
     top = max(ranks)
     if top < 3:
         return lambda i: i
