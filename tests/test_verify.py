@@ -171,7 +171,16 @@ MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("mutant", list(MUTANTS), ids=lambda m: f"{m[1]}-{m[4]}")
+# A row's id is "{name}-{check}", save where its mutated line names the row:
+# the quotient pass keeps the id of `_quotient`, the module function it was
+# before it moved into AdmissibleLattice.quotient, and the flats that drop a
+# block are told apart from the other check_zeta row.
+ROW_NAMES = {"reach[b] |= adj[v]": "_quotient",
+             "self._inside.__getitem__, p.masks[1:]))": "AdmissibleLattice.flats"}
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS),
+                         ids=lambda m: f"{ROW_NAMES.get(m[3], m[1])}-{m[4]}")
 def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     """The clash mask without the last edge slot, a component-minima table
     that drops each component's minimum, a W element projected by its
