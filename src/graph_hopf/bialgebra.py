@@ -30,6 +30,7 @@ from .graphs import (
     Graph,
     _bits,
     _graph,
+    _memoised,
     _restrict,
     admissible_partitions,
     block_map,
@@ -55,14 +56,6 @@ def iso(G):
 
 def mono_mul(a, b):
     return tuple(sorted(a + b))
-
-
-def mono_graph(mono):
-    """A labeled representative of a monomial: the disjoint union of its factors."""
-    out = Graph(0)
-    for factor in mono:
-        out = disjoint_union(out, factor)
-    return out
 
 
 def mono_vertices(mono):
@@ -94,40 +87,28 @@ def as_element(x, indexed=False):
     raise TypeError(f"cannot interpret {x!r} as an algebra element")
 
 
-def _bipartitions(n):
-    """The 2^n ordered bipartitions V = I ⊔ J of [n], each once, as the pair
-    (mask of I, mask of J); read each side through `block_map`."""
-    full = (1 << (n + 1)) - 2
-    return ((left, full ^ left) for left in range(0, full + 1, 2))
-
-
-def _extraction_monomial(G):
-    """The map p -> iso(G|p) on admissible partitions p of G: the sorted
-    canonical forms of p's blocks (see `block_map`)."""
-    form = block_map(G, canonical_form)
-    return lambda p: tuple(sorted(map(form, p.masks)))
-
-
 # ---------------------------------------------------------------------------
 # the restriction coproduct
 
+def _split(G, leg):
+    """Sum of leg(G|I) (x) leg(G|J) over the 2^n ordered bipartitions V = I ⊔ J,
+    I and J as vertex masks, each side restricted once (`block_map`)."""
+    side, full = block_map(G, leg), (1 << (G.n + 1)) - 2
+    return LinComb(((side(left), side(full ^ left)), 1) for left in range(0, full + 1, 2))
+
+
 def delta_big_graph(G):
     """Sum of iso(G|I) (x) iso(G|J) over ordered bipartitions V = I ⊔ J (2^n terms)."""
-    side = block_map(G, iso)
-    return LinComb(((side(left), side(right)), 1) for left, right in _bipartitions(G.n))
+    return _split(G, iso)
 
 
 def delta_big(x):
-    return as_element(x).bind(lambda mono: delta_big_graph(mono_graph(mono)))
+    return as_element(x).bind(lambda mono: delta_big_graph(disjoint_union(*mono)))
 
 
 def delta_big_indexed(x):
     """Sum of G|I (x) G|J over ordered bipartitions, both legs left indexed."""
-    def on_graph(G):
-        side = block_map(G, lambda g: g)
-        return LinComb(((side(left), side(right)), 1) for left, right in _bipartitions(G.n))
-
-    return as_element(x, indexed=True).bind(on_graph)
+    return as_element(x, indexed=True).bind(lambda G: _split(G, lambda g: g))
 
 
 def counit_big(x):
@@ -174,7 +155,7 @@ def delta_small_graph(G):
 
 
 def delta_small(x):
-    return as_element(x).bind(lambda mono: delta_small_graph(mono_graph(mono)))
+    return as_element(x).bind(lambda mono: delta_small_graph(disjoint_union(*mono)))
 
 
 def delta_small_indexed(x):
@@ -200,18 +181,9 @@ def antipode_forest(G):
     A factor depends only on its member and that member's children, and is
     canonicalised once per call for each such pair."""
     _require_antipode_arg(G)
-    memo = {}
-
-    def factor(member, children):
-        key = (member, children)
-        if key not in memo:
-            memo[key] = canonical_form(forest_factor(G, member, children))
-        return memo[key]
-
-    return LinComb(
-        (strip_units(tuple(sorted(factor(*pair) for pair in forest))),
-         (-1) ** len(forest))
-        for forest in nested_forests(G))
+    factor = _memoised(lambda pair: canonical_form(forest_factor(G, *pair)))
+    return LinComb((strip_units(tuple(sorted(map(factor, forest)))), (-1) ** len(forest))
+                   for forest in nested_forests(G))
 
 
 def antipode_recursive(G):
@@ -288,8 +260,4 @@ def varpi(x):
 
 def rho(x):
     """Coaction: contract-extract, then project the extraction leg."""
-    def on_graph(G):
-        extracted = _extraction_monomial(G)
-        return LinComb(((contract(G, p), extracted(p)), 1) for p in admissible_partitions(G))
-
-    return as_element(x, indexed=True).bind(on_graph)
+    return delta_small_indexed(x).map_keys(lambda k: (k[0], iso(k[1])))

@@ -15,6 +15,7 @@ import math
 from functools import lru_cache
 
 from .graphs import (
+    _memoised,
     _set_partitions_list,
     acyclic_orientation_count,
     acyclic_orientations,
@@ -64,17 +65,16 @@ def block_sums(G, blocks, weight):
     """c[k] = the sum, over the partitions of [n] into k blocks of the walk
     `blocks` (`least_blocks`), of the product of weight(block mask), kept per
     uncovered mask."""
-    memo = {0: [1]}
-
+    @_memoised
     def sums(rest):
-        if rest not in memo:
-            out = [0] * (rest.bit_count() + 1)
-            for b in blocks(rest):
-                w = weight(b)
-                for k, c in enumerate(sums(rest ^ b)):
-                    out[k + 1] += w * c
-            memo[rest] = out
-        return memo[rest]
+        if not rest:
+            return [1]
+        out = [0] * (rest.bit_count() + 1)
+        for b in blocks(rest):
+            w = weight(b)
+            for k, c in enumerate(sums(rest ^ b)):
+                out[k + 1] += w * c
+        return out
 
     return sums((1 << G.n + 1) - 2)
 

@@ -15,11 +15,12 @@ its rank, extends that of [n - 1] by n, sharing blocks.  Any other is built
 from a labelling (`Partition.of_labels`).  A sum over the partitions into
 connected or into independent blocks needs no table: it walks the blocks of
 the least uncovered vertex (`least_blocks`).  The empty graph (n = 0) is the
-algebra's unit and is accepted everywhere.
+algebra's unit, `disjoint_union()`, and is accepted everywhere.
 
 All values are immutable after construction (the masks, once built, are
 fixed too) and every operation is a pure function, so values can be shared
 freely across threads.  Memo tables only cache idempotent pure results.
+A memo for the life of one call is `_memoised`; `lru_cache` keeps the rest.
 The canonical form of a disconnected graph also carries its sorted
 connected factors, set when `canonical_form` builds it, so the isoclass
 monomial of a graph is one memo lookup (`canonical_factors`).
@@ -239,10 +240,14 @@ def cycle_graph(n):
     return Graph(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
 
 
-def disjoint_union(G, H):
-    """Concatenate: H's vertices are shifted by |G|.  This is the graph product."""
-    k = G.n
-    return _graph(k + H.n, G.edges + tuple((i + k, j + k) for i, j in H.edges))
+def disjoint_union(*graphs):
+    """Concatenate: each graph's vertices are shifted by the sizes of those
+    before it.  This is the graph product, and `disjoint_union()` its unit."""
+    edges, k = [], 0
+    for H in graphs:
+        edges += [(i + k, j + k) for i, j in H.edges]
+        k += H.n
+    return _graph(k, tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +297,12 @@ def extract(G, p):
     return _graph(G.n, tuple((i, j) for i, j in G.edges if at[i - 1] == at[j - 1]))
 
 
+def _memoised(f):
+    """f with a memo that lives as long as the returned function does."""
+    memo = {}
+    return lambda x: memo[x] if x in memo else memo.setdefault(x, f(x))
+
+
 def block_map(G, fn):
     """The map S -> fn(G|S) on vertex masks S, computed once per mask and
     kept only as long as the returned function.
@@ -303,14 +314,7 @@ def block_map(G, fn):
     and a block shared by many partitions is restricted once.  A sum over the
     bipartitions V = I ⊔ J reads both sides through it, restricting each once.
     """
-    memo = {}
-
-    def value(mask):
-        if mask not in memo:
-            memo[mask] = fn(_restrict(G, mask))
-        return memo[mask]
-
-    return value
+    return _memoised(lambda mask: fn(_restrict(G, mask)))
 
 
 @lru_cache(maxsize=None)
@@ -356,24 +360,23 @@ def least_blocks(G, independent=False):
     least uncovered vertex, then one of what it leaves, and so on, reaches
     each partition into such blocks once, blocks by least vertex (the subset
     recursion of Bjorklund-Husfeldt-Koivisto, SIAM J. Comput. 2009)."""
-    adj, memo = G.adj, {}
+    adj = G.adj
 
     def blocks(rest):
-        if rest not in memo:
-            low = rest & -rest
-            memo[rest] = found = [low]
-            if independent:  # extend each independent set by each later non-neighbour
-                for u in _bits(rest & ~adj[low.bit_length() - 1] ^ low):
-                    found += [b | 1 << u for b in found if not adj[u] & b]
-            else:  # the connected subsets of low's component that hold low
-                room = s = _component_of(adj, low, rest) ^ low
-                while s:
-                    if _connected_mask(adj, low | s):
-                        found.append(low | s)
-                    s = (s - 1) & room
-        return memo[rest]
+        low = rest & -rest
+        found = [low]
+        if independent:  # extend each independent set by each later non-neighbour
+            for u in _bits(rest & ~adj[low.bit_length() - 1] ^ low):
+                found += [b | 1 << u for b in found if not adj[u] & b]
+        else:  # the connected subsets of low's component that hold low
+            room = s = _component_of(adj, low, rest) ^ low
+            while s:
+                if _connected_mask(adj, low | s):
+                    found.append(low | s)
+                s = (s - 1) & room
+        return found
 
-    return blocks
+    return _memoised(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +562,18 @@ def _canonical_connected(G):
     return _graph(n, tuple(e for e, k in slots.items() if mask >> k & 1))
 
 
+def _canonical_form(G):
+    """`canonical_form` without its memo."""
+    if G.n == 0:
+        return G
+    forms = tuple(sorted(map(_canonical_connected, component_graphs(G))))
+    if len(forms) == 1:
+        return forms[0]
+    out = disjoint_union(*forms)
+    out.factors = forms
+    return out
+
+
 @lru_cache(maxsize=None)
 def canonical_form(G):
     """A canonical representative of the isomorphism class of G.
@@ -566,16 +581,7 @@ def canonical_form(G):
     A disconnected G maps to the disjoint union of its components' canonical
     forms in sorted order, and that representative keeps the sorted forms
     as its `factors`, set when it is built."""
-    if G.n == 0:
-        return G
-    forms = tuple(sorted(map(_canonical_connected, component_graphs(G))))
-    if len(forms) == 1:
-        return forms[0]
-    out = Graph(0)
-    for f in forms:
-        out = disjoint_union(out, f)
-    out.factors = forms
-    return out
+    return _canonical_form(G)
 
 
 def canonical_factors(G):
@@ -601,14 +607,15 @@ def graph_isoclasses(n):
     """Canonical representatives of all isomorphism classes on exactly n
     vertices, sorted.  Each is a class H on n - 1 vertices with vertex n
     joined to a subset of [n - 1] (the extension step of McKay, Isomorph-free
-    exhaustive generation, J. Algorithms 1998), deduplicated by canonical form."""
+    exhaustive generation, J. Algorithms 1998), deduplicated by canonical form.
+    The candidates bypass the `canonical_form` memo: only their forms are kept."""
     if n == 0:
         return (Graph(0),)
     forms = set()
     for H in graph_isoclasses(n - 1):
         for S in range(0, 1 << n, 2):  # bit v of S: the edge v-n
             edges = sorted(H.edges + tuple((v, n) for v in _bits(S)))
-            forms.add(canonical_form(_graph(n, tuple(edges))))
+            forms.add(_canonical_form(_graph(n, tuple(edges))))
     return tuple(sorted(forms))
 
 
@@ -653,12 +660,10 @@ def nested_forests(G):
     if G.n == 0 or not is_connected(G):
         raise ValueError("nested forests are defined for nonempty connected graphs")
     subsets = _connected_subsets(G)
-    memo = {}
 
+    @_memoised
     def families(mask):
         # all forests of the induced subgraph on mask, as tuples of pairs, mask first
-        if mask in memo:
-            return memo[mask]
         proper = [m for m in subsets if m & mask == m != mask]
         results = []
 
@@ -675,7 +680,6 @@ def nested_forests(G):
             head = (mask, tuple(children))
             results.extend(sum(combo, (head,))
                            for combo in itertools.product(*map(families, children)))
-        memo[mask] = results
         return results
 
     yield from families((1 << (G.n + 1)) - 2)

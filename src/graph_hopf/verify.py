@@ -10,8 +10,8 @@ runs, so a substituted or wrapped engine is the one checked.
 
 A check may share values across its objects (a memoised coproduct, a
 convolution, an inverse character): `_each`'s scope makes them once per call
-of the check and once per call of `.one`.  No memo outlives the call or
-spans two checks, and none holds a side of the identity checked.
+of the check or of `.one`, memoised by `graphs._memoised`.  No memo outlives
+the call or spans two checks, and none holds a side of the identity checked.
 
 Each check carries its enumerator as `objects`.  Given a `timings` dict, a
 suite records each check's seconds and, after the clock stops, its object
@@ -33,6 +33,7 @@ from .graphs import (
     Graph,
     Partition,
     _bits,
+    _memoised,
     acyclic_orientation_count,
     all_graphs,
     canonical_form,
@@ -127,12 +128,6 @@ def _each(enumerate_objects, scope=tuple):
         check.one = lambda obj: check_one(obj, *scope())
         return check
     return declare
-
-
-def _memoised(f):
-    """f with a memo that lives as long as the returned function does."""
-    memo = {}
-    return lambda x: memo[x] if x in memo else memo.setdefault(x, f(x))
 
 
 # ---------------------------------------------------------------------------
@@ -508,16 +503,17 @@ def check_interval_isomorphism(G):
     reflects order on every interval.  The minimum of each block of r >= p is
     the minimum of a block of p, so r's growth string read at those minima is
     that of r/p.  One lattice is built per distinct labelled quotient (G|q)/p."""
-    L, lattices = lat.build_lattice(G), {}
+    @_memoised
+    def lattice_of(Q):  # Q's lattice, and each element's index by growth string
+        M = lat.build_lattice(Q)
+        return M, {r.growth: x for x, r in enumerate(M.elements)}
+
+    L = lat.build_lattice(G)
     over = {(i, a): tuple(L.elements[a].growth[b[0] - 1] for b in p.blocks)
             for i, p in enumerate(L.elements) for a in _bits(L.up[i])}
     for i, j, p, q in _intervals(L):
         box = L.up[i] & L.down[j]
-        Q = L.quotient(i, j)
-        if Q not in lattices:
-            M = lat.build_lattice(Q)
-            lattices[Q] = M, {r.growth: x for x, r in enumerate(M.elements)}
-        M, by_growth = lattices[Q]
+        M, by_growth = lattice_of(L.quotient(i, j))
         at = {a: by_growth.get(over[(i, a)]) for a in _bits(box)}
         if len(set(at.values()) - {None}) == len(M) == len(at) and all(
                 sum(1 << at[b] for b in _bits(L.up[a] & box)) == M.up[x] for a, x in at.items()):

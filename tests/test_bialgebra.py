@@ -8,6 +8,7 @@ from graph_hopf import verify
 from graph_hopf.graphs import (
     Graph,
     admissible_partitions,
+    all_graphs,
     block_map,
     canonical_form,
     complete,
@@ -18,6 +19,7 @@ from graph_hopf.graphs import (
     is_connected,
     nested_forests,
     path_graph,
+    restrict,
 )
 from graph_hopf.linear import LinComb
 
@@ -59,15 +61,16 @@ def antipode_by_peeling(C, memo):
 
 
 class TestRestrictionCoproduct:
-    def test_bipartitions_are_complementary_masks(self):
-        for n in range(7):
-            full = sum(1 << v for v in range(1, n + 1))
-            pairs = list(bi._bipartitions(n))
-            subsets = {sum(1 << v for v in S) for r in range(n + 1)
-                       for S in itertools.combinations(range(1, n + 1), r)}
-            assert len(pairs) == 2 ** n
-            assert {left for left, _ in pairs} == subsets
-            assert all(left & right == 0 and left | right == full for left, right in pairs)
+    def test_indexed_coproduct_is_the_sum_over_vertex_subsets(self):
+        """Oracle for the bipartition sum that both bases share: on every
+        labelled graph with at most 4 vertices, Δ_I(G) is the sum over the
+        subsets I of [n] of G|I (x) G|([n] - I), restricted by vertex tuples."""
+        for n in range(5):
+            V = set(range(1, n + 1))
+            for G in all_graphs(n):
+                want = LinComb(((restrict(G, I), restrict(G, V - set(I))), 1)
+                               for r in range(n + 1) for I in itertools.combinations(sorted(V), r))
+                assert bi.delta_big_indexed(G) == want
 
     def test_point(self):
         assert bi.delta_big(K1) == (LinComb.term((mono(K1), bi.UNIT))

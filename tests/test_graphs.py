@@ -148,6 +148,18 @@ class TestConstruction:
         for i, j in [(0, 1), (-1, 2), (3, 3), (1, 99), (2, -1)]:
             assert not G.has_edge(i, j)
 
+    def test_empty_disjoint_union_is_the_unit(self):
+        assert disjoint_union() == Graph(0)
+        assert disjoint_union(Graph(0), P3, Graph(0)) == P3
+
+    def test_three_graph_union_equals_the_nested_binary_unions(self):
+        G, H = parse_graph("3: 1-3"), parse_graph("4: 1-2, 2-4, 3-4")
+        union = disjoint_union(G, K2, H)
+        assert union == disjoint_union(disjoint_union(G, K2), H)
+        assert union == disjoint_union(G, disjoint_union(K2, H))
+        assert union == Graph(9, [(1, 3), (4, 5), (6, 7), (7, 9), (8, 9)])
+        assert list(union.edges) == sorted(union.edges)
+
     def test_parse_round_trip(self):
         for text in ["0:", "3:", "3: 1-2, 2-3", "5: 1-2, 1-3, 4-5"]:
             assert format_graph(parse_graph(text)) == text

@@ -1,10 +1,19 @@
-"""Lint gate on unbounded memo tables in src/graph_hopf.
+"""Lint gate on unbounded memo tables in src/graph_hopf, and tests of the
+one memo that lives for a single call.
 
 An `lru_cache(maxsize=None)` (or `functools.cache`) keeps every argument
 and result for the life of the process.  The functions below are the ones
 that have such a cache today; a new one fails this test, so that a bounded
-memo, or a memo that lives only as long as one call (`graphs.block_map`),
-is chosen instead.  When one of them is bounded or removed, drop its name.
+memo, or a memo that lives only as long as one call, is chosen instead.
+When one of them is bounded or removed, drop its name.  Every per-call memo
+goes through `graphs._memoised` (`block_map`, `least_blocks`, the recursions
+of `nested_forests` and `chromatic.block_sums`, the forest factors of
+`antipode_forest`, the scopes of `verify`'s checks and the quotient lattices
+of `check_interval_isomorphism`); `lru_cache` is kept for the process-wide
+memos.  Three tables are written by hand, each for a reason: the block
+table inside `delta_small_graph`'s walk (a call per step of its inner loop
+was slower), `Character._memo` (the benchmark reads its size) and the
+lattice's `_mobius` and `_joins`.
 
 A module-level dict that starts empty is the same kind of memo, hidden from
 `cache_info`, from `verify --timings` and from the benchmark's cache metrics.
@@ -20,8 +29,15 @@ objects with the cache metrics that `BENCHMARK.json` declares.
 import ast
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+from graph_hopf import graphs
+from graph_hopf.chromatic import block_sums, independent_partitions
+from graph_hopf.graphs import admissible_partitions, all_graphs, complete, least_blocks
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "graph_hopf"
@@ -145,3 +161,53 @@ def test_lru_caches_match_the_benchmark_cache_metrics():
         "cache.<layer>.<fn>.* names to equal that list, so adding, removing or renaming a "
         f"cache breaks the benchmark (package only: {sorted(caches - metrics)}, "
         f"BENCHMARK.json only: {sorted(metrics - caches)})")
+
+
+def test_memoised_calls_f_once_per_distinct_argument():
+    calls = []
+    square = graphs._memoised(lambda x: calls.append(x) or x * x)
+    assert [square(x) for x in (3, 1, 3, 2, 1, 3)] == [9, 1, 9, 4, 1, 9]
+    assert calls == [3, 1, 2]
+
+
+def test_memoised_functions_share_no_table():
+    calls = []
+    negate = lambda x: calls.append(x) or -x  # noqa: E731
+    first, second = graphs._memoised(negate), graphs._memoised(negate)
+    assert (first(1), second(1), first(1), second(2)) == (-1, -1, -1, -2)
+    assert calls == [1, 1, 2]
+
+
+def _counts_by_block_number(G, partitions):
+    out = [0] * (G.n + 1)
+    for p in partitions:
+        out[len(p)] += 1
+    return out
+
+
+def test_block_sums_counts_each_partition_once_and_walks_each_mask_once():
+    """The recursion of `block_sums` is memoised by `_memoised`: it counts
+    the partitions into connected or independent blocks by block number, as
+    the enumerations do, and asks for the blocks of each uncovered mask once."""
+    assert block_sums(complete(4), least_blocks(complete(4)), lambda b: 1) == [0, 1, 7, 6, 1]
+    for n in range(6):
+        for G in all_graphs(n):
+            for independent, partitions in ((False, admissible_partitions(G)),
+                                            (True, independent_partitions(G))):
+                asked = []
+                blocks = least_blocks(G, independent)
+                counts = block_sums(G, lambda rest: asked.append(rest) or blocks(rest),
+                                    lambda b: 1)
+                assert counts == _counts_by_block_number(G, partitions)
+                assert len(asked) == len(set(asked))
+
+
+def test_isoclass_generation_leaves_the_canonical_form_memo_empty():
+    """`graph_isoclasses` canonicalises its extension candidates without the
+    process-wide `canonical_form` memo; run in a fresh process, so that no
+    other test has filled it."""
+    code = ("from graph_hopf import graphs; graphs.graph_isoclasses(6); "
+            "print(graphs.canonical_form.cache_info().currsize)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ), check=True)
+    assert run.stdout.split() == ["0"]
