@@ -10,10 +10,10 @@ goes through `graphs._memoised` (`block_map`, `least_blocks`, the recursions
 of `nested_forests` and `chromatic.block_sums`, the forest factors of
 `antipode_forest`, the scopes of `verify`'s checks and the quotient lattices
 of `check_interval_isomorphism`); `lru_cache` is kept for the process-wide
-memos.  Three tables are written by hand, each for a reason: the block
-table inside `delta_small_graph`'s walk (a call per step of its inner loop
-was slower), `Character._memo` (the benchmark reads its size) and the
-lattice's `_mobius` and `_joins`.
+memos.  Three tables are written by hand: the block table inside
+`delta_small_graph`'s walk (read inline on every step of its inner loop),
+`Character._memo` (the benchmark reads its size) and the lattice's `_mobius`
+and `_joins`.
 
 A module-level dict that starts empty is the same kind of memo, hidden from
 `cache_info`, from `verify --timings` and from the benchmark's cache metrics.
@@ -172,7 +172,11 @@ def test_memoised_calls_f_once_per_distinct_argument():
 
 def test_memoised_functions_share_no_table():
     calls = []
-    negate = lambda x: calls.append(x) or -x  # noqa: E731
+
+    def negate(x):
+        calls.append(x)
+        return -x
+
     first, second = graphs._memoised(negate), graphs._memoised(negate)
     assert (first(1), second(1), first(1), second(2)) == (-1, -1, -1, -2)
     assert calls == [1, 1, 2]
