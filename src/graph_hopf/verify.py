@@ -577,7 +577,7 @@ def check_wsym_action(G):
 
 @_each(_labeled)
 def check_wsym_words(G):
-    if ws.expand(ws.pchr_nc(G)) != LinComb((tuple(f), 1) for f in ws.packed_valid_colorings(G)):
+    if ws.expand(ws.pchr_nc(G)) != LinComb._merged(dict.fromkeys(ws.packed_valid_colorings(G), 1)):
         yield f"word expansion != packed valid colorings on {format_graph(G)}"
 
 

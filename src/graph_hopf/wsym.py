@@ -19,15 +19,17 @@ fiber partition once.  Words of different lengths are W elements of
 different degrees.
 
 All of it works on bitmasks: a packed word carries a clash mask over the
-edge slots (`graphs._slot_table`), `phi0_nc` reads components from one table
-per graph, its terms the shared partitions that `set_partitions` yields, and
-the W product and coproduct restrict partitions to masks of positions.
+edge slots (`graphs._slot_table`), `phi0_nc` reads each set partition's
+components through one table of component minima per vertex mask and one
+`itemgetter` per minima mask, its terms the shared partitions that
+`set_partitions` yields, and the W product and coproduct restrict partitions
+to masks of positions.
 
 The projection onto univariate polynomials takes W keys only: the W element
 of a k-block partition goes to k! times the k-th Hilbert polynomial, the
 normalization under which the projection intertwines both chromatic
 morphisms exactly: the falling factorial X(X-1)...(X-k+1), with integer
-coefficients.
+coefficients, so the units add up as integer multiples in one coefficient list.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from functools import lru_cache
 from operator import attrgetter, itemgetter
 
 from .chromatic import independent_partitions
-from .graphs import _set_partitions_list, _slot_table, component_masks, set_partitions
+from .graphs import _component_of, _set_partitions_list, _slot_table, set_partitions
 from .linear import LinComb, Polynomial, bilinear, falling_factorial
 
 
@@ -106,8 +108,8 @@ def wsym_element_coproduct(x):
 
 @lru_cache(maxsize=None)
 def pchr_nc(G):
-    """Noncommutative chromatic element: sum of W over independent partitions."""
-    return LinComb((p, 1) for p in independent_partitions(G))
+    """Noncommutative chromatic element: sum of W over the (distinct) independent partitions."""
+    return LinComb._merged(dict.fromkeys(independent_partitions(G), 1))
 
 
 @lru_cache(maxsize=None)
@@ -140,16 +142,24 @@ def phi0_nc(G):
     mask of its components' minima, one search per mask.  Read at the minima
     of p's blocks (their sum is an OR, the blocks being disjoint), p's growth
     string names the block of each component by increasing minimum: that is
-    Q(G, p), counted in one dict and read as a shared partition, so equal
-    terms of any two graphs are one object."""
+    Q(G, p): read by one `itemgetter` per minima mask, made on first use, and
+    counted as a shared partition, so equal terms of two graphs are one object."""
     minima = [0] * (1 << (G.n + 1))  # by vertex mask; bit 0 is never set
     positions = [()] * len(minima)
     for m in range(2, len(minima), 2):
-        minima[m] = (m & -m) | minima[m ^ next(component_masks(G, m))]
-        positions[m] = ((m & -m).bit_length() - 2,) + positions[m & (m - 1)]
+        low = m & -m
+        minima[m] = low | minima[m ^ _component_of(G.adj, low, m)]
+        positions[m] = (low.bit_length() - 2,) + positions[m ^ low]
+    read = [None] * len(minima)  # by minima mask; itemgetter needs two positions for a tuple
     counts = {}
     for p in set_partitions(G.n):
-        growth = tuple(map(p.growth.__getitem__, positions[sum(map(minima.__getitem__, p.masks))]))
+        at = sum(map(minima.__getitem__, p.masks))
+        get = read[at]
+        if get is None:
+            ps = positions[at]
+            get = read[at] = (itemgetter(*ps) if len(ps) > 1
+                              else lambda g, ps=ps: tuple(g[i] for i in ps))
+        growth = get(p.growth)
         counts[growth] = counts.get(growth, 0) + 1
     return LinComb._merged({_shared_partition(growth): c for growth, c in counts.items()})
 
@@ -168,9 +178,14 @@ def act_nc(G, lam):
 def hilbert_morphism(x):
     """Linear projection of a W-basis element to polynomials: the W element of
     a k-block partition goes to k! H_k, the falling factorial.  W keys only, as
-    no caller hands it words; they add up in falling-factorial units as they
-    are, so an int W element projects to int coefficients."""
+    no caller hands it words; they add up in falling-factorial units, and the
+    units times the falling factorials' integer coefficients in one list, so an
+    int W element projects to int coefficients and a Fraction one stays exact."""
     units = {}  # by k: the coefficient of k! H_k
     for key, coeff in x.terms():
         units[len(key)] = units.get(len(key), 0) + coeff
-    return sum((falling_factorial(k) * c for k, c in sorted(units.items())), Polynomial.zero())
+    coeffs = [0] * (max(units, default=-1) + 1)
+    for k, c in units.items():
+        for d, a in enumerate(falling_factorial(k).coeffs):
+            coeffs[d] += a * c
+    return Polynomial(coeffs)

@@ -75,11 +75,20 @@ MUTANTS = {
     (wsym, "_packed_words", "slots = _slot_table(n).items()",
      "slots = list(_slot_table(n).items())[:-1]", "check_wsym_words"):
         (37, "word expansion != packed valid colorings on 2: 1-2"),
-    (wsym, "phi0_nc", "minima[m] = (m & -m) | ", "minima[m] = ", "check_wsym_action"):
+    (wsym, "phi0_nc", "minima[m] = low | ", "minima[m] = ", "check_wsym_action"):
         (75, "chromatic element != acted packed-coloring morphism on 1:"),
+    (wsym, "phi0_nc", "counts[growth] = counts.get(growth, 0) + 1", "counts[growth] = 1",
+     "check_wsym_action"):
+        (61, "chromatic element != acted packed-coloring morphism on 3: 1-2, 1-3"),
     (wsym, "hilbert_morphism", "units[len(key)] = units.get(len(key), 0)",
      "units[key.n] = units.get(key.n, 0)", "check_projection_chromatic"):
         (142, "Hilbert projection of chromatic element is wrong on 2:"),
+    (wsym, "hilbert_morphism", "coeffs[d] += a * c", "coeffs[d] += a",
+     "check_projection_chromatic"):
+        (133, "Hilbert projection of chromatic element is wrong on 3:"),
+    (wsym, "pchr_nc", "dict.fromkeys(independent_partitions(G), 1)",
+     "dict.fromkeys(independent_partitions(G), 2)", "check_wsym_words"):
+        (76, "word expansion != packed valid colorings on 0:"),
     (wsym, "expand", "words.update(zip(_words(p), ",
      "words.update(zip(itertools.islice(_words(p), 1, None), ", "check_wsym_words"):
         (76, "word expansion != packed valid colorings on 0:"),
@@ -173,18 +182,25 @@ MUTANTS = {
 # the quotient pass keeps the id of `_quotient`, the module function it was
 # before it moved into AdmissibleLattice.quotient, the bipartition sum keeps
 # that of `delta_big_graph`, whose body it was before both bases shared it,
-# and the flats that drop a block are told apart from the other check_zeta row.
+# and the flats that drop a block, the minima table counting each growth
+# string once and the projection that drops the units are told apart from the
+# other row of their function and check.
 ROW_NAMES = {"reach[b] |= adj[v]": "_quotient",
              "side(left)), 1)": "delta_big_graph",
-             "self._inside.__getitem__, p.masks[1:]))": "AdmissibleLattice.flats"}
+             "self._inside.__getitem__, p.masks[1:]))": "AdmissibleLattice.flats",
+             "counts[growth] = 1": "phi0_nc.counts",
+             "coeffs[d] += a": "hilbert_morphism.coeffs"}
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS),
                          ids=lambda m: f"{ROW_NAMES.get(m[3], m[1])}-{m[4]}")
 def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     """The clash mask without the last edge slot, a component-minima table
-    that drops each component's minimum, a W element projected by its
-    length instead of its block count, a word expansion that drops one
+    that drops each component's minimum, a coloring morphism that counts
+    each distinct growth string once, a W element projected by its length
+    instead of its block count, a projection that adds the falling
+    factorials' coefficients without their units, a chromatic element with
+    every coefficient 2, a word expansion that drops one
     numbering per partition, an action that drops an admissible partition,
     monotone pairs that ignore the edges on which f falls, forest factors
     that leave the member's children uncontracted, nested forests that drop each member's

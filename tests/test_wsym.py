@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from graph_hopf import characters as ch
 from graph_hopf import chromatic as chrom
-from graph_hopf import graphs
 from graph_hopf import verify
 from graph_hopf import wsym as ws
 from graph_hopf.graphs import (
@@ -134,6 +133,16 @@ class TestChromaticElement:
         assert ws.pchr_nc(other) == (LinComb.term(part((1,), (2,), (3,)))
                                      + LinComb.term(part((1, 2), (3,))))
 
+    def test_keys_are_the_shared_partitions_once_each(self):
+        # the dict of independent partitions is adopted as it is: no key may
+        # be a copy, and every coefficient is the int 1
+        for n in range(5):
+            shared = {id(p) for p in set_partitions(n)}
+            for G in all_graphs(n):
+                terms = ws.pchr_nc.__wrapped__(G).terms()
+                assert all(id(p) in shared for p, _ in terms)
+                assert all(type(c) is int and c == 1 for _, c in terms)
+
     def test_word_expansion_is_valid_colorings(self):
         assert not verify.check_wsym_words(4)
 
@@ -195,17 +204,18 @@ class TestColoringMorphism:
 
     def test_components_found_once_per_vertex_mask(self, monkeypatch):
         calls = []
-        find = graphs._component_of
+        find = ws._component_of
 
         def counted(adj, seed, within):
             calls.append(within)
             return find(adj, seed, within)
 
-        monkeypatch.setattr(graphs, "_component_of", counted)
+        monkeypatch.setattr(ws, "_component_of", counted)
         ws.phi0_nc.__wrapped__(cycle_graph(7))
         # one search per nonempty vertex mask; one set of searches per set
         # partition made 4,719 for the Bell(7) = 877 partitions
-        assert len(calls) <= 2 ** 7
+        assert len(calls) == 2 ** 7 - 1
+        assert sorted(calls) == list(range(2, 2 ** 8, 2))  # vertex v is bit v
 
     def test_point(self):
         assert ws.expand(ws.phi0_nc(K1)) == LinComb.term((1,))
@@ -310,6 +320,17 @@ class TestHilbertProjection:
     def test_single_letter(self):
         # the W element of the one-point partition is the one-letter word 1
         assert ws.hilbert_morphism(LinComb.term(part((1,)))) == Polynomial.x()
+
+    def test_zero(self):
+        assert ws.hilbert_morphism(LinComb()) == Polynomial.zero()
+        assert ws.hilbert_morphism(LinComb()).coeffs == ()
+
+    def test_cancelling_units_are_stripped(self):
+        # two 2-block partitions with opposite coefficients cancel in the
+        # X(X-1) unit, leaving 3 W{123} = 3X, of degree 1 and not 2
+        x = LinComb([(part((1, 2), (3,)), 1), (part((1,), (2, 3)), -1), (part((1, 2, 3)), 3)])
+        assert ws.hilbert_morphism(x).coeffs == (0, 3)
+        assert ws.hilbert_morphism(x - LinComb.term(part((1, 2, 3)), 3)) == Polynomial.zero()
 
     def test_coloring_morphism_of_edgeless_pair(self):
         got = ws.hilbert_morphism(ws.phi0_nc(edgeless(2)))
