@@ -20,16 +20,16 @@ different degrees.
 
 All of it works on bitmasks: a packed word carries a clash mask over the
 edge slots (`graphs._slot_table`), `phi0_nc` reads each set partition's
-components through one table of component minima per vertex mask and one
-`itemgetter` per minima mask, its terms the shared partitions that
+components through one per-graph table of component minima by vertex mask and
+one `itemgetter` per minima mask, its terms the shared partitions that
 `set_partitions` yields, and the W product and coproduct restrict partitions
 to masks of positions.
 
 The projection onto univariate polynomials takes W keys only: the W element
 of a k-block partition goes to k! times the k-th Hilbert polynomial, the
 normalization under which the projection intertwines both chromatic
-morphisms exactly: the falling factorial X(X-1)...(X-k+1), with integer
-coefficients, so the units add up as integer multiples in one coefficient list.
+morphisms exactly: the falling factorial X(X-1)...(X-k+1), whose integer
+coefficients times the W coefficients summed by block count fill one list.
 """
 
 from __future__ import annotations
