@@ -11,6 +11,9 @@ graph-to-algebra morphisms on the right:
 
     (phi <- lam)(G) = sum over admissible p of lam(G|p) * phi(G/p).
 
+An action reads lam(G|p) block by block from one table that it keeps for as
+long as it lives, shared by all graphs that induce the same subgraph on a block.
+
 The distinguished characters: the all-ones character, whose convolution
 inverse is the chromatic character (the derivative of the chromatic
 polynomial at 0 on connected graphs).
@@ -25,6 +28,11 @@ from functools import lru_cache
 from .bialgebra import delta_small_graph
 from .graphs import (
     Graph,
+    _graph,
+    _memoised,
+    _restrict,
+    _set_partitions_list,
+    _slot_table,
     admissible_partitions,
     block_map,
     canonical_factors,
@@ -114,14 +122,43 @@ def invert_character(lam):
 
 
 def act(phi, lam):
-    """Right action of a character on a graph-to-algebra morphism; lam(G|p) is
-    the product of lam over p's blocks (see `block_map`).  LinComb values times
-    their nonzero weights are added term by term into one dict; other values
-    (Polynomial) times their weights are added in turn."""
+    """Right action of a character on a graph-to-algebra morphism.  The
+    returned function owns one block table for as long as it lives
+    (`_memoised`): keyed by (n, block mask B, the edge slots of G inside B),
+    which fix G|B, it holds lam(G|B), or None when G|B is disconnected, so
+    every graph that induces the same subgraph on B reads one entry.  A graph
+    reads the entries of its vertex masks once; a set partition of [n] is
+    dropped at its first disconnected block, and the others, the admissible
+    partitions p in order, are weighted by lam(G|p), the product over p's
+    blocks.  LinComb values times their nonzero weights are added term by
+    term into one dict; other values (Polynomial) times their weights are
+    added in turn."""
+    def block_value(key):
+        n, mask, inside = key
+        H = _restrict(_graph(n, tuple(e for e, k in _slot_table(n).items() if inside >> k & 1)),
+                      mask)
+        return lam.of_connected(H) if is_connected(H) else None
+
+    table = _memoised(block_value)
+    # by n: each vertex mask of [n], at index mask >> 1, with the edge slots inside it
+    inside_of = _memoised(lambda n: [(mask, sum(1 << k for (i, j), k in _slot_table(n).items()
+                                                if mask >> i & mask >> j & 1))
+                                     for mask in range(0, 1 << (n + 1), 2)])
+
     def acted(G):
-        lam_of = block_map(G, lam.of_connected)
-        values = [(phi(contract(G, p)), math.prod(map(lam_of, p.masks)))
-                  for p in admissible_partitions(G)]
+        n, slots = G.n, _slot_table(G.n)
+        edges = sum(1 << slots[e] for e in G.edges)
+        lam_of = [table((n, mask, edges & inside)) for mask, inside in inside_of(n)]
+        values = []
+        for p in _set_partitions_list(n):
+            weight = 1
+            for mask in p.masks:
+                value = lam_of[mask >> 1]
+                if value is None:
+                    break
+                weight *= value
+            else:
+                values.append((phi(contract(G, p)), weight))
         if not isinstance(values[0][0], LinComb):
             return sum((value * weight for value, weight in values[1:]),
                        values[0][0] * values[0][1])

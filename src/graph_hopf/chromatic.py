@@ -96,7 +96,7 @@ def pchr_deletion_contraction(G):
 @lru_cache(maxsize=None)
 def _pchr_delcon(C):
     if not C.edges:
-        return Polynomial.x() ** C.n
+        return Polynomial.x(C.n)
     e = C.edges[0]
     return (pchr_deletion_contraction(delete_edge(C, e))
             - pchr_deletion_contraction(contract_edge(C, e)))
@@ -147,7 +147,7 @@ def count_valid_colorings(G, k):
 
 def phi_zero(G):
     """The homogeneous polynomial morphism: X^(vertex count)."""
-    return Polynomial.x() ** G.n
+    return Polynomial.x(G.n)
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,9 @@ class Polynomial:
         return cls([1])
 
     @classmethod
-    def x(cls):
-        return cls([0, 1])
+    def x(cls, k=1):
+        """The monomial X^k, one coefficient list."""
+        return cls([0] * k + [1])
 
     @property
     def degree(self):

@@ -9,8 +9,10 @@ one object.  A suite runs its checks in order at the size bound, a
 runs, so a substituted or wrapped engine is the one checked.
 
 A check may share values across its objects (a memoised coproduct, a
-convolution, an inverse character): `_each`'s scope makes them once per call
-of the check or of `.one`, memoised by `graphs._memoised`.  No memo outlives
+convolution, an inverse character, a character action with its block table):
+`_each`'s scope makes them once per call of the check or of `.one`, memoised
+by `graphs._memoised`; `check_wsym_action` holds one action for its sweep, and
+`check_action_axioms` one per (morphism, character) pair.  No memo outlives
 the call or spans two checks, and none holds a side of the identity checked.
 
 Each check carries its enumerator as `objects`.  Given a `timings` dict, a
@@ -299,14 +301,15 @@ def check_monoid_laws(G, chars, triples):
             yield f"convolution not associative on {format_graph(G)}"
 
 
-@_each(_isoclasses, lambda: (_memoised(lambda pair: ch.convolve(*pair)),))
-def check_action_axioms(G, convolve):
-    if ch.act(chrom.phi_zero, ch.EPSILON_PRIME)(G) != chrom.phi_zero(G):
+@_each(_isoclasses, lambda: (_memoised(lambda pair: ch.convolve(*pair)),
+                              _memoised(lambda pair: ch.act(*pair))))
+def check_action_axioms(G, convolve, acts):
+    if acts((chrom.phi_zero, ch.EPSILON_PRIME))(G) != chrom.phi_zero(G):
         yield f"acting by the counit is not the identity on {format_graph(G)}"
     for lam, mu in ((ch.LAMBDA_ZERO, ch.LAMBDA_CHR), (ch.LAMBDA_CHR, ch.LAMBDA_CHR),
                     (ch.LAMBDA_CHR, ch.LAMBDA_ZERO)):
-        stepwise = ch.act(ch.act(chrom.phi_zero, lam), mu)(G)
-        if stepwise != ch.act(chrom.phi_zero, convolve((lam, mu)))(G):
+        stepwise = acts((acts((chrom.phi_zero, lam)), mu))(G)
+        if stepwise != acts((chrom.phi_zero, convolve((lam, mu))))(G):
             yield f"action axiom fails on {format_graph(G)}"
 
 
@@ -569,9 +572,9 @@ def check_wsym_coalgebra_morphism(G):
         yield f"noncommutative chromatic not a coalgebra morphism on {format_graph(G)}"
 
 
-@_each(_labeled)
-def check_wsym_action(G):
-    if ws.pchr_nc(G) != ws.act_nc(G, ch.LAMBDA_CHR):
+@_each(_labeled, lambda: (ch.act(ws.phi0_nc, ch.LAMBDA_CHR),))
+def check_wsym_action(G, acted):
+    if ws.pchr_nc(G) != acted(G):
         yield f"chromatic element != acted packed-coloring morphism on {format_graph(G)}"
 
 

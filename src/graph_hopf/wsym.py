@@ -164,14 +164,6 @@ def phi0_nc(G):
     return LinComb._merged({_shared_partition(growth): c for growth, c in counts.items()})
 
 
-def act_nc(G, lam):
-    """Right action of a character on the packed-coloring morphism, on the
-    W basis; with the chromatic character it gives `pchr_nc(G)`."""
-    from .characters import act
-
-    return act(phi0_nc, lam)(G)
-
-
 # ---------------------------------------------------------------------------
 # projection onto univariate polynomials
 

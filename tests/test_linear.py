@@ -108,6 +108,11 @@ class TestPolynomial:
         P = falling_factorial(3)  # X(X-1)(X-2)
         assert P(-1) == Fraction(-6)
 
+    def test_monomial_equals_the_power_of_x(self):
+        for k in range(9):
+            assert Polynomial.x(k) == Polynomial.x() ** k
+            assert Polynomial.x(k).coeffs == (0,) * k + (1,)
+
     def test_compose_sum_is_binomial(self):
         assert Polynomial.x().compose_sum() == {(1, 0): 1, (0, 1): 1}
 

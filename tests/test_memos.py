@@ -8,9 +8,9 @@ memo, or a memo that lives only as long as one call, is chosen instead.
 When one of them is bounded or removed, drop its name.  Every per-call memo
 goes through `graphs._memoised` (`block_map`, `least_blocks`, the recursions
 of `nested_forests` and `chromatic.block_sums`, the forest factors of
-`antipode_forest`, the scopes of `verify`'s checks and the quotient lattices
-of `check_interval_isomorphism`); `lru_cache` is kept for the process-wide
-memos.  Three tables are written by hand: the block table inside
+`antipode_forest`, the block tables of `characters.act`, the scopes of
+`verify`'s checks and the quotient lattices of `check_interval_isomorphism`);
+`lru_cache` is kept for the process-wide memos.  Three tables are written by hand: the block table inside
 `delta_small_graph`'s walk (read inline on every step of its inner loop),
 `Character._memo` (the benchmark reads its size) and the lattice's `_mobius`
 and `_joins`.
@@ -35,7 +35,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from graph_hopf import graphs
+from graph_hopf import characters, graphs, wsym
 from graph_hopf.chromatic import block_sums, independent_partitions
 from graph_hopf.graphs import admissible_partitions, all_graphs, complete, least_blocks
 
@@ -212,6 +212,41 @@ def test_isoclass_generation_leaves_the_canonical_form_memo_empty():
     other test has filled it."""
     code = ("from graph_hopf import graphs; graphs.graph_isoclasses(6); "
             "print(graphs.canonical_form.cache_info().currsize)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ), check=True)
+    assert run.stdout.split() == ["0"]
+
+
+class CountingCharacter:
+    """A character's values on connected graphs, counting the reads."""
+
+    def __init__(self, lam):
+        self.lam, self.reads = lam, 0
+
+    def of_connected(self, G):
+        self.reads += 1
+        return self.lam.of_connected(G)
+
+
+def test_one_action_reads_each_connected_block_once_across_graphs():
+    """One `act` over every labelled graph with at most 5 vertices asks the
+    character once per (n, block mask, edges inside the block) whose induced
+    subgraph is connected: the sum over n <= 5 of the connected labelled
+    graphs on each k-subset of [n], 1 + 3 + 10 + 64 + 973 = 1,051."""
+    lam = CountingCharacter(characters.LAMBDA_CHR)
+    acted = characters.act(wsym.phi0_nc, lam)
+    for n in range(6):
+        for G in all_graphs(n):
+            acted(G)
+    assert lam.reads == 1051
+
+
+def test_wsym_action_leaves_the_admissible_memo_empty():
+    """`check_wsym_action` reads its blocks through one action's table, not
+    through `admissible_partitions`; run in a fresh process, so that no other
+    test has filled `_admissible_list`."""
+    code = ("from graph_hopf import graphs, verify; assert not verify.check_wsym_action(5); "
+            "print(graphs._admissible_list.cache_info().currsize)")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ), check=True)
     assert run.stdout.split() == ["0"]

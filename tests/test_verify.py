@@ -95,6 +95,9 @@ MUTANTS = {
     (characters, "act", "for value, weight in values:",
      "for value, weight in values[1:]:", "check_wsym_action"):
         (76, "chromatic element != acted packed-coloring morphism on 0:"),
+    (characters, "act", "table((n, mask, edges & inside))", "table((n, mask, 0))",
+     "check_wsym_action"):
+        (71, "chromatic element != acted packed-coloring morphism on 2: 1-2"),
     (chromatic, "stanley_pairs", "mask = up | down", "mask = up", "check_stanley"):
         (28, "monotone-pair count != (-1)^n P(-2) on 2: 1-2"),
     (bialgebra, "antipode_forest", "forest_factor(G, *pair)", "forest_factor(G, pair[0], ())",
@@ -183,13 +186,15 @@ MUTANTS = {
 # before it moved into AdmissibleLattice.quotient, the bipartition sum keeps
 # that of `delta_big_graph`, whose body it was before both bases shared it,
 # and the flats that drop a block, the minima table counting each growth
-# string once and the projection that drops the units are told apart from the
-# other row of their function and check.
+# string once, the projection that drops the units and the block table keyed
+# without the edges inside the block are told apart from the other row of
+# their function and check.
 ROW_NAMES = {"reach[b] |= adj[v]": "_quotient",
              "side(left)), 1)": "delta_big_graph",
              "self._inside.__getitem__, p.masks[1:]))": "AdmissibleLattice.flats",
              "counts[growth] = 1": "phi0_nc.counts",
-             "coeffs[d] += a": "hilbert_morphism.coeffs"}
+             "coeffs[d] += a": "hilbert_morphism.coeffs",
+             "table((n, mask, 0))": "act.table"}
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS),
@@ -202,6 +207,7 @@ def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     factorials' coefficients without their units, a chromatic element with
     every coefficient 2, a word expansion that drops one
     numbering per partition, an action that drops an admissible partition,
+    an action whose block table keys a block without the edges inside it,
     monotone pairs that ignore the edges on which f falls, forest factors
     that leave the member's children uncontracted, nested forests that drop each member's
     first child, a W coproduct whose right leg packs the left mask again, a

@@ -271,21 +271,38 @@ class TestColoringMorphismOnW:
         assert ws.phi0_nc(edgeless(5)) == LinComb((p, 1) for p in set_partitions(5))
 
 
+def act_by_list_and_merge(phi, lam, G):
+    """Oracle: the action on a LinComb-valued phi as one LinComb per
+    admissible partition, zero weights included, merged at the end."""
+    lam_of = block_map(G, lam.of_connected)
+    values = [phi(contract(G, p)) * math.prod(map(lam_of, p.masks))
+              for p in admissible_partitions(G)]
+    return LinComb(term for value in values for term in value.terms())
+
+
+def act_by_polynomial_sum(phi, lam, G):
+    """Oracle: the action on a Polynomial-valued phi, one product per
+    admissible partition, zero weights included, added in turn."""
+    lam_of = block_map(G, lam.of_connected)
+    return sum((phi(contract(G, p)) * math.prod(map(lam_of, p.masks))
+                for p in admissible_partitions(G)), Polynomial.zero())
+
+
 class TestAction:
     def test_edge_by_hand(self):
-        got = ws.act_nc(K2, ch.LAMBDA_CHR)
+        got = ch.act(ws.phi0_nc, ch.LAMBDA_CHR)(K2)
         assert ws.expand(got) == LinComb.term((1, 2)) + LinComb.term((2, 1))
         assert got == ws.pchr_nc(K2)
 
     def test_point_identity(self):
-        assert ws.expand(ws.act_nc(K1, ch.LAMBDA_CHR)) == LinComb.term((1,))
+        assert ws.expand(ch.act(ws.phi0_nc, ch.LAMBDA_CHR)(K1)) == LinComb.term((1,))
 
     def test_path(self):
-        assert ws.expand(ws.act_nc(P3, ch.LAMBDA_CHR)) == ws.expand(ws.pchr_nc(P3))
+        assert ws.expand(ch.act(ws.phi0_nc, ch.LAMBDA_CHR)(P3)) == ws.expand(ws.pchr_nc(P3))
 
     def test_on_w_basis(self):
-        assert ws.act_nc(P3, ch.LAMBDA_CHR) == ws.pchr_nc(P3)
-        assert ws.act_nc(K1, ch.LAMBDA_CHR) == LinComb.term(part((1,)))
+        assert ch.act(ws.phi0_nc, ch.LAMBDA_CHR)(P3) == ws.pchr_nc(P3)
+        assert ch.act(ws.phi0_nc, ch.LAMBDA_CHR)(K1) == LinComb.term(part((1,)))
 
     def test_all_indexed_graphs_small(self):
         assert not verify.check_wsym_action(4)
@@ -297,21 +314,41 @@ class TestAction:
             for G in all_graphs(n):
                 assert ch.act(ws.phi0_nc, lam)(G) == act_by_list_and_merge(ws.phi0_nc, lam, G)
 
+    @pytest.mark.parametrize("lam", [ch.LAMBDA_CHR, ch.LAMBDA_ZERO, ch.EPSILON_PRIME],
+                             ids=lambda lam: lam.name)
+    @pytest.mark.parametrize("phi, oracle", [(ws.phi0_nc, act_by_list_and_merge),
+                                             (chrom.phi_zero, act_by_polynomial_sum)],
+                             ids=["phi0_nc", "phi_zero"])
+    def test_one_block_table_shared_across_graphs(self, lam, phi, oracle):
+        """One action over every labelled graph with at most 5 vertices, the
+        sizes taken down and then up, so that graphs of each size read
+        entries that graphs of larger and of smaller sizes left: a key that
+        lost n, or the edges inside its block, reads another graph's value."""
+        acted = ch.act(phi, lam)
+        for n in (4, 2, 0, 1, 3, 5):
+            for G in all_graphs(n):
+                assert acted(G) == oracle(phi, lam, G)
 
-def act_by_list_and_merge(phi, lam, G):
-    """Oracle: the action on a LinComb-valued phi as one LinComb per
-    admissible partition, zero weights included, merged at the end."""
-    lam_of = block_map(G, lam.of_connected)
-    values = [phi(contract(G, p)) * math.prod(map(lam_of, p.masks))
-              for p in admissible_partitions(G)]
-    return LinComb(term for value in values for term in value.terms())
+    @pytest.mark.parametrize("phi, zero", [(ws.phi0_nc, LinComb()),
+                                           (chrom.phi_zero, Polynomial.zero())],
+                             ids=["phi0_nc", "phi_zero"])
+    def test_empty_graph_and_a_character_that_vanishes_on_a_point(self, phi, zero):
+        # a character that vanishes on K1 weighs each partition with a
+        # singleton block 0, so an edgeless graph acts to 0 by zero weights
+        assert ch.act(phi, ch.LAMBDA_CHR)(Graph(0)) == phi(Graph(0))
+        acted = ch.act(phi, ch.Character(lambda G: G.n - 1, "n-1"))
+        assert acted(Graph(0)) == phi(Graph(0))
+        assert acted(K1) == zero
+        assert acted(K2) == phi(K1)
+        assert acted(edgeless(3)) == zero
+        assert acted(P3) == phi(K1) * 2
 
 
 @settings(max_examples=5, deadline=None)
 @given(st.integers(6, 7), st.randoms(use_true_random=False), st.floats(0.2, 0.8))
 def test_coloring_morphism_beyond_the_exhaustive_bound(n, rng, p):
     G = random_graph(n, rng, p)
-    assert ws.act_nc(G, ch.LAMBDA_CHR) == ws.pchr_nc(G)
+    assert ch.act(ws.phi0_nc, ch.LAMBDA_CHR)(G) == ws.pchr_nc(G)
     assert ws.hilbert_morphism(ws.phi0_nc(G)) == chrom.phi_zero(G)
     assert ws.expand(ws.phi0_nc(G)) == phi0_nc_per_word(G)
 
@@ -365,7 +402,7 @@ class TestOneRouteAgainstTheOther:
     def test_on_every_labelled_graph_up_to_5(self):
         for n in range(6):
             for G in all_graphs(n):
-                for x in (ws.pchr_nc(G), ws.phi0_nc(G), ws.act_nc(G, ch.LAMBDA_CHR)):
+                for x in (ws.pchr_nc(G), ws.phi0_nc(G), ch.act(ws.phi0_nc, ch.LAMBDA_CHR)(G)):
                     assert ws.expand(x) == expand_by_bind(x)
                     assert ws.hilbert_morphism(x) == hilbert_by_fractions(x)
 
