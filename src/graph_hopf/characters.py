@@ -135,8 +135,8 @@ def act(phi, lam):
     added in turn."""
     def block_value(key):
         n, mask, inside = key
-        H = _restrict(_graph(n, tuple(e for e, k in _slot_table(n).items() if inside >> k & 1)),
-                      mask)
+        edges = tuple(e for e, k in _slot_table(n).items() if inside >> k & 1)
+        H = _restrict(_graph(n, edges), mask)
         return lam.of_connected(H) if is_connected(H) else None
 
     table = _memoised(block_value)

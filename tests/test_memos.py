@@ -10,10 +10,10 @@ goes through `graphs._memoised` (`block_map`, `least_blocks`, the recursions
 of `nested_forests` and `chromatic.block_sums`, the forest factors of
 `antipode_forest`, the block tables of `characters.act`, the scopes of
 `verify`'s checks and the quotient lattices of `check_interval_isomorphism`);
-`lru_cache` is kept for the process-wide memos.  Three tables are written by hand: the block table inside
-`delta_small_graph`'s walk (read inline on every step of its inner loop),
-`Character._memo` (the benchmark reads its size) and the lattice's `_mobius`
-and `_joins`.
+`lru_cache` is kept for the process-wide memos.  Three tables are written by
+hand: the block table inside `delta_small_graph`'s walk (read inline on every
+step of its inner loop), `Character._memo` (the benchmark reads its size) and
+the lattice's `_mobius` and `_joins`.
 
 A module-level dict that starts empty is the same kind of memo, hidden from
 `cache_info`, from `verify --timings` and from the benchmark's cache metrics.
