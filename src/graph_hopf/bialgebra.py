@@ -12,13 +12,13 @@ Two parallel bases:
 
 The restriction coproduct Δ splits a graph over all ordered vertex-set
 bipartitions; the contraction-extraction coproduct δ sums (G/p) (x) (G|p)
-over admissible partitions p.  The two cointeraction routes are compositions
-of these maps: (δ (x) δ)∘Δ with the extraction legs merged, and
-(Δ (x) id)∘δ.  The quotient by the relation "isolated vertex = 1" is
-represented by stripping single-vertex factors from monomials; that quotient
-carries the antipode, whose two independent engines are registered in
-`ANTIPODE_ENGINES`.  The recursive one sums over the terms of the
-commutative δ, which walks the admissible partitions block by block and
+over admissible partitions p.  In either basis the two cointeraction routes
+compose these maps: (δ (x) δ)∘Δ with the extraction legs joined by the
+product passed in, and (Δ (x) id)∘δ.  The quotient by the relation "isolated
+vertex = 1" is represented by stripping single-vertex factors from monomials;
+that quotient carries the antipode, whose two independent engines are
+registered in `ANTIPODE_ENGINES`.  The recursive one sums over the terms of
+the commutative δ, which walks the admissible partitions block by block and
 counts them by G/p and blocks before it builds a term.
 """
 
@@ -234,19 +234,20 @@ def antipode_element(x):
 # ---------------------------------------------------------------------------
 # cointeraction of the two coproducts
 
-def cointeraction_lhs(x, big, small):
+def cointeraction_lhs(x, big, small, mul):
     """Route one, (δ (x) δ)∘Δ, for a restriction coproduct `big` and a
-    contraction-extraction coproduct `small` of monomials: split first, then
-    contract-extract each side and merge the extraction legs
-    (a1 (x) b1 (x) a2 (x) b2 -> a1 (x) a2 (x) b1 b2).  A memoised `small`
-    takes δ once per distinct leg."""
+    contraction-extraction coproduct `small` of one basis, and its product
+    `mul`: split first, then contract-extract each side and join the
+    extraction legs by `mul` (a1 (x) b1 (x) a2 (x) b2 -> a1 (x) a2 (x) b1 b2):
+    `mono_mul` on monomials, `disjoint_union` on indexed graphs.  A memoised
+    `small` takes δ once per distinct leg."""
     return big(x).bind(lambda k: bilinear(
-        small(k[0]), small(k[1]), lambda s, t: (s[0], t[0], mono_mul(s[1], t[1]))))
+        small(k[0]), small(k[1]), lambda s, t: (s[0], t[0], mul(s[1], t[1]))))
 
 
 def cointeraction_rhs(x, big, small):
-    """Route two, (Δ (x) id)∘δ, for coproducts `big` and `small` as in route
-    one: contract-extract first, then split the contracted leg."""
+    """Route two, (Δ (x) id)∘δ, for coproducts `big` and `small` of one basis
+    as in route one: contract-extract first, then split the contracted leg."""
     return small(x).bind(lambda k: big(k[0]).map_keys(lambda ab: (ab[0], ab[1], k[1])))
 
 

@@ -2,17 +2,16 @@
 
 A character is a multiplicative rational-valued functional on graph
 monomials, determined by its values on connected isomorphism classes.
-Convolution is dual to the contraction-extraction coproduct:
-
-    (lam * mu)(G) = sum over admissible p of lam(G/p) * mu(G|p)
-
-with unit the counit (1 on totally disconnected graphs).  Characters act on
-graph-to-algebra morphisms on the right:
+Characters act on graph-to-algebra morphisms on the right, dually to the
+contraction-extraction coproduct:
 
     (phi <- lam)(G) = sum over admissible p of lam(G|p) * phi(G/p).
 
-An action reads lam(G|p) block by block from one table that it keeps for as
-long as it lives, shared by all graphs that induce the same subgraph on a block.
+A character is a morphism into Q, so the convolution lam * mu is the action
+lam <- mu: the sum over admissible p of lam(G/p) * mu(G|p), with unit the
+counit (1 on totally disconnected graphs).  An action reads lam(G|p) block by
+block from one table that it keeps for as long as it lives, shared by all
+graphs that induce the same subgraph on a block.
 
 The distinguished characters: the all-ones character, whose convolution
 inverse is the chromatic character (the derivative of the chromatic
@@ -21,7 +20,6 @@ polynomial at 0 on connected graphs).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,8 +31,6 @@ from .graphs import (
     _restrict,
     _set_partitions_list,
     _slot_table,
-    admissible_partitions,
-    block_map,
     canonical_factors,
     canonical_form,
     contract,
@@ -86,16 +82,8 @@ EPSILON_PRIME = Character(lambda G: 1 if not G.edges else 0, "counit")
 LAMBDA_ZERO = Character(lambda G: 1, "all-ones")
 
 
-def convolve_value(lam, mu, G):
-    """The convolution sum evaluated directly on any graph; mu(G|p) is the
-    product of mu over p's blocks (see `block_map`)."""
-    mu_of = block_map(G, mu.of_connected)
-    return sum(lam(contract(G, p)) * math.prod(map(mu_of, p.masks))
-               for p in admissible_partitions(G))
-
-
 def convolve(lam, mu):
-    return Character(lambda G: convolve_value(lam, mu, G), f"{lam.name}*{mu.name}")
+    return Character(act(lam, mu), f"{lam.name}*{mu.name}")
 
 
 def invert_character(lam):
@@ -130,9 +118,9 @@ def act(phi, lam):
     reads the entries of its vertex masks once; a set partition of [n] is
     dropped at its first disconnected block, and the others, the admissible
     partitions p in order, are weighted by lam(G|p), the product over p's
-    blocks.  LinComb values times their nonzero weights are added term by
-    term into one dict; other values (Polynomial) times their weights are
-    added in turn."""
+    blocks.  LinComb values times their nonzero weights are added term by term
+    into one dict; other values (a Polynomial, or a character's scalar, which
+    makes the action a convolution) times their weights are added in turn."""
     def block_value(key):
         n, mask, inside = key
         edges = tuple(e for e, k in _slot_table(n).items() if inside >> k & 1)

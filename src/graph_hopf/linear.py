@@ -186,9 +186,7 @@ class Polynomial:
         return Polynomial([self.coeff(i) + other.coeff(i) for i in range(n)])
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coeff(i) - other.coeff(i) for i in range(n)])
+        return self + -self._coerce(other)
 
     def __neg__(self):
         return Polynomial([-c for c in self.coeffs])
@@ -207,8 +205,7 @@ class Polynomial:
                     out[i + j] += a * b
         return Polynomial(out)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __pow__(self, k):
         out = Polynomial.one()

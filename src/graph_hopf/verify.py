@@ -12,8 +12,10 @@ A check may share values across its objects (a memoised coproduct, a
 convolution, an inverse character, a character action with its block table):
 `_each`'s scope makes them once per call of the check or of `.one`, memoised
 by `graphs._memoised`; `check_wsym_action` holds one action for its sweep, and
-`check_action_axioms` one per (morphism, character) pair.  No memo outlives
-the call or spans two checks, and none holds a side of the identity checked.
+the three convolution checks one per pair: a unit or inverse law reads lam * mu
+on G as the action lam <- mu.  No memo outlives the call or spans two checks,
+and none holds a side of the identity checked.  The indexed witness of
+`check_cointeraction` composes the routes shared with `bialgebra`.
 
 Each check carries its enumerator as `objects`.  Given a `timings` dict, a
 suite records each check's seconds and, after the clock stops, its object
@@ -210,21 +212,17 @@ def check_grading(G):
 
 
 def _indexed_cointeraction_sides(G):
-    """Both cointeraction routes with every leg left indexed: (δ (x) δ)∘Δ with
-    the extraction legs merged by disjoint union, and (Δ (x) id)∘δ."""
-    lhs = bi.delta_big_indexed(G).bind(lambda k: bilinear(
-        bi.delta_small_indexed(k[0]), bi.delta_small_indexed(k[1]),
-        lambda s, t: (s[0], t[0], disjoint_union(s[1], t[1]))))
-    rhs = bi.delta_small_indexed(G).bind(
-        lambda k: bi.delta_big_indexed(k[0]).map_keys(lambda ab: (ab[0], ab[1], k[1])))
-    return lhs, rhs
+    """Both shared cointeraction routes with every leg left indexed, the
+    extraction legs of (δ (x) δ)∘Δ joined by disjoint union."""
+    return (bi.cointeraction_lhs(G, bi.delta_big_indexed, bi.delta_small_indexed, disjoint_union),
+            bi.cointeraction_rhs(G, bi.delta_big_indexed, bi.delta_small_indexed))
 
 
 @_each(_isoclasses, _memoised_coproducts)
 def check_cointeraction(G, *coproducts):
     (_, _, big), (_, _, small) = coproducts
-    mono = bi.iso(G)
-    if bi.cointeraction_lhs(mono, big, small) != bi.cointeraction_rhs(mono, big, small):
+    routes = (bi.iso(G), big, small)
+    if bi.cointeraction_lhs(*routes, bi.mono_mul) != bi.cointeraction_rhs(*routes):
         yield f"cointeraction identity fails on {format_graph(G)}"
     if G == canonical_form(INDEXED_PATH_WITNESS):
         lhs, rhs = _indexed_cointeraction_sides(INDEXED_PATH_WITNESS)
@@ -270,31 +268,32 @@ def check_character_engines(G):
         yield f"chromatic character engines disagree on {format_graph(G)}"
 
 
-@_each(_connected, lambda: (ch.invert_character(ch.LAMBDA_ZERO),))
-def check_character_inverse(G, inv0):
-    if ch.convolve_value(ch.LAMBDA_CHR, ch.LAMBDA_ZERO, G) != ch.EPSILON_PRIME(G):
+@_each(_connected, lambda: (ch.invert_character(ch.LAMBDA_ZERO),
+                            _memoised(lambda pair: ch.act(*pair))))
+def check_character_inverse(G, inv0, acts):
+    if acts((ch.LAMBDA_CHR, ch.LAMBDA_ZERO))(G) != ch.EPSILON_PRIME(G):
         yield f"chromatic * all-ones != counit on {format_graph(G)}"
-    if ch.convolve_value(ch.LAMBDA_ZERO, ch.LAMBDA_CHR, G) != ch.EPSILON_PRIME(G):
+    if acts((ch.LAMBDA_ZERO, ch.LAMBDA_CHR))(G) != ch.EPSILON_PRIME(G):
         yield f"all-ones * chromatic != counit on {format_graph(G)}"
     if inv0(G) != ch.LAMBDA_CHR(G):
         yield f"inverse of all-ones != chromatic character on {format_graph(G)}"
 
 
 def _monoid_sides():
-    """The three characters, and both sides (a*b)*c and a*(b*c) of each of
-    the 27 triples, built on the nine pair convolutions."""
+    """Each character with its actions on and by the counit, and both sides
+    (a*b)*c and a*(b*c) of the 27 triples, built on the nine pair convolutions."""
     chars = (ch.EPSILON_PRIME, ch.LAMBDA_ZERO, ch.LAMBDA_CHR)
+    units = [(lam, ch.act(ch.EPSILON_PRIME, lam), ch.act(lam, ch.EPSILON_PRIME)) for lam in chars]
     pairs = {(a, b): ch.convolve(a, b) for a, b in itertools.product(chars, repeat=2)}
-    return chars, [(ch.convolve(pairs[a, b], c), ch.convolve(a, pairs[b, c]))
+    return units, [(ch.convolve(pairs[a, b], c), ch.convolve(a, pairs[b, c]))
                    for a, b, c in itertools.product(chars, repeat=3)]
 
 
 @_each(_isoclasses, _monoid_sides)
-def check_monoid_laws(G, chars, triples):
+def check_monoid_laws(G, units, triples):
     """Associativity of convolution with unit the counit, on small graphs."""
-    for lam in chars:
-        if ch.convolve_value(ch.EPSILON_PRIME, lam, G) != lam(G) \
-                or ch.convolve_value(lam, ch.EPSILON_PRIME, G) != lam(G):
+    for lam, unit_left, unit_right in units:
+        if unit_left(G) != lam(G) or unit_right(G) != lam(G):
             yield f"counit is not a convolution unit on {format_graph(G)}"
     for left, right in triples:
         if left(G) != right(G):

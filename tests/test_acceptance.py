@@ -115,10 +115,12 @@ def test_criterion_05_antipode():
 def test_criterion_06_character_monoid():
     with _Criterion(6, 30, "chromatic and all-ones characters are mutually inverse"):
         inv = ch.invert_character(ch.LAMBDA_ZERO)
+        chr_zero = ch.act(ch.LAMBDA_CHR, ch.LAMBDA_ZERO)
+        zero_chr = ch.act(ch.LAMBDA_ZERO, ch.LAMBDA_CHR)
         for n in range(1, 7):
             for G in connected_isoclasses(n):
-                assert ch.convolve_value(ch.LAMBDA_CHR, ch.LAMBDA_ZERO, G) == ch.EPSILON_PRIME(G)
-                assert ch.convolve_value(ch.LAMBDA_ZERO, ch.LAMBDA_CHR, G) == ch.EPSILON_PRIME(G)
+                assert chr_zero(G) == ch.EPSILON_PRIME(G)
+                assert zero_chr(G) == ch.EPSILON_PRIME(G)
                 assert inv(G) == ch.LAMBDA_CHR(G)
 
 

@@ -213,7 +213,7 @@ class TestAntipode:
 
 def both_routes(x):
     """Both cointeraction routes on x, composed from the module's coproducts."""
-    return (bi.cointeraction_lhs(x, bi.delta_big, bi.delta_small),
+    return (bi.cointeraction_lhs(x, bi.delta_big, bi.delta_small, bi.mono_mul),
             bi.cointeraction_rhs(x, bi.delta_big, bi.delta_small))
 
 

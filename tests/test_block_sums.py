@@ -2,13 +2,16 @@
 the extract-based formulas they replace.
 
 For an admissible p, G|p is the disjoint union of the subgraphs induced on
-p's blocks, so `delta_small_graph`, `pchr_character_formula`,
-`convolve_value`, `invert_character` and `act` evaluate it through
-`graphs.block_map` instead of building extract(G, p); `delta_small_graph`
+p's blocks, so `delta_small_graph`, `pchr_character_formula` and
+`invert_character` evaluate it block by block instead of building
+extract(G, p), and `act` reads it from its block table; `delta_small_graph`
 also groups the partitions by the labelled G/p and the block forms before it
-builds any term.  The functions below are test-only copies of the bodies
-that built extract(G, p) for every p.  The restriction counts wrap
-`graphs._restrict`, through which every restriction goes.
+builds any term.  A convolution lam * mu is the action lam <- mu, so
+`convolve_by_extraction` is compared with `act`, and the multiplicative
+`convolve` with `act` on disconnected graphs too.  The functions below are
+test-only copies of the bodies that built extract(G, p) for every p.  The
+restriction counts wrap `graphs._restrict`, through which every restriction
+goes.
 
 `delta_small_graph`, `pchr_character_formula` and `pchr_partition` no longer
 run over a list of partitions: they walk the blocks of the least uncovered
@@ -105,7 +108,7 @@ def assert_sums_match(G, characters=CHARACTERS, word_action=False):
     assert chrom.pchr_character_formula(G) == pchr_character_by_extraction(G)
     for lam in characters:
         for mu in characters:
-            assert ch.convolve_value(lam, mu, G) == convolve_by_extraction(lam, mu, G)
+            assert ch.act(lam, mu)(G) == convolve_by_extraction(lam, mu, G)
         assert ch.act(chrom.phi_zero, lam)(G) == act_by_extraction(chrom.phi_zero, lam)(G)
         if word_action:
             assert ch.act(ws.phi0_nc, lam)(G) == act_by_extraction(ws.phi0_nc, lam)(G)
@@ -117,6 +120,17 @@ def assert_sums_match(G, characters=CHARACTERS, word_action=False):
 def test_every_isoclass_up_to_5():
     for G in isoclasses_up_to(5):
         assert_sums_match(G, word_action=True)
+
+
+def test_convolution_is_the_action_on_every_isoclass_up_to_5():
+    """`convolve` multiplies its values over components, the action sums
+    over the admissible partitions of the whole graph: the two agree because
+    a convolution of characters is a character."""
+    for lam in CHARACTERS:
+        for mu in CHARACTERS:
+            product, acted = ch.convolve(lam, mu), ch.act(lam, mu)
+            for G in isoclasses_up_to(5):
+                assert product(G) == acted(G), (lam, mu, G)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from graph_hopf.chromatic import independent_partitions
 from graph_hopf.graphs import (
     Graph,
     Partition,
+    _canonical_form,
     _set_partitions_list,
     _vertex_signature,
     acyclic_orientations,
@@ -477,6 +479,18 @@ class TestCanonicalKeys:
                 H.add_nodes_from(range(1, n + 1))
                 reps.append(H)
             assert not any(nx.is_isomorphic(a, b) for a, b in itertools.combinations(reps, 2))
+
+    def test_isoclasses_are_the_graph_atlas(self):
+        """The Atlas of Graphs lists each graph with at most 7 vertices once up
+        to isomorphism, 1,253 in all; canonicalised without the memo, its graphs
+        on n vertices are exactly `graph_isoclasses(n)`, each class once."""
+        forms = collections.defaultdict(list)
+        for H in nx.graph_atlas_g():
+            G = Graph(H.number_of_nodes(), [(u + 1, v + 1) for u, v in H.edges()])
+            forms[G.n].append(_canonical_form(G))
+        assert sorted(forms) == list(range(8))
+        for n, found in forms.items():
+            assert tuple(sorted(found)) == graph_isoclasses(n)
 
 
 def nested_forests_by_tuples(G):

@@ -153,7 +153,7 @@ class TestSubsetTables:
 
     def test_cointeraction_lhs_both_bases_up_to_4_vertices(self):
         for G in labelled_graphs(4):
-            assert (bi.cointeraction_lhs(G, bi.delta_big, bi.delta_small)
+            assert (bi.cointeraction_lhs(G, bi.delta_big, bi.delta_small, bi.mono_mul)
                     == reference_cointeraction_lhs(G, old_iso)), G
             assert (verify._indexed_cointeraction_sides(G)[0]
                     == reference_cointeraction_lhs(G, lambda g: g)), G

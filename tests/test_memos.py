@@ -8,8 +8,9 @@ memo, or a memo that lives only as long as one call, is chosen instead.
 When one of them is bounded or removed, drop its name.  Every per-call memo
 goes through `graphs._memoised` (`block_map`, `least_blocks`, the recursions
 of `nested_forests` and `chromatic.block_sums`, the forest factors of
-`antipode_forest`, the block tables of `characters.act`, the scopes of
-`verify`'s checks and the quotient lattices of `check_interval_isomorphism`);
+`antipode_forest`, the block tables of `characters.act`, which every
+convolution reads, the scopes of `verify`'s checks and the quotient lattices
+of `check_interval_isomorphism`);
 `lru_cache` is kept for the process-wide memos.  Three tables are written by
 hand: the block table inside `delta_small_graph`'s walk (read inline on every
 step of its inner loop), `Character._memo` (the benchmark reads its size) and
@@ -37,7 +38,13 @@ from pathlib import Path
 
 from graph_hopf import characters, graphs, wsym
 from graph_hopf.chromatic import block_sums, independent_partitions
-from graph_hopf.graphs import admissible_partitions, all_graphs, complete, least_blocks
+from graph_hopf.graphs import (
+    admissible_partitions,
+    all_graphs,
+    complete,
+    connected_isoclasses,
+    least_blocks,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "graph_hopf"
@@ -239,6 +246,29 @@ def test_one_action_reads_each_connected_block_once_across_graphs():
         for G in all_graphs(n):
             acted(G)
     assert lam.reads == 1051
+
+
+def test_one_convolution_reads_each_connected_block_once_across_graphs(monkeypatch):
+    """A convolution is an action, so one `convolve(LAMBDA_ZERO, mu)` over the
+    143 connected isoclasses with 1-6 vertices asks mu once per distinct
+    connected (n, block mask, edges inside the block) of its one block table:
+    1,045 times, where a sum over each graph's own admissible partitions
+    asked 5,494 times."""
+    mu = characters.Character(lambda G: len(G.edges) + 1, "edges+1")
+    reads = []
+    of_connected = characters.Character.of_connected
+
+    def counted(self, G):
+        if self is mu:
+            reads.append(G)
+        return of_connected(self, G)
+
+    monkeypatch.setattr(characters.Character, "of_connected", counted)
+    convolution = characters.convolve(characters.LAMBDA_ZERO, mu)
+    for n in range(1, 7):
+        for G in connected_isoclasses(n):
+            convolution(G)
+    assert len(reads) == 1045
 
 
 def test_wsym_action_leaves_the_admissible_memo_empty():

@@ -153,12 +153,15 @@ MUTANTS = {
     (bialgebra, "mono_mul", "return tuple(sorted(a + b))", "return tuple(a + b)",
      "check_multiplicativity"):
         (12, "restriction coproduct not multiplicative on 2: 1-2 * 1:"),
-    (characters, "convolve", "lambda G: convolve_value(lam, mu, G)",
-     "lambda G: convolve_value(lam, lam, G)", "check_monoid_laws"):
+    (characters, "convolve", "Character(act(lam, mu), ", "Character(act(lam, lam), ",
+     "check_monoid_laws"):
         (252, "convolution not associative on 2: 1-2"),
-    (characters, "convolve", "lambda G: convolve_value(lam, mu, G)",
-     "lambda G: convolve_value(lam, lam, G)", "check_action_axioms"):
+    (characters, "convolve", "Character(act(lam, mu), ", "Character(act(lam, lam), ",
+     "check_action_axioms"):
         (28, "action axiom fails on 2: 1-2"),
+    (bialgebra, "cointeraction_lhs", "mul(s[1], t[1])", "mul(s[1], s[1])",
+     "check_cointeraction"):
+        (18, "cointeraction identity fails on 1:"),
     (characters, "act", "values[0][0] * values[0][1])", "values[0][0])", "check_action_axioms"):
         (56, "acting by the counit is not the identity on 2: 1-2"),
     (characters, "invert_character", "return Fraction(-total) / c", "return Fraction(total) / c",
@@ -226,7 +229,8 @@ def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     times too large, a canonical search that places each tied labeling's
     new vertex one position low, a bipartition sum whose right leg
     repeats the left one, monomial products left unsorted, a convolution of
-    lam with itself in place of lam * mu, an action on polynomial values
+    lam with itself in place of lam * mu, a cointeraction route that joins
+    each extraction leg to itself, an action on polynomial values
     that drops the weight of its first partition, and a character inverse
     that adds the sum over smaller pieces instead of subtracting it: each is
     seen by the check that compares that side with an independent one.  A mutated function or class replaces
