@@ -58,19 +58,6 @@ def mono_mul(a, b):
     return tuple(sorted(a + b))
 
 
-def mono_vertices(mono):
-    return sum(f.n for f in mono)
-
-
-def mono_degree(mono):
-    """Contraction-extraction grading: each connected factor counts n - 1."""
-    return sum(f.n - 1 for f in mono)
-
-
-def mono_totally_disconnected(mono):
-    return all(not f.edges for f in mono)
-
-
 def strip_units(mono):
     """Drop single-vertex factors: the quotient sending the one-vertex graph to 1."""
     return tuple(f for f in mono if f.n >= 2)
@@ -166,7 +153,7 @@ def delta_small_indexed(x):
 
 def counit_small(x):
     """1 on totally disconnected basis keys, 0 elsewhere, extended linearly."""
-    return sum(coeff for key, coeff in as_element(x).terms() if mono_totally_disconnected(key))
+    return sum(coeff for key, coeff in as_element(x).terms() if all(not f.edges for f in key))
 
 
 # ---------------------------------------------------------------------------

@@ -122,10 +122,6 @@ def count_valid_colorings(G, k):
     """Brute-force count of valid colorings with colors 1..k (backtracking)."""
     if k < 0:
         raise ValueError("color count must be >= 0")
-    if G.n == 0:
-        return 1
-    if k == 0:
-        return 0
     earlier = [[] for _ in range(G.n + 1)]
     for i, j in G.edges:
         earlier[max(i, j)].append(min(i, j))

@@ -8,7 +8,7 @@ graphs.
 Vertices are the integers 1..n; an edge is an unordered pair stored as
 (i, j) with i < j.  The adjacency as per-vertex bitmasks is built on first
 read.  Inside the package a vertex set is a mask with bit v for each vertex
-v; only `restrict` and `components_within` take or give vertex tuples.
+v; only `restrict` and `connected_components` take or give vertex tuples.
 Each Partition keeps one mask per block and its restricted-growth string;
 the table of all of them, sorted by that string so an entry is found by
 its rank, extends that of [n - 1] by n, sharing blocks.  Any other is built
@@ -147,9 +147,6 @@ class Partition:
     @classmethod
     def singletons(cls, n):
         return cls(n, [(v,) for v in range(1, n + 1)])
-
-    def block_of(self, v):
-        return self.blocks[self.growth[v - 1]]
 
     def __len__(self):
         return len(self.blocks)
@@ -444,15 +441,9 @@ def component_masks(G, mask):
         yield comp
 
 
-def components_within(G, vertices):
-    """Components of the subgraph induced on `vertices`: sorted vertex tuples,
-    listed by minimal element."""
-    return [tuple(_bits(c)) for c in component_masks(G, sum(1 << v for v in set(vertices)))]
-
-
 def connected_components(G):
     """Vertex sets of the components, each sorted, listed by minimal element."""
-    return components_within(G, range(1, G.n + 1))
+    return [tuple(_bits(c)) for c in component_masks(G, (1 << (G.n + 1)) - 2)]
 
 
 def component_graphs(G):

@@ -4,18 +4,21 @@ A check is a generator of violation messages for one object, declared with
 the enumerator it walks: `@_each(_isoclasses)`, `_connected`, `_labeled`,
 set partitions, or the pairs of the product checks.  `_each` turns it into
 `check_x(max_n) -> list[str]` through one loop, and `check_x.one(obj)` runs
-one object.  A suite runs its checks in order at the size bound, a
-`(check, cap)` row at `min(max_n, cap)`.  Engines are looked up when a check
-runs, so a substituted or wrapped engine is the one checked.
+one object.  A suite is a declaration of its rows, `_suite(check, ...)`: it
+runs them in order at the size bound, a `(check, cap)` row at
+`min(max_n, cap)`.  Checks and engines are looked up by name when they run,
+so a substituted or wrapped check or engine is the one that runs.
 
 A check may share values across its objects (a memoised coproduct, a
 convolution, an inverse character, a character action with its block table):
 `_each`'s scope makes them once per call of the check or of `.one`, memoised
-by `graphs._memoised`; `check_wsym_action` holds one action for its sweep, and
-the three convolution checks one per pair: a unit or inverse law reads lam * mu
-on G as the action lam <- mu.  No memo outlives the call or spans two checks,
-and none holds a side of the identity checked.  The indexed witness of
-`check_cointeraction` composes the routes shared with `bialgebra`.
+by `graphs._memoised`; `check_wsym_action` holds one action for its sweep,
+and the three convolution checks one per pair, `check_monoid_laws` and
+`check_action_axioms` through the shared scope `_convolutions`: a unit or
+inverse law reads lam * mu on G as the action lam <- mu.  No memo outlives
+the call or spans two checks, and none holds a side of the identity checked.
+The indexed witness of `check_cointeraction` composes the routes shared with
+`bialgebra`.
 
 Each check carries its enumerator as `objects`.  Given a `timings` dict, a
 suite records each check's seconds and, after the clock stops, its object
@@ -205,9 +208,10 @@ def check_multiplicativity(pair, *coproducts):
 
 @_each(_isoclasses)
 def check_grading(G):
-    if any(bi.mono_vertices(a + b) != G.n for (a, b), _ in bi.delta_big(G).terms()):
+    if any(sum(f.n for f in a + b) != G.n for (a, b), _ in bi.delta_big(G).terms()):
         yield f"vertex grading broken in restriction coproduct of {format_graph(G)}"
-    if any(bi.mono_degree(a + b) != degree(G) for (a, b), _ in bi.delta_small(G).terms()):
+    # each connected factor counts n - 1 in the contraction-extraction grading
+    if any(sum(f.n - 1 for f in a + b) != degree(G) for (a, b), _ in bi.delta_small(G).terms()):
         yield f"degree grading broken in contraction-extraction of {format_graph(G)}"
 
 
@@ -279,29 +283,24 @@ def check_character_inverse(G, inv0, acts):
         yield f"inverse of all-ones != chromatic character on {format_graph(G)}"
 
 
-def _monoid_sides():
-    """Each character with its actions on and by the counit, and both sides
-    (a*b)*c and a*(b*c) of the 27 triples, built on the nine pair convolutions."""
-    chars = (ch.EPSILON_PRIME, ch.LAMBDA_ZERO, ch.LAMBDA_CHR)
-    units = [(lam, ch.act(ch.EPSILON_PRIME, lam), ch.act(lam, ch.EPSILON_PRIME)) for lam in chars]
-    pairs = {(a, b): ch.convolve(a, b) for a, b in itertools.product(chars, repeat=2)}
-    return units, [(ch.convolve(pairs[a, b], c), ch.convolve(a, pairs[b, c]))
-                   for a, b, c in itertools.product(chars, repeat=3)]
+def _convolutions():
+    """One memoised convolution and one memoised action, by character pair."""
+    return _memoised(lambda pair: ch.convolve(*pair)), _memoised(lambda pair: ch.act(*pair))
 
 
-@_each(_isoclasses, _monoid_sides)
-def check_monoid_laws(G, units, triples):
+@_each(_isoclasses, _convolutions)
+def check_monoid_laws(G, convolve, acts):
     """Associativity of convolution with unit the counit, on small graphs."""
-    for lam, unit_left, unit_right in units:
-        if unit_left(G) != lam(G) or unit_right(G) != lam(G):
+    chars = (ch.EPSILON_PRIME, ch.LAMBDA_ZERO, ch.LAMBDA_CHR)
+    for lam in chars:
+        if acts((ch.EPSILON_PRIME, lam))(G) != lam(G) or acts((lam, ch.EPSILON_PRIME))(G) != lam(G):
             yield f"counit is not a convolution unit on {format_graph(G)}"
-    for left, right in triples:
-        if left(G) != right(G):
+    for a, b, c in itertools.product(chars, repeat=3):
+        if convolve((convolve((a, b)), c))(G) != convolve((a, convolve((b, c))))(G):
             yield f"convolution not associative on {format_graph(G)}"
 
 
-@_each(_isoclasses, lambda: (_memoised(lambda pair: ch.convolve(*pair)),
-                              _memoised(lambda pair: ch.act(*pair))))
+@_each(_isoclasses, _convolutions)
 def check_action_axioms(G, convolve, acts):
     if acts((chrom.phi_zero, ch.EPSILON_PRIME))(G) != chrom.phi_zero(G):
         yield f"acting by the counit is not the identity on {format_graph(G)}"
@@ -557,14 +556,14 @@ def check_wsym_examples(example):
 @_each(_labeled_pairs)
 def check_wsym_algebra_morphism(pair):
     G, H = pair
-    if ws.pchr_nc(disjoint_union(G, H)) != ws.wsym_element_product(ws.pchr_nc(G), ws.pchr_nc(H)):
+    if ws.pchr_nc(disjoint_union(G, H)) != bilinear(ws.pchr_nc(G), ws.pchr_nc(H), ws.wsym_product):
         yield (f"noncommutative chromatic not an algebra morphism on "
                f"{format_graph(G)} * {format_graph(H)}")
 
 
 @_each(_labeled)
 def check_wsym_coalgebra_morphism(G):
-    left = ws.wsym_element_coproduct(ws.pchr_nc(G))
+    left = ws.pchr_nc(G).bind(ws.wsym_coproduct)
     right = bi.delta_big_indexed(G).bind(
         lambda k: bilinear(ws.pchr_nc(k[0]), ws.pchr_nc(k[1]), lambda x, y: (x, y)))
     if left != right:
@@ -587,7 +586,7 @@ def check_wsym_words(G):
 def check_wsym_triangularity(p):
     n = p.n
     edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-             if p.block_of(i) is not p.block_of(j)]
+             if p.growth[i - 1] != p.growth[j - 1]]
     P = ws.pchr_nc(Graph(n, edges))
     if P.coeff(p) != 1:
         yield f"triangular leading term missing for {p}"
@@ -633,67 +632,43 @@ def check_varpi_morphism(G):
 # ---------------------------------------------------------------------------
 # suites
 
-def _run(max_n, timings, *rows):
-    """Run each row, a check or a (check, cap) pair, at the size bound.  A
-    `timings` dict gets, by check name, its seconds and its object count."""
-    violations = []
-    for row in rows:
-        check, cap = row if isinstance(row, tuple) else (row, max_n)
-        n = min(max_n, cap)
-        start = time.perf_counter()
-        violations.extend(check(n))
-        if timings is not None:
-            timings[check.__name__] = {"seconds": round(time.perf_counter() - start, 6),
-                                       "objects": sum(1 for _ in check.objects(n))}
-    return {"checks": len(rows), "violations": violations}
+def _suite(*rows):
+    """A suite of rows, each a check or a (check, cap) pair run at the size
+    bound.  Each check is looked up by name when the suite runs; a `timings`
+    dict gets, by check name, its seconds and its object count."""
+    def run(max_n, timings=None):
+        violations = []
+        for row in rows:
+            declared, cap = row if isinstance(row, tuple) else (row, max_n)
+            check, n = globals()[declared.__name__], min(max_n, cap)
+            start = time.perf_counter()
+            violations.extend(check(n))
+            if timings is not None:
+                timings[declared.__name__] = {"seconds": round(time.perf_counter() - start, 6),
+                                              "objects": sum(1 for _ in check.objects(n))}
+        return {"checks": len(rows), "violations": violations}
+    return run
 
 
-def suite_coassoc(max_n, timings=None):
-    return _run(max_n, timings, check_coassociativity, check_cocommutativity,
-                check_multiplicativity, check_grading)
-
-
-def suite_counit(max_n, timings=None):
-    return _run(max_n, timings, check_counit_laws)
-
-
-def suite_cointeraction(max_n, timings=None):
-    return _run(max_n, timings, check_cointeraction)
-
-
-def suite_antipode(max_n, timings=None):
-    return _run(max_n, timings, check_antipode_engines, check_antipode_law)
-
-
-def suite_engines(max_n, timings=None):
-    return _run(max_n, timings, check_chromatic_engines, check_character_engines,
-                check_character_inverse, (check_monoid_laws, 4), (check_action_axioms, 4))
-
-
-def suite_signs(max_n, timings=None):
-    return _run(max_n, timings, check_rota_signs, check_sign_positivity, check_eval_at_one,
-                check_complete_bound, check_monotonicity, check_forest_lambda, check_bridge_lemma)
-
-
-def suite_stanley(max_n, timings=None):
-    return _run(max_n, timings, check_stanley)
-
-
-def suite_mobius(max_n, timings=None):
-    return _run(max_n, timings, check_lattice_laws, check_lattice_grading, check_mobius_values,
-                check_lattice_product, check_lattice_bridge, check_interval_isomorphism,
-                check_zeta)
-
-
-def suite_wsym(max_n, timings=None):
-    return _run(max_n, timings, check_wsym_examples, (check_wsym_algebra_morphism, 4),
-                (check_wsym_coalgebra_morphism, 4), check_wsym_action, check_wsym_words,
-                (check_wsym_triangularity, 5), (check_wsym_cocommutativity, 5))
-
-
-def suite_projection(max_n, timings=None):
-    return _run(max_n, timings, check_projection_chromatic, (check_hilbert_algebra_morphism, 4),
-                (check_varpi_morphism, 4))
+suite_coassoc = _suite(check_coassociativity, check_cocommutativity, check_multiplicativity,
+                       check_grading)
+suite_counit = _suite(check_counit_laws)
+suite_cointeraction = _suite(check_cointeraction)
+suite_antipode = _suite(check_antipode_engines, check_antipode_law)
+suite_engines = _suite(check_chromatic_engines, check_character_engines, check_character_inverse,
+                       (check_monoid_laws, 4), (check_action_axioms, 4))
+suite_signs = _suite(check_rota_signs, check_sign_positivity, check_eval_at_one,
+                     check_complete_bound, check_monotonicity, check_forest_lambda,
+                     check_bridge_lemma)
+suite_stanley = _suite(check_stanley)
+suite_mobius = _suite(check_lattice_laws, check_lattice_grading, check_mobius_values,
+                      check_lattice_product, check_lattice_bridge, check_interval_isomorphism,
+                      check_zeta)
+suite_wsym = _suite(check_wsym_examples, (check_wsym_algebra_morphism, 4),
+                    (check_wsym_coalgebra_morphism, 4), check_wsym_action, check_wsym_words,
+                    (check_wsym_triangularity, 5), (check_wsym_cocommutativity, 5))
+suite_projection = _suite(check_projection_chromatic, (check_hilbert_algebra_morphism, 4),
+                          (check_varpi_morphism, 4))
 
 
 SUITES = {name.removeprefix("suite_"): fn for name, fn in globals().items()

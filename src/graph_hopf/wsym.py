@@ -41,7 +41,7 @@ from operator import attrgetter, itemgetter
 
 from .chromatic import independent_partitions
 from .graphs import _component_of, _set_partitions_list, _slot_table, set_partitions
-from .linear import LinComb, Polynomial, bilinear, falling_factorial
+from .linear import LinComb, Polynomial, falling_factorial
 
 
 def is_packed(word):
@@ -86,10 +86,6 @@ def wsym_product(p, q):
                    if r.packed_restriction(first) == p and r.packed_restriction(last) == q)
 
 
-def wsym_element_product(x, y):
-    return bilinear(x, y, wsym_product)
-
-
 def wsym_coproduct(p):
     """Coproduct on the W basis: split the block set and pack each side."""
     full = (1 << (p.n + 1)) - 2
@@ -97,10 +93,6 @@ def wsym_coproduct(p):
              for r in range(len(p) + 1) for chosen in itertools.combinations(p.masks, r))
     return LinComb(((p.packed_restriction(left), p.packed_restriction(full ^ left)), 1)
                    for left in lefts)
-
-
-def wsym_element_coproduct(x):
-    return x.bind(wsym_coproduct)
 
 
 # ---------------------------------------------------------------------------

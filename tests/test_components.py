@@ -19,7 +19,6 @@ from graph_hopf.graphs import (
     block_map,
     canonical_form,
     component_masks,
-    components_within,
     connected_components,
     restrict,
     set_partitions,
@@ -51,13 +50,6 @@ def to_nx(G):
 
 def nx_components(G, vertices):
     return sorted(tuple(sorted(c)) for c in nx.connected_components(to_nx(G).subgraph(vertices)))
-
-
-@given(st.data())
-def test_components_within_random_subsets(data):
-    G = data.draw(graphs())
-    subset = [v for v, keep in zip(range(1, G.n + 1), data.draw(labels(G.n, 2))) if keep == 1]
-    assert components_within(G, subset) == nx_components(G, subset)
 
 
 @given(st.data())

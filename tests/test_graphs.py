@@ -108,7 +108,7 @@ def refines_by_sets(p, q):
     least vertex, compared as sets."""
     if p.n != q.n:
         raise ValueError("partitions on different ground sets")
-    return all(set(b) <= set(q.block_of(b[0])) for b in p.blocks)
+    return all(set(b) <= set(q.blocks[q.growth[b[0] - 1]]) for b in p.blocks)
 
 
 def bell(n):

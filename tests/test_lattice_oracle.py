@@ -38,7 +38,6 @@ from graph_hopf.graphs import (
     cc,
     component_masks,
     components_partition,
-    components_within,
     contract,
     extract,
     format_graph,
@@ -72,8 +71,8 @@ def brute_mobius(le, i, j, memo):
 
 def meet_formula(G, p, q):
     inters = (set(a) & set(b) for a in p.blocks for b in q.blocks)
-    return Partition(G.n, [comp for inter in inters if inter
-                           for comp in components_within(G, inter)])
+    return Partition(G.n, [tuple(_bits(comp)) for inter in inters if inter
+                           for comp in component_masks(G, sum(1 << v for v in inter))])
 
 
 def meet_masks_by_search(L, i, j):

@@ -19,7 +19,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "graph_hopf"
 
 # pattern on "module.name" or "module.Class.name" -> why it may go unnamed
 ALLOWED = {
-    "verify.suite_*": "registered in `verify.SUITES` by its name prefix",
     "bialgebra.rho": "the coaction; a coaction suite in `verify` will call it",
     "linear.Polynomial.compose_sum": "P(X+Y); a morphism check in `verify` will call it",
     "linear.Polynomial.compose_prod": "P(XY); a morphism check in `verify` will call it",
