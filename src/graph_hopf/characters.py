@@ -138,7 +138,7 @@ def act(phi, lam):
         edges = sum(1 << slots[e] for e in G.edges)
         lam_of = [table((n, mask, edges & inside)) for mask, inside in inside_of(n)]
         values = []
-        for p in _set_partitions_list(n):
+        for p in _set_partitions_list(n).values():
             weight = 1
             for mask in p.masks:
                 value = lam_of[mask >> 1]

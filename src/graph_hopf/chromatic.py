@@ -33,31 +33,27 @@ def independent_partitions(G):
     """Partitions of [n] whose blocks are independent (induce no edge): the
     `set_partitions` entries, in order.  Vertex v = 1, ..., n goes into each
     earlier block without a neighbour of v, then into a new block, and the
-    growth string so built is found by its rank: with j blocks open, block k
-    adds k * D(n - v, j), the completions after the k smaller choices, where
-    D(0, j) = 1 and D(m, j) = j * D(m - 1, j) + D(m - 1, j + 1)."""
+    growth string so recorded is the entry's key in the shared table."""
     n, adj = G.n, G.adj
     table = _set_partitions_list(n)
-    D = [[1] * (n + 1)]  # D[m][j] for j + m <= n
-    for _ in range(n):
-        D.append([j * d + e for j, (d, e) in enumerate(zip(D[-1], D[-1][1:]))])
-    blocks, found = [], []
+    blocks, growth, found = [], [0] * n, []
 
-    def place(v, rank):
+    def place(v):
         if v > n:
-            found.append(table[rank])
+            found.append(table[tuple(growth)])
             return
-        step, nbrs = D[n - v][len(blocks)], adj[v]
+        nbrs = adj[v]
         for k, mask in enumerate(blocks):
             if not nbrs & mask:
-                blocks[k] = mask | 1 << v
-                place(v + 1, rank + k * step)
+                blocks[k], growth[v - 1] = mask | 1 << v, k
+                place(v + 1)
                 blocks[k] = mask
+        growth[v - 1] = len(blocks)
         blocks.append(1 << v)
-        place(v + 1, rank + (len(blocks) - 1) * step)
+        place(v + 1)
         blocks.pop()
 
-    place(1, 0)
+    place(1)
     yield from found
 
 

@@ -10,11 +10,11 @@ Vertices are the integers 1..n; an edge is an unordered pair stored as
 read.  Inside the package a vertex set is a mask with bit v for each vertex
 v; only `restrict` and `connected_components` take or give vertex tuples.
 Each Partition keeps one mask per block and its restricted-growth string;
-the table of all of them, sorted by that string so an entry is found by
-its rank, extends that of [n - 1] by n, sharing blocks.  Any other is built
-from a labelling (`Partition.of_labels`).  A sum over the partitions into
-connected or into independent blocks needs no table: it walks the blocks of
-the least uncovered vertex (`least_blocks`).  The empty graph (n = 0) is the
+the table of all of them is keyed by that string, in increasing order, and
+extends that of [n - 1] by n, sharing blocks.  Any other is built from a
+labelling (`Partition.of_labels`).  A sum over the partitions into connected
+or into independent blocks needs no table: it walks the blocks of the least
+uncovered vertex (`least_blocks`).  The empty graph (n = 0) is the
 algebra's unit, `disjoint_union()`, and is accepted everywhere.
 
 All values are immutable after construction (the masks, once built, are
@@ -316,33 +316,35 @@ def block_map(G, fn):
 
 @lru_cache(maxsize=None)
 def _set_partitions_list(n):
-    """The set partitions of [n] by increasing `growth`, built by extension:
-    each one of [n - 1] in turn, with n put into each of its blocks, then
-    alone.  The blocks without n are the parent's own tuples."""
+    """The set partitions of [n] keyed by their `growth`, inserted in
+    increasing order of it, built by extension: each one of [n - 1] in turn,
+    with n put into each of its blocks, then alone.  The blocks without n are
+    the parent's own tuples.  Not to be mutated: every caller shares it."""
     if n == 0:
-        return (Partition.of_labels(()),)
-    out = []
-    for q in _set_partitions_list(n - 1):  # n alone: added to an empty last block
+        return {(): Partition.of_labels(())}
+    out = {}
+    for q in _set_partitions_list(n - 1).values():  # n alone: added to an empty last block
         for k, (block, mask) in enumerate(zip(q.blocks + ((),), q.masks + (0,))):
             p = Partition.__new__(Partition)
             p.n, p.growth = n, q.growth + (k,)
             p.blocks = q.blocks[:k] + (block + (n,),) + q.blocks[k + 1:]
             p.masks = q.masks[:k] + (mask | 1 << n,) + q.masks[k + 1:]
             p._hash = hash(p.masks)
-            out.append(p)
-    return tuple(out)
+            out[p.growth] = p
+    return out
 
 
 def set_partitions(n):
     """All set partitions of [n], by increasing restricted-growth string (`growth`)."""
-    yield from _set_partitions_list(n)
+    yield from _set_partitions_list(n).values()
 
 
 @lru_cache(maxsize=None)
 def _admissible_list(G):
     adj = G.adj
     connected = [_connected_mask(adj, m) for m in range(1 << (G.n + 1))]  # by block mask
-    return tuple(p for p in _set_partitions_list(G.n) if all(map(connected.__getitem__, p.masks)))
+    return tuple(p for p in _set_partitions_list(G.n).values()
+                 if all(map(connected.__getitem__, p.masks)))
 
 
 def admissible_partitions(G):

@@ -35,9 +35,8 @@ coefficients times the W coefficients summed by block count fill one list.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .chromatic import independent_partitions
 from .graphs import _component_of, _set_partitions_list, _slot_table, set_partitions
@@ -46,14 +45,6 @@ from .linear import LinComb, Polynomial, falling_factorial
 
 def is_packed(word):
     return set(word) == set(range(1, (max(word) if word else 0) + 1))
-
-
-def _shared_partition(growth):
-    """The partition with this restricted-growth string, as the very object
-    that `set_partitions(len(growth))` yields: found by bisection, since that
-    list is in increasing order of `growth`."""
-    parts = _set_partitions_list(len(growth))
-    return parts[bisect_left(parts, growth, key=attrgetter("growth"))]
 
 
 def _words(p):
@@ -134,8 +125,8 @@ def phi0_nc(G):
     mask of its components' minima, one search per mask.  Read at the minima
     of p's blocks (their sum is an OR, the blocks being disjoint), p's growth
     string names the block of each component by increasing minimum: that is
-    Q(G, p): read by one `itemgetter` per minima mask, made on first use, and
-    counted as a shared partition, so equal terms of two graphs are one object."""
+    Q(G, p): read by one `itemgetter` per minima mask, made on first use,
+    counted, and keyed to the shared table, so equal terms are one object."""
     minima = [0] * (1 << (G.n + 1))  # by vertex mask; bit 0 is never set
     positions = [()] * len(minima)
     for m in range(2, len(minima), 2):
@@ -153,7 +144,8 @@ def phi0_nc(G):
                               else lambda g, ps=ps: tuple(g[i] for i in ps))
         growth = get(p.growth)
         counts[growth] = counts.get(growth, 0) + 1
-    return LinComb._merged({_shared_partition(growth): c for growth, c in counts.items()})
+    return LinComb._merged({_set_partitions_list(len(growth))[growth]: c
+                            for growth, c in counts.items()})
 
 
 # ---------------------------------------------------------------------------

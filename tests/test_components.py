@@ -14,6 +14,7 @@ from graph_hopf.chromatic import independent_partitions
 from graph_hopf.graphs import (
     Graph,
     Partition,
+    _set_partitions_list,
     admissible_partitions,
     all_graphs,
     block_map,
@@ -194,6 +195,7 @@ def test_phi0_terms_are_shared_partitions():
 
 
 def test_shared_partition_is_the_yielded_object():
+    """The table's key for each partition is its growth string."""
     for n in range(7):
         for p in set_partitions(n):
-            assert ws._shared_partition(p.growth) is p
+            assert _set_partitions_list(n)[p.growth] is p

@@ -256,17 +256,18 @@ class TestPartition:
     def test_table_built_by_extension_has_the_fields_of_of_labels(self):
         for n in range(9):
             table = _set_partitions_list(n)
-            strings = [p.growth for p in table]
+            strings = [p.growth for p in table.values()]
             assert len(table) == bell(n)
+            assert list(table) == strings
             assert all(a < b for a, b in zip(strings, strings[1:]))
-            for p in table:
+            for p in table.values():
                 q = Partition.of_labels(p.growth)
                 assert (p.n, p.blocks, p.masks, p.growth) == (q.n, q.blocks, q.masks, q.growth)
 
     def test_table_shares_the_blocks_without_n_with_the_parent(self):
         for n in range(1, 8):
-            parents = {q.growth: q for q in _set_partitions_list(n - 1)}
-            for p in _set_partitions_list(n):
+            parents = _set_partitions_list(n - 1)
+            for p in _set_partitions_list(n).values():
                 q = parents[p.growth[:-1]]
                 kept = [k for k in range(len(q)) if k != p.growth[-1]]
                 assert all(p.blocks[k] is q.blocks[k] for k in kept)
@@ -275,7 +276,7 @@ class TestPartition:
         rng = random.Random(16)
         for _ in range(60):
             G = random_graph(rng.randrange(8), rng, rng.choice((0.2, 0.5, 0.8)))
-            table = {id(p) for p in _set_partitions_list(G.n)}
+            table = {id(p) for p in _set_partitions_list(G.n).values()}
             for p in [*admissible_partitions(G), *independent_partitions(G)]:
                 assert id(p) in table
 
@@ -340,7 +341,7 @@ class TestFastPathsAgainstTheirOracles:
     def test_contract_equals_the_vertex_table_route(self):
         rng = random.Random(18)
         for G in self.graphs():
-            table = _set_partitions_list(G.n)
+            table = list(_set_partitions_list(G.n).values())
             for p in (table if G.n <= 4 else rng.sample(table, 20)):
                 got, want = contract(G, p), contract_by_vertex_table(G, p)
                 assert (got.n, got.edges) == (want.n, want.edges)
@@ -354,7 +355,7 @@ class TestFastPathsAgainstTheirOracles:
 
     def test_equal_partitions_hash_equal_however_built(self):
         for n in range(7):
-            for p in _set_partitions_list(n):
+            for p in _set_partitions_list(n).values():
                 built = (Partition(n, reversed(p.blocks)), Partition.of_labels(p.growth),
                          Partition.of_labels([-k for k in p.growth]))
                 for q in built:
@@ -362,7 +363,7 @@ class TestFastPathsAgainstTheirOracles:
 
     def test_refines_on_masks_equals_the_set_route(self):
         for n in range(6):
-            table = _set_partitions_list(n)
+            table = _set_partitions_list(n).values()
             for p in table:
                 for q in table:
                     assert p.refines(q) is refines_by_sets(p, q)

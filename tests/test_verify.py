@@ -80,6 +80,9 @@ MUTANTS = {
     (wsym, "phi0_nc", "counts[growth] = counts.get(growth, 0) + 1", "counts[growth] = 1",
      "check_wsym_action"):
         (61, "chromatic element != acted packed-coloring morphism on 3: 1-2, 1-3"),
+    (wsym, "phi0_nc", "_set_partitions_list(len(growth))[growth]",
+     "_set_partitions_list(len(growth))[(0,) * len(growth)]", "check_wsym_action"):
+        (74, "chromatic element != acted packed-coloring morphism on 2:"),
     (wsym, "hilbert_morphism", "units[len(key)] = units.get(len(key), 0)",
      "units[key.n] = units.get(key.n, 0)", "check_projection_chromatic"):
         (142, "Hilbert projection of chromatic element is wrong on 2:"),
@@ -123,6 +126,9 @@ MUTANTS = {
     (chromatic, "independent_partitions", "if not nbrs & mask:", "if not nbrs & mask & -mask:",
      "check_projection_chromatic"):
         (26, "Hilbert projection of chromatic element is wrong on 3: 2-3"),
+    (chromatic, "independent_partitions", "table[tuple(growth)]", "table[(0,) * n]",
+     "check_wsym_words"):
+        (74, "word expansion != packed valid colorings on 2:"),
     (graphs, "least_blocks", "if _connected_mask(adj, low | s):", "if _connected_mask(adj, s):",
      "check_varpi_morphism"):
         (52, "isoclass projection not a contraction-extraction morphism on 3: 1-2, 1-3"),
@@ -189,13 +195,15 @@ MUTANTS = {
 # before it moved into AdmissibleLattice.quotient, the bipartition sum keeps
 # that of `delta_big_graph`, whose body it was before both bases shared it,
 # and the flats that drop a block, the minima table counting each growth
-# string once, the projection that drops the units and the block table keyed
-# without the edges inside the block are told apart from the other row of
-# their function and check.
+# string once, the coloring morphism that reads every growth string as the
+# one-block entry, the projection that drops the units and the block table
+# keyed without the edges inside the block are told apart from the other row
+# of their function and check.
 ROW_NAMES = {"reach[b] |= adj[v]": "_quotient",
              "side(left)), 1)": "delta_big_graph",
              "self._inside.__getitem__, p.masks[1:]))": "AdmissibleLattice.flats",
              "counts[growth] = 1": "phi0_nc.counts",
+             "_set_partitions_list(len(growth))[(0,) * len(growth)]": "phi0_nc.table",
              "coeffs[d] += a": "hilbert_morphism.coeffs",
              "table((n, mask, 0))": "act.table"}
 
@@ -205,7 +213,8 @@ ROW_NAMES = {"reach[b] |= adj[v]": "_quotient",
 def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     """The clash mask without the last edge slot, a component-minima table
     that drops each component's minimum, a coloring morphism that counts
-    each distinct growth string once, a W element projected by its length
+    each distinct growth string once, or reads each as the one-block
+    partition, a W element projected by its length
     instead of its block count, a projection that adds the falling
     factorials' coefficients without their units, a chromatic element with
     every coefficient 2, a word expansion that drops one
@@ -222,7 +231,8 @@ def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     out each element's first block, interval
     quotients that keep the edges leaving the blocks of q, independent
     partitions or independent blocks that test
-    only one vertex of the block for a neighbour, connected blocks that leave
+    only one vertex of the block for a neighbour, independent partitions
+    all found as the one-block entry of the table, connected blocks that leave
     out the least vertex from the connectivity test, quotient edges that
     look only at the least vertex of each earlier block, block sums that do not count the block
     they add, a signed chromatic character that is positive but 2^deg

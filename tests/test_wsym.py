@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,9 @@ from graph_hopf.graphs import (
     complete,
     connected_components,
     contract,
+    contract_edge,
     cycle_graph,
+    delete_edge,
     edgeless,
     path_graph,
     set_partitions,
@@ -152,6 +155,43 @@ class TestChromaticElement:
 
     def test_triangularity_small(self):
         assert not verify.check_wsym_triangularity(4)
+
+
+def pchr_nc_by_deletion_contraction(G):
+    """Oracle for `pchr_nc`, after Gebhard-Sagan (J. Algebraic Combin. 2001)
+    on the W basis: for the last edge uv, Y_G = Y_{G-uv} - lift(Y_{G/uv}).
+    `contract_edge` numbers the vertices of G/uv by their rank in [n] minus
+    {v}; lift puts v in u's block.  An edgeless graph gives every set
+    partition of [n] once.  Each labelled graph met is expanded once."""
+    memo = {}
+
+    def Y(H):
+        if H in memo:
+            return memo[H]
+        if not H.edges:
+            out = LinComb((p, 1) for p in set_partitions(H.n))
+        else:
+            u, v = e = H.edges[-1]
+            lifted = Y(contract_edge(H, e)).map_keys(
+                lambda q: Partition.of_labels(q.growth[:v - 1] + (q.growth[u - 1],)
+                                              + q.growth[v - 1:]))
+            out = Y(delete_edge(H, e)) - lifted
+        return memo.setdefault(H, out)
+
+    return Y(G)
+
+
+class TestChromaticElementPastTheExhaustiveBound:
+    def test_small_graphs_by_deletion_contraction(self):
+        for n in range(5):
+            for G in all_graphs(n):
+                assert pchr_nc_by_deletion_contraction(G) == ws.pchr_nc.__wrapped__(G)
+
+    def test_random_graphs_on_7_to_9_vertices(self):
+        rng = random.Random(34)
+        for n, p in zip((7, 7, 8, 8, 8, 9, 9), (0.3, 0.7, 0.2, 0.5, 0.8, 0.4, 0.6)):
+            G = random_graph(n, rng, p)
+            assert pchr_nc_by_deletion_contraction(G) == ws.pchr_nc.__wrapped__(G)
 
 
 class TestClashMasks:
