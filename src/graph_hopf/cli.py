@@ -3,6 +3,9 @@
 Graphs are passed as `n: i-j, k-l, ...` (see the library's text format;
 `0:` is the empty graph).  Output is compact JSON on stdout, deterministic
 byte-for-byte across runs; `--pretty` renders polynomials readably instead.
+The emitters hand `json` the library's own tuples (blocks, words, cover
+pairs), which it writes as arrays.  The W terms of `ncchromatic` are sorted
+by their blocks: for the partitions of one [n] that is `LinComb`'s order.
 Exit codes: 0 success, 1 violated identity (with the counterexample
 printed), 2 malformed input.  The environment variable GRAPH_HOPF_MAX_N
 caps the size bound of `verify`; `verify --timings` also writes one JSON
@@ -104,10 +107,7 @@ def cmd_antipode(args):
 def cmd_lattice(args):
     G = parse_graph(args.graph)
     L = lat.build_lattice(G)
-    obj = {
-        "elements": [[list(b) for b in p.blocks] for p in L.elements],
-        "covers": [[i, j] for i, j in L.covers()],
-    }
+    obj = {"elements": [p.blocks for p in L.elements], "covers": L.covers()}
     if args.mobius:
         obj["mobius"] = format_rational(L.mobius(L.bottom, L.top))
     _emit(obj)
@@ -119,12 +119,12 @@ def cmd_ncchromatic(args):
     element = ws.pchr_nc(G)
     obj = {"basis": args.basis}
     if args.basis == "W":
-        obj["terms"] = [{"coeff": format_rational(c), "partition": [list(b) for b in p.blocks]}
-                        for p, c in element.items()]
+        # all keys partition one [n], so sorting by blocks is element.items()'s order
+        obj["terms"] = [{"coeff": format_rational(c), "partition": p.blocks}
+                        for p, c in sorted(element.terms(), key=lambda t: t[0].blocks)]
     else:
         words = ws.expand(element)
-        obj["terms"] = [{"coeff": format_rational(c), "word": list(w)}
-                        for w, c in words.items()]
+        obj["terms"] = [{"coeff": format_rational(c), "word": w} for w, c in words.items()]
     if args.project:
         obj["poly"] = ws.hilbert_morphism(element).to_json()
     _emit(obj)

@@ -117,6 +117,26 @@ class TestOtherCommands:
         assert hashlib.sha256(r.stdout).hexdigest() == (
             "2c16bc77cf19f6f1e8b8023b9080995140a4333a921809edc1a6a9d65abf944b")
 
+    @pytest.mark.parametrize("args, terms, digest", [
+        # the 9-cycle; its poly is P(C9) = (X - 1)^9 - (X - 1)
+        (("--graph", "9: 1-2, 2-3, 3-4, 4-5, 5-6, 6-7, 7-8, 8-9, 1-9"), 3425,
+         "de9a3c84642997ca45e9d4f29be6ef97a0c51ce469f07fef2d83450c920e6fb0"),
+        (("--graph", "9: 1-5, 1-6, 2-3, 2-7, 3-5, 3-9, 4-7, 4-8, 5-8, 6-9, 7-9"), 2384,
+         "d65907d1169d249a8dc54bd9f6db1b9d7a4ac33b649bf9b065f02480ce9f1dea"),
+        # the 6-cycle's packed valid colorings, as words
+        (("--basis", "words", "--graph", "6: 1-2, 2-3, 3-4, 4-5, 5-6, 1-6"), 2342,
+         "8f2d6a1f481664c37b6fdf3bd469db5976680d7e2a8ba640e09ebe3c005d5183"),
+    ])
+    def test_ncchromatic_outputs_are_pinned(self, capsys, args, terms, digest):
+        """Full stdout of the W terms on two 9-vertex graphs and of the words
+        of C6, in-process, as the emission through `LinComb.items()` wrote it."""
+        from graph_hopf import cli
+
+        assert cli.main(["ncchromatic", "--project", *args]) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(json.loads(out)["terms"]) == terms
+        assert hashlib.sha256(out).hexdigest() == digest
+
     @pytest.mark.parametrize("args, digest", [
         # the 3-cube, and a triangle beside a diamond and an isolated vertex
         (("coproduct", "--graph",
@@ -387,3 +407,71 @@ def test_twelve_cycle_on_the_partition_sum_engines(capsys, engine):
     x_minus_1 = Polynomial([-1, 1])
     assert json.loads(capsys.readouterr().out)["poly"] == (x_minus_1 ** 12 + x_minus_1).to_json()
     assert graphs._set_partitions_list.cache_info() == before
+
+
+def _stdout_the_sorted_way(command, G, basis=None):
+    """`ncchromatic --project` or `lattice --mobius` stdout rendered from the
+    library through `LinComb.items()`, with a fresh list for every block,
+    word and cover pair."""
+    from graph_hopf import lattice, wsym
+    from graph_hopf.linear import format_rational
+
+    if command == "lattice":
+        L = lattice.build_lattice(G)
+        obj = {"elements": [[list(b) for b in p.blocks] for p in L.elements],
+               "covers": [[i, j] for i, j in L.covers()],
+               "mobius": format_rational(L.mobius(L.bottom, L.top))}
+    else:
+        element = wsym.pchr_nc(G)
+        if basis == "W":
+            terms = [{"coeff": format_rational(c), "partition": [list(b) for b in p.blocks]}
+                     for p, c in element.items()]
+        else:
+            terms = [{"coeff": format_rational(c), "word": list(w)}
+                     for w, c in wsym.expand(element).items()]
+        obj = {"basis": basis, "terms": terms,
+               "poly": wsym.hilbert_morphism(element).to_json()}
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def test_emitted_tuples_and_block_order_match_the_sorted_rendering(capsys):
+    """On seeded random labelled graphs with 0-8 vertices, stdout equals the
+    rendering through `LinComb.items()` byte for byte: the W terms of
+    `ncchromatic --project` on all of them, its words and `lattice --mobius`
+    for n <= 6."""
+    import random
+
+    from graph_hopf import cli
+    from graph_hopf.graphs import format_graph
+    from helpers import random_graph, relabel
+
+    rng = random.Random(35)
+    for n in range(9):
+        for p in (0.2, 0.5, 0.8):
+            G = relabel(random_graph(n, rng, p), rng.sample(range(1, n + 1), n))
+            runs = [(["ncchromatic", "--project"], "ncchromatic", "W")]
+            if n <= 6:
+                runs += [(["ncchromatic", "--project", "--basis", "words"], "ncchromatic", "words"),
+                         (["lattice", "--mobius"], "lattice", None)]
+            for argv, command, basis in runs:
+                assert cli.main([*argv, "--graph", format_graph(G)]) == 0
+                assert capsys.readouterr().out == _stdout_the_sorted_way(command, G, basis)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ncchromatic", "--project", "--graph", "9: 1-2, 2-3, 3-4, 4-5, 5-6, 6-7, 7-8, 8-9, 1-9"],
+    ["lattice", "--mobius", "--graph", "6: 1-2, 1-3, 2-3, 3-4, 4-5, 5-6, 4-6"],
+])
+def test_emission_makes_no_partition_comparison(monkeypatch, capsys, argv):
+    """The W terms are sorted by their blocks, so no `Partition.__lt__` call
+    is made: sorting the 3425 terms of the 9-cycle through `LinComb.items()`
+    makes 23,702.  The lattice emission compares no partition either."""
+    from graph_hopf import cli
+    from graph_hopf.graphs import Partition
+
+    calls = []
+    less = Partition.__lt__
+    monkeypatch.setattr(Partition, "__lt__", lambda p, q: calls.append(1) or less(p, q))
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)
+    assert calls == []
