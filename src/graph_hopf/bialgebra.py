@@ -29,8 +29,8 @@ from functools import lru_cache, reduce
 from .graphs import (
     Graph,
     _bits,
-    _graph,
     _memoised,
+    _quotient_graph,
     _restrict,
     admissible_partitions,
     block_map,
@@ -135,7 +135,7 @@ def delta_small_graph(G):
 
     walk((1 << width) - 2, (), 0, ())
     form = list(forms)
-    quotient = {(k, edges): iso(_graph(k, tuple(divmod(e, width) for e in _bits(edges))))
+    quotient = {(k, edges): iso(_quotient_graph(k, edges, width))
                 for k, edges in {(len(ids), edges) for edges, ids in counts}}
     return LinComb(((quotient[len(ids), edges], tuple(sorted(map(form.__getitem__, ids)))), c)
                    for (edges, ids), c in counts.items())

@@ -9,9 +9,9 @@ contraction-extraction coproduct:
 
 A character is a morphism into Q, so the convolution lam * mu is the action
 lam <- mu: the sum over admissible p of lam(G/p) * mu(G|p), with unit the
-counit (1 on totally disconnected graphs).  An action reads lam(G|p) block by
-block from one table that it keeps for as long as it lives, shared by all
-graphs that induce the same subgraph on a block.
+counit (1 on totally disconnected graphs).  An action walks the admissible
+partitions block by block with G/p as edge bits, reading lam(G|p) and phi(G/p)
+from tables it keeps for as long as it lives, shared by all graphs it acts on.
 
 The distinguished characters: the all-ones character, whose convolution
 inverse is the chromatic character (the derivative of the chromatic
@@ -28,12 +28,11 @@ from .graphs import (
     Graph,
     _graph,
     _memoised,
+    _quotient_graph,
     _restrict,
-    _set_partitions_list,
     _slot_table,
     canonical_factors,
     canonical_form,
-    contract,
     contract_edge,
     degree,
     delete_edge,
@@ -110,17 +109,17 @@ def invert_character(lam):
 
 
 def act(phi, lam):
-    """Right action of a character on a graph-to-algebra morphism.  The
-    returned function owns one block table for as long as it lives
-    (`_memoised`): keyed by (n, block mask B, the edge slots of G inside B),
-    which fix G|B, it holds lam(G|B), or None when G|B is disconnected, so
-    every graph that induces the same subgraph on B reads one entry.  A graph
-    reads the entries of its vertex masks once; a set partition of [n] is
-    dropped at its first disconnected block, and the others, the admissible
-    partitions p in order, are weighted by lam(G|p), the product over p's
-    blocks.  LinComb values times their nonzero weights are added term by term
-    into one dict; other values (a Polynomial, or a character's scalar, which
-    makes the action a convolution) times their weights are added in turn."""
+    """Right action of a character on a graph-to-algebra morphism, owning its
+    tables for as long as it lives (`_memoised`).  The block table, keyed by
+    (n, block mask B, the edge slots of G inside B), holds lam(G|B), or None
+    when G|B is disconnected.  A graph reads its vertex masks' entries once and
+    walks its admissible partitions p block by block: a block of the least
+    uncovered vertex (one list per uncovered mask) with an entry, then one of
+    what it leaves.  Block k is vertex k of G/p, as in `contract`, with edge bit
+    j(n + 1) + k for each earlier block j its neighbourhood meets.  The weights
+    lam(G|p) are summed per (n, block count, edge bits), phi read once per key.
+    LinComb values times nonzero weights go term by term into one dict; others
+    (a Polynomial, or a scalar: a convolution) are summed times their weights."""
     def block_value(key):
         n, mask, inside = key
         edges = tuple(e for e, k in _slot_table(n).items() if inside >> k & 1)
@@ -132,21 +131,36 @@ def act(phi, lam):
     inside_of = _memoised(lambda n: [(mask, sum(1 << k for (i, j), k in _slot_table(n).items()
                                                 if mask >> i & mask >> j & 1))
                                      for mask in range(0, 1 << (n + 1), 2)])
+    # by uncovered mask: its submasks that hold its least vertex, largest first
+    blocks_of = _memoised(lambda rest: [b for b in range(rest, 0, -1)
+                                        if b | rest == rest and b & -b == rest & -rest])
+    quotient = _memoised(lambda key: phi(_quotient_graph(key[1], key[2], key[0] + 1)))
 
     def acted(G):
-        n, slots = G.n, _slot_table(G.n)
+        n, slots, adj = G.n, _slot_table(G.n), G.adj
         edges = sum(1 << slots[e] for e in G.edges)
         lam_of = [table((n, mask, edges & inside)) for mask, inside in inside_of(n)]
-        values = []
-        for p in _set_partitions_list(n).values():
-            weight = 1
-            for mask in p.masks:
-                value = lam_of[mask >> 1]
-                if value is None:
-                    break
-                weight *= value
-            else:
-                values.append((phi(contract(G, p)), weight))
+        reach = [0]  # by mask >> 1: the OR of the adjacency masks of its vertices
+        for i in range(1, len(lam_of)):
+            reach.append(reach[i & i - 1] | adj[(i & -i).bit_length()])
+        width, weights = n + 1, {} if n else {(0, 0, 0): 1}  # the empty graph: no block
+
+        def walk(rest, masks, bits, weight):
+            k = len(masks) + 1
+            for b in blocks_of(rest):
+                value = lam_of[b >> 1]
+                if value is not None:
+                    r, new = reach[b >> 1], bits
+                    for j, m in enumerate(masks, 1):
+                        if r & m:
+                            new |= 1 << j * width + k
+                    if b == rest:  # the last block: p is complete
+                        weights[n, k, new] = weights.get((n, k, new), 0) + weight * value
+                    else:
+                        walk(rest ^ b, masks + (b,), new, weight * value)
+
+        walk((1 << width) - 2, (), 0, 1)
+        values = [(quotient(key), weight) for key, weight in weights.items()]
         if not isinstance(values[0][0], LinComb):
             return sum((value * weight for value, weight in values[1:]),
                        values[0][0] * values[0][1])

@@ -286,6 +286,11 @@ def contract(G, p):
                                     for b in range(a + 1, len(masks)) if hit & masks[b]))
 
 
+def _quotient_graph(k, bits, width):
+    """The graph on [k] with the edge j-l for each set bit j * width + l of `bits`."""
+    return _graph(k, tuple(divmod(e, width) for e in _bits(bits)))
+
+
 def extract(G, p):
     """Keep only the edges internal to blocks of p; vertex set unchanged."""
     if p.n != G.n:

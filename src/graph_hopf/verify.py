@@ -10,7 +10,7 @@ runs them in order at the size bound, a `(check, cap)` row at
 so a substituted or wrapped check or engine is the one that runs.
 
 A check may share values across its objects (a memoised coproduct, a
-convolution, an inverse character, a character action with its block table):
+convolution, an inverse character, a character action with its tables):
 `_each`'s scope makes them once per call of the check or of `.one`, memoised
 by `graphs._memoised`; `check_wsym_action` holds one action for its sweep,
 and the three convolution checks one per pair, `check_monoid_laws` and

@@ -159,7 +159,8 @@ def hilbert_morphism(x):
     int W element projects to int coefficients and a Fraction one stays exact."""
     units = {}  # by k: the coefficient of k! H_k
     for key, coeff in x.terms():
-        units[len(key)] = units.get(len(key), 0) + coeff
+        k = len(key.blocks)
+        units[k] = units.get(k, 0) + coeff
     coeffs = [0] * (max(units, default=-1) + 1)
     for k, c in units.items():
         for d, a in enumerate(falling_factorial(k).coeffs):

@@ -18,7 +18,10 @@ run over a list of partitions: they walk the blocks of the least uncovered
 vertex (`graphs.least_blocks`).  The per-partition bodies they replaced are
 kept below as oracles (`..._by_partition`) and compared with them on every
 labelled graph with at most 5 vertices, every isoclass with at most 6, and
-relabelled 7-9-vertex graphs, vertex-transitive ones among them.
+relabelled 7-9-vertex graphs, vertex-transitive ones among them.  `act`
+walks them too, from its own list of blocks per uncovered mask, and reads
+phi once per distinct G/p without calling `contract`; `act_by_extraction`
+checks its word action on every labelled graph with at most 4 vertices.
 """
 
 import collections
@@ -144,7 +147,18 @@ def labeled_graphs(draw):
 @settings(max_examples=6, deadline=None)
 @given(labeled_graphs())
 def test_labeled_graphs_on_6_to_8(G):
-    assert_sums_match(G, characters=(ch.LAMBDA_CHR, EDGES_PLUS_ONE))
+    assert_sums_match(G, characters=(ch.LAMBDA_CHR, EDGES_PLUS_ONE), word_action=True)
+
+
+def test_word_action_on_every_labelled_graph_up_to_4():
+    """The walk numbers the blocks of each partition by their least vertex,
+    `contract` by their minima: the two differ only on the labellings that
+    the isoclass sweeps never reach."""
+    for lam in CHARACTERS:
+        acted, oracle = ch.act(ws.phi0_nc, lam), act_by_extraction(ws.phi0_nc, lam)
+        for n in range(5):
+            for G in all_graphs(n):
+                assert acted(G) == oracle(G), (lam, G)
 
 
 def count_restrictions(monkeypatch):
@@ -176,6 +190,32 @@ def test_character_formula_restricts_each_block_once(monkeypatch):
     chrom.pchr_character_formula(complete(6))
     assert 0 < len(calls) <= 63  # building every G|p takes 674
     assert len(set(calls)) == len(calls)
+
+
+def test_action_contracts_nothing_and_reads_each_quotient_once(monkeypatch):
+    """The action walks the admissible partitions without building G/p by
+    `contract`, and evaluates phi once for each distinct G/p, however many
+    partitions share it.  The character's values are read once beforehand,
+    so the deletion-contraction behind them makes no call of its own."""
+    for G in (complete(5), relabel(graphs.path_graph(5), (3, 5, 1, 4, 2))):
+        quotients = collections.Counter(contract(G, p) for p in admissible_partitions(G))
+        expected = ch.act(ws.phi0_nc, ch.LAMBDA_CHR)(G)
+        calls, phi_calls = [], collections.Counter()
+        original = graphs.contract
+        for name, module in list(sys.modules.items()):
+            if name.startswith("graph_hopf") and getattr(module, "contract", None) is original:
+                monkeypatch.setattr(module, "contract",
+                                    lambda H, p: calls.append(p) or original(H, p))
+
+        def phi(H):
+            phi_calls[H] += 1
+            return ws.phi0_nc(H)
+
+        assert ch.act(phi, ch.LAMBDA_CHR)(G) == expected
+        assert calls == []
+        assert phi_calls.keys() == quotients.keys() and set(phi_calls.values()) == {1}
+        assert sum(quotients.values()) > len(quotients)  # partitions share quotients
+        monkeypatch.undo()
 
 
 def test_connected_graph_projects_without_restriction(monkeypatch):

@@ -54,6 +54,10 @@ def test_every_value_is_int_or_fraction(G):
     assert_exact("LAMBDA_CHR", [ch.LAMBDA_CHR(G)])
     assert_exact("inverse of LAMBDA_ZERO", [ch.invert_character(ch.LAMBDA_ZERO)(G)])
     assert_exact("inverse of the constant 2", [ch.invert_character(TWO)(G)])
+    for lam in (ch.LAMBDA_CHR, ch.invert_character(TWO)):
+        assert_exact(f"W-valued action by {lam.name}", coeffs(ch.act(ws.phi0_nc, lam)(G)))
+        assert_exact(f"convolution by {lam.name}", [ch.act(ch.LAMBDA_CHR, lam)(G),
+                                                    ch.act(lam, TWO)(G)])
     element = ws.pchr_nc(G)
     assert_exact("pchr_nc", coeffs(element))
     assert_exact("phi0_nc", coeffs(ws.phi0_nc(G)))
@@ -82,6 +86,15 @@ def test_projection_divides_only_word_coefficients():
 
 
 def test_inverse_of_constant_two_is_not_integral():
+    """Its values are Fractions, and so are the weights an action by it adds
+    up per quotient before they multiply phi's value."""
     inv = ch.invert_character(TWO)
     assert inv(complete(1)) == Fraction(1, 2)
     assert inv(complete(2)) == Fraction(-1, 4)
+    # phi0(K2) (1/2)^2 + phi0(K1) (-1/4), with phi0(K2) = W{1} + W{1}{2}, phi0(K1) = W{1}
+    acted = ch.act(ws.phi0_nc, inv)(complete(2))
+    assert acted == LinComb([(Partition.singletons(2), Fraction(1, 4))])
+    assert_exact("W-valued action by the inverse of 2", coeffs(acted))
+    for G in (complete(3), Graph(4, [(1, 3), (2, 4), (3, 4)])):
+        unit = ch.act(inv, TWO)(G)  # (2)^-1 * 2 is the counit
+        assert unit == ch.EPSILON_PRIME(G) and type(unit) is Fraction

@@ -83,8 +83,7 @@ MUTANTS = {
     (wsym, "phi0_nc", "_set_partitions_list(len(growth))[growth]",
      "_set_partitions_list(len(growth))[(0,) * len(growth)]", "check_wsym_action"):
         (74, "chromatic element != acted packed-coloring morphism on 2:"),
-    (wsym, "hilbert_morphism", "units[len(key)] = units.get(len(key), 0)",
-     "units[key.n] = units.get(key.n, 0)", "check_projection_chromatic"):
+    (wsym, "hilbert_morphism", "k = len(key.blocks)", "k = key.n", "check_projection_chromatic"):
         (142, "Hilbert projection of chromatic element is wrong on 2:"),
     (wsym, "hilbert_morphism", "coeffs[d] += a * c", "coeffs[d] += a",
      "check_projection_chromatic"):
@@ -101,6 +100,8 @@ MUTANTS = {
     (characters, "act", "table((n, mask, edges & inside))", "table((n, mask, 0))",
      "check_wsym_action"):
         (71, "chromatic element != acted packed-coloring morphism on 2: 1-2"),
+    (characters, "act", "if r & m:", "if r & m & -m:", "check_wsym_action"):
+        (42, "chromatic element != acted packed-coloring morphism on 3: 1-2, 2-3"),
     (chromatic, "stanley_pairs", "mask = up | down", "mask = up", "check_stanley"):
         (28, "monotone-pair count != (-1)^n P(-2) on 2: 1-2"),
     (bialgebra, "antipode_forest", "forest_factor(G, *pair)", "forest_factor(G, pair[0], ())",
@@ -196,8 +197,9 @@ MUTANTS = {
 # that of `delta_big_graph`, whose body it was before both bases shared it,
 # and the flats that drop a block, the minima table counting each growth
 # string once, the coloring morphism that reads every growth string as the
-# one-block entry, the projection that drops the units and the block table
-# keyed without the edges inside the block are told apart from the other row
+# one-block entry, the projection that drops the units, the block table
+# keyed without the edges inside the block and the action's quotient edges
+# read at each earlier block's least vertex are told apart from the other row
 # of their function and check.
 ROW_NAMES = {"reach[b] |= adj[v]": "_quotient",
              "side(left)), 1)": "delta_big_graph",
@@ -205,7 +207,8 @@ ROW_NAMES = {"reach[b] |= adj[v]": "_quotient",
              "counts[growth] = 1": "phi0_nc.counts",
              "_set_partitions_list(len(growth))[(0,) * len(growth)]": "phi0_nc.table",
              "coeffs[d] += a": "hilbert_morphism.coeffs",
-             "table((n, mask, 0))": "act.table"}
+             "table((n, mask, 0))": "act.table",
+             "if r & m & -m:": "act.quotient"}
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS),
@@ -220,6 +223,8 @@ def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     every coefficient 2, a word expansion that drops one
     numbering per partition, an action that drops an admissible partition,
     an action whose block table keys a block without the edges inside it,
+    an action whose walk joins a block only to earlier blocks whose least
+    vertex it meets,
     monotone pairs that ignore the edges on which f falls, forest factors
     that leave the member's children uncontracted, nested forests that drop each member's
     first child, a W coproduct whose right leg packs the left mask again, a
