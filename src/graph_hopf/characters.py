@@ -117,7 +117,7 @@ def act(phi, lam):
     uncovered vertex (one list per uncovered mask) with an entry, then one of
     what it leaves.  Block k is vertex k of G/p, as in `contract`, with edge bit
     j(n + 1) + k for each earlier block j its neighbourhood meets.  The weights
-    lam(G|p) are summed per (n, block count, edge bits), phi read once per key.
+    lam(G|p) are summed per (block count, edge bits, n + 1), phi read once per key.
     LinComb values times nonzero weights go term by term into one dict; others
     (a Polynomial, or a scalar: a convolution) are summed times their weights."""
     def block_value(key):
@@ -134,7 +134,7 @@ def act(phi, lam):
     # by uncovered mask: its submasks that hold its least vertex, largest first
     blocks_of = _memoised(lambda rest: [b for b in range(rest, 0, -1)
                                         if b | rest == rest and b & -b == rest & -rest])
-    quotient = _memoised(lambda key: phi(_quotient_graph(key[1], key[2], key[0] + 1)))
+    quotient = _memoised(lambda key: phi(_quotient_graph(*key)))
 
     def acted(G):
         n, slots, adj = G.n, _slot_table(G.n), G.adj
@@ -143,7 +143,7 @@ def act(phi, lam):
         reach = [0]  # by mask >> 1: the OR of the adjacency masks of its vertices
         for i in range(1, len(lam_of)):
             reach.append(reach[i & i - 1] | adj[(i & -i).bit_length()])
-        width, weights = n + 1, {} if n else {(0, 0, 0): 1}  # the empty graph: no block
+        width, weights = n + 1, {} if n else {(0, 0, 1): 1}  # the empty graph: no block
 
         def walk(rest, masks, bits, weight):
             k = len(masks) + 1
@@ -155,7 +155,7 @@ def act(phi, lam):
                         if r & m:
                             new |= 1 << j * width + k
                     if b == rest:  # the last block: p is complete
-                        weights[n, k, new] = weights.get((n, k, new), 0) + weight * value
+                        weights[k, new, width] = weights.get((k, new, width), 0) + weight * value
                     else:
                         walk(rest ^ b, masks + (b,), new, weight * value)
 

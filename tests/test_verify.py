@@ -221,7 +221,7 @@ def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     instead of its block count, a projection that adds the falling
     factorials' coefficients without their units, a chromatic element with
     every coefficient 2, a word expansion that drops one
-    numbering per partition, an action that drops an admissible partition,
+    numbering per partition, an action that drops its first quotient's terms,
     an action whose block table keys a block without the edges inside it,
     an action whose walk joins a block only to earlier blocks whose least
     vertex it meets,
@@ -246,7 +246,7 @@ def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     repeats the left one, monomial products left unsorted, a convolution of
     lam with itself in place of lam * mu, a cointeraction route that joins
     each extraction leg to itself, an action on polynomial values
-    that drops the weight of its first partition, and a character inverse
+    that drops the weight of its first quotient, and a character inverse
     that adds the sum over smaller pieces instead of subtracting it: each is
     seen by the check that compares that side with an independent one.  A mutated function or class replaces
     the original in every package module that imported it, and in the engine
