@@ -151,9 +151,9 @@ def test_labeled_graphs_on_6_to_8(G):
 
 
 def test_word_action_on_every_labelled_graph_up_to_4():
-    """The walk numbers the blocks of each partition by their least vertex,
-    `contract` by their minima: the two differ only on the labellings that
-    the isoclass sweeps never reach."""
+    """The walk builds G/p from its own edge bits, numbering the blocks by
+    their least vertex as `contract` does; the isoclass sweeps see only
+    canonical labellings, so this sweep covers the others."""
     for lam in CHARACTERS:
         acted, oracle = ch.act(ws.phi0_nc, lam), act_by_extraction(ws.phi0_nc, lam)
         for n in range(5):
