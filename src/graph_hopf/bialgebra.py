@@ -24,14 +24,13 @@ counts them by G/p and blocks before it builds a term.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .graphs import (
     Graph,
-    _bits,
     _memoised,
+    _neighbourhoods,
     _quotient_graph,
-    _restrict,
     admissible_partitions,
     block_map,
     canonical_factors,
@@ -110,11 +109,12 @@ def delta_small_graph(G):
     """Sum of iso(G/p) (x) iso(G|p) over admissible partitions p, walked block
     by block (`least_blocks`): block k is vertex k of G/p, as in `contract`.
     Adding it sets edge bit j(n + 1) + k for each earlier block j that its
-    neighbourhood meets (found once per block, beside its form id).  Terms
-    are counted by those bits and the sorted form ids, then built once, and
+    neighbourhood (`_neighbourhoods`) meets.  Terms are counted by those bits
+    and the sorted form ids of the blocks (`block_map`), then built once, and
     each distinct G/p (its size and bits) is projected once."""
-    forms, seen, counts = {}, {}, {}  # form -> id; block mask -> (neighbourhood, id)
-    adj, blocks_of, width = G.adj, least_blocks(G), G.n + 1
+    forms, counts = {}, {}  # form -> id
+    form_id = block_map(G, lambda H: forms.setdefault(canonical_form(H), len(forms)))
+    near, blocks_of, width = _neighbourhoods(G), least_blocks(G), G.n + 1
 
     def walk(rest, masks, edges, ids):
         if not rest:
@@ -123,15 +123,11 @@ def delta_small_graph(G):
             return
         k = len(masks) + 1
         for b in blocks_of(rest):
-            if b not in seen:
-                seen[b] = (reduce(int.__or__, map(adj.__getitem__, _bits(b))),
-                           forms.setdefault(canonical_form(_restrict(G, b)), len(forms)))
-            reach, f = seen[b]
-            bits = edges
+            reach, bits = near[b >> 1], edges
             for j, m in enumerate(masks, 1):
                 if reach & m:
                     bits |= 1 << j * width + k
-            walk(rest ^ b, masks + (b,), bits, ids + (f,))
+            walk(rest ^ b, masks + (b,), bits, ids + (form_id(b),))
 
     walk((1 << width) - 2, (), 0, ())
     form = list(forms)

@@ -28,6 +28,7 @@ from .graphs import (
     Graph,
     _graph,
     _memoised,
+    _neighbourhoods,
     _quotient_graph,
     _restrict,
     _slot_table,
@@ -116,8 +117,8 @@ def act(phi, lam):
     walks its admissible partitions p block by block: a block of the least
     uncovered vertex (one list per uncovered mask) with an entry, then one of
     what it leaves.  Block k is vertex k of G/p, as in `contract`, with edge bit
-    j(n + 1) + k for each earlier block j its neighbourhood meets.  The weights
-    lam(G|p) are summed per (block count, edge bits, n + 1), phi read once per key.
+    j(n + 1) + k for each earlier block j its neighbourhood (`_neighbourhoods`)
+    meets.  Weights lam(G|p) are summed per (block count, edge bits, n + 1), phi read once per key.
     LinComb values times nonzero weights go term by term into one dict; others
     (a Polynomial, or a scalar: a convolution) are summed times their weights."""
     def block_value(key):
@@ -137,12 +138,9 @@ def act(phi, lam):
     quotient = _memoised(lambda key: phi(_quotient_graph(*key)))
 
     def acted(G):
-        n, slots, adj = G.n, _slot_table(G.n), G.adj
+        n, slots, reach = G.n, _slot_table(G.n), _neighbourhoods(G)
         edges = sum(1 << slots[e] for e in G.edges)
         lam_of = [table((n, mask, edges & inside)) for mask, inside in inside_of(n)]
-        reach = [0]  # by mask >> 1: the OR of the adjacency masks of its vertices
-        for i in range(1, len(lam_of)):
-            reach.append(reach[i & i - 1] | adj[(i & -i).bit_length()])
         width, weights = n + 1, {} if n else {(0, 0, 1): 1}  # the empty graph: no block
 
         def walk(rest, masks, bits, weight):

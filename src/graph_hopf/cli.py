@@ -26,7 +26,7 @@ from . import characters as ch
 from . import chromatic as chrom
 from . import lattice as lat
 from . import wsym as ws
-from .graphs import format_graph, parse_graph
+from .graphs import _DIGITS, format_graph, parse_graph
 from .linear import format_rational, parse_rational
 from .verify import SUITES
 
@@ -133,7 +133,7 @@ def cmd_ncchromatic(args):
 
 def _size_bound(text, name):
     """verify's size bound: a non-negative integer, else a ValueError naming its source."""
-    if not text.strip().isdecimal():
+    if not _DIGITS.fullmatch(text):
         raise ValueError(f"{name} must be a non-negative integer, got {text!r}")
     return int(text)
 
@@ -183,7 +183,7 @@ def build_parser():
     p.add_argument("--engine", choices=[*chrom.ENGINES, "all"], default="all")
     shown = p.add_mutually_exclusive_group()
     shown.add_argument("--eval", default=None, metavar="Q",
-                       help="also evaluate at a rational point")
+                       help="also evaluate at a rational point; a negative one as --eval=-1/2")
     shown.add_argument("--pretty", action="store_true", help="human-readable polynomial")
     p.set_defaults(fn=cmd_chromatic)
 

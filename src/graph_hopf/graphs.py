@@ -13,9 +13,10 @@ Each Partition keeps one mask per block and its restricted-growth string;
 the table of all of them is keyed by that string, in increasing order, and
 extends that of [n - 1] by n, sharing blocks.  Any other is built from a
 labelling (`Partition.of_labels`).  A sum over the partitions into connected
-or into independent blocks needs no table: it walks the blocks of the least
-uncovered vertex (`least_blocks`).  The empty graph (n = 0) is the
-algebra's unit, `disjoint_union()`, and is accepted everywhere.
+or into independent blocks walks the blocks of the least uncovered vertex
+(`least_blocks`); G/p's edges come from one neighbourhood list by mask
+(`_neighbourhoods`).  The empty graph (n = 0), the unit `disjoint_union()`,
+is accepted everywhere.
 
 All values are immutable after construction (the masks, once built, are
 fixed too) and every operation is a pure function, so values can be shared
@@ -30,7 +31,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from functools import lru_cache
+
+_DIGITS = re.compile(r"\s*[0-9]+\s*")  # a number in the text format: ASCII digits only
 
 
 class Graph:
@@ -186,28 +190,21 @@ def parse_graph(text):
     if ":" not in text:
         raise ValueError(f"missing ':' in graph {text!r}")
     head, _, tail = text.partition(":")
-    try:
-        n = int(head.strip())
-    except ValueError:
-        raise ValueError(f"bad vertex count in graph {text!r}") from None
-    edges = []
-    seen = set()
-    tail = tail.strip()
-    if tail:
+    if not _DIGITS.fullmatch(head):
+        raise ValueError(f"bad vertex count in graph {text!r}")
+    n = int(head)
+    edges = {}  # each edge as written, keyed by its pair in order
+    if tail.strip():
         for token in tail.split(","):
             parts = token.split("-")
-            if len(parts) != 2:
+            if len(parts) != 2 or not all(map(_DIGITS.fullmatch, parts)):
                 raise ValueError(f"bad edge {token.strip()!r} in graph {text!r}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"bad edge {token.strip()!r} in graph {text!r}") from None
+            i, j = int(parts[0]), int(parts[1])
             key = (min(i, j), max(i, j))
-            if key in seen:
+            if key in edges:
                 raise ValueError(f"duplicate edge {i}-{j} in graph {text!r}")
-            seen.add(key)
-            edges.append((i, j))
-    return Graph(n, edges)
+            edges[key] = (i, j)
+    return Graph(n, edges.values())
 
 
 def format_graph(G):
@@ -317,6 +314,14 @@ def block_map(G, fn):
     bipartitions V = I ⊔ J reads both sides through it, restricting each once.
     """
     return _memoised(lambda mask: fn(_restrict(G, mask)))
+
+
+def _neighbourhoods(G):
+    """Entry m >> 1: the OR of the adjacency masks of mask m's vertices."""
+    adj, reach = G.adj, [0]
+    for i in range(1, 1 << G.n):
+        reach.append(reach[i & i - 1] | adj[(i & -i).bit_length()])
+    return reach
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 # an integer, "p/q" or a plain decimal: no exponent, since Fraction computes 10**exp
-_RATIONAL = re.compile(r"\s*[-+]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*")
+_RATIONAL = re.compile(r"\s*[-+]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)\s*")
 
 
 def format_rational(q):

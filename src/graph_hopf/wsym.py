@@ -21,7 +21,7 @@ different degrees.
 All of it works on bitmasks: a packed word carries a clash mask over the
 edge slots (`graphs._slot_table`), `phi0_nc` reads each set partition's
 components through one per-graph table of component minima by vertex mask and
-one `itemgetter` per minima mask, its terms the shared partitions that
+one reader per minima mask, its terms the shared partitions that
 `set_partitions` yields, and the W product and coproduct restrict partitions
 to masks of positions.
 
@@ -47,13 +47,16 @@ def is_packed(word):
     return set(word) == set(range(1, (max(word) if word else 0) + 1))
 
 
+def _reader(positions):
+    """`itemgetter(*positions)`, but a tuple for one position or none too."""
+    return (itemgetter(*positions) if len(positions) > 1
+            else lambda g: tuple(g[i] for i in positions))
+
+
 def _words(p):
     """The k! packed words with fiber partition p, for p with k blocks: one
     per numbering of the blocks, giving every position its block's number."""
-    at = p.growth
-    # itemgetter returns a bare item for one index and needs at least one
-    read = itemgetter(*at) if len(at) > 1 else lambda sigma: tuple(sigma[i] for i in at)
-    return map(read, itertools.permutations(range(1, len(p) + 1)))
+    return map(_reader(p.growth), itertools.permutations(range(1, len(p) + 1)))
 
 
 def expand(x):
@@ -125,7 +128,7 @@ def phi0_nc(G):
     mask of its components' minima, one search per mask.  Read at the minima
     of p's blocks (their sum is an OR, the blocks being disjoint), p's growth
     string names the block of each component by increasing minimum: that is
-    Q(G, p): read by one `itemgetter` per minima mask, made on first use,
+    Q(G, p): read by one `_reader` per minima mask, made on first use,
     counted, and keyed to the shared table, so equal terms are one object."""
     minima = [0] * (1 << (G.n + 1))  # by vertex mask; bit 0 is never set
     positions = [()] * len(minima)
@@ -133,15 +136,13 @@ def phi0_nc(G):
         low = m & -m
         minima[m] = low | minima[m ^ _component_of(G.adj, low, m)]
         positions[m] = (low.bit_length() - 2,) + positions[m ^ low]
-    read = [None] * len(minima)  # by minima mask; itemgetter needs two positions for a tuple
+    read = [None] * len(minima)  # by minima mask
     counts = {}
     for p in set_partitions(G.n):
         at = sum(map(minima.__getitem__, p.masks))
         get = read[at]
         if get is None:
-            ps = positions[at]
-            get = read[at] = (itemgetter(*ps) if len(ps) > 1
-                              else lambda g, ps=ps: tuple(g[i] for i in ps))
+            get = read[at] = _reader(positions[at])
         growth = get(p.growth)
         counts[growth] = counts.get(growth, 0) + 1
     return LinComb._merged({_set_partitions_list(len(growth))[growth]: c

@@ -22,6 +22,9 @@ relabelled 7-9-vertex graphs, vertex-transitive ones among them.  `act`
 walks them too, from its own list of blocks per uncovered mask, and reads
 phi once per distinct G/p without calling `contract`; `act_by_extraction`
 checks its word action on every labelled graph with at most 4 vertices.
+Both walks read a block's neighbourhood from one list per graph
+(`graphs._neighbourhoods`), checked against the OR over each mask's
+vertices and counted per call.
 """
 
 import collections
@@ -161,21 +164,26 @@ def test_word_action_on_every_labelled_graph_up_to_4():
                 assert acted(G) == oracle(G), (lam, G)
 
 
-def count_restrictions(monkeypatch):
-    """Record the vertex mask of every call of `graphs._restrict`, through
-    whichever module binds it: `restrict`, `block_map` and
-    `component_graphs` all restrict through it."""
+def count_calls(monkeypatch, name):
+    """Record the last argument of every call of `graphs.<name>`, through
+    whichever module binds it."""
     calls = []
-    restrict = graphs._restrict
+    original = getattr(graphs, name)
 
-    def counted(G, mask):
-        calls.append(mask)
-        return restrict(G, mask)
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("graph_hopf") and getattr(module, "_restrict", None) is restrict:
-            monkeypatch.setattr(module, "_restrict", counted)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("graph_hopf") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_restrictions(monkeypatch):
+    """The vertex mask of every call of `graphs._restrict`: `restrict`,
+    `block_map` and `component_graphs` all restrict through it."""
+    return count_calls(monkeypatch, "_restrict")
 
 
 def test_delta_small_restricts_each_block_once(monkeypatch):
@@ -190,6 +198,21 @@ def test_character_formula_restricts_each_block_once(monkeypatch):
     chrom.pchr_character_formula(complete(6))
     assert 0 < len(calls) <= 63  # building every G|p takes 674
     assert len(set(calls)) == len(calls)
+
+
+def test_delta_and_the_action_build_one_neighbourhood_list_per_graph(monkeypatch):
+    """δ builds the list once per call, and one action once per graph it
+    acts on, however many blocks the walk reads from it."""
+    calls = count_calls(monkeypatch, "_neighbourhoods")  # the graph of each call
+    for G in (complete(6), cycle_graph(5)):
+        bi.delta_small_graph(G)
+        assert calls == [G]
+        calls.clear()
+    graphs_ = [complete(4), cycle_graph(5), relabel(graphs.path_graph(5), (3, 5, 1, 4, 2))]
+    acted = ch.act(ws.phi0_nc, ch.LAMBDA_CHR)
+    for G in graphs_:
+        acted(G)
+    assert calls == graphs_
 
 
 def test_action_contracts_nothing_and_reads_each_quotient_once(monkeypatch):
@@ -307,10 +330,32 @@ VERTEX_TRANSITIVE = (
 )
 
 
-def test_walks_match_the_partition_sums_on_relabelled_7_to_9_vertex_graphs():
+def relabelled_7_to_9_vertex_graphs():
     rng = random.Random(2201)
     graphs_ = [random_graph(n, rng, p) for n in (7, 8, 9) for p in (0.3, 0.5, 0.7)]
     for G in VERTEX_TRANSITIVE + tuple(graphs_):
         perm = list(range(1, G.n + 1))
         rng.shuffle(perm)
-        assert_walks_match(relabel(G, perm))
+        yield relabel(G, perm)
+
+
+def test_walks_match_the_partition_sums_on_relabelled_7_to_9_vertex_graphs():
+    for G in relabelled_7_to_9_vertex_graphs():
+        assert_walks_match(G)
+
+
+def assert_neighbourhoods_match(G):
+    reach = graphs._neighbourhoods(G)
+    assert len(reach) == 1 << G.n
+    for m in range(0, 2 << G.n, 2):
+        assert reach[m >> 1] == reduce(operator.or_, (G.adj[v] for v in graphs._bits(m)), 0)
+
+
+def test_neighbourhood_list_is_the_or_over_each_masks_vertices():
+    """The list that δ and the action read a block's neighbourhood from,
+    entry m >> 1 against the OR of the adjacency masks of m's vertices."""
+    for n in range(6):
+        for G in all_graphs(n):
+            assert_neighbourhoods_match(G)
+    for G in relabelled_7_to_9_vertex_graphs():
+        assert_neighbourhoods_match(G)

@@ -41,6 +41,15 @@ class TestChromatic:
         r = run_cli("chromatic", "--graph", "2: 1-2", "--eval", "1/2")
         assert json.loads(r.stdout)["value"] == "-1/4"
 
+    def test_negative_eval_is_given_with_an_equals_sign(self):
+        # argparse reads "--eval -1/2" as an option; "--eval=-1/2" is the value
+        r = run_cli("chromatic", "--graph", "3: 1-2", "--eval=-1/2")
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["value"] == "-3/8"
+        r = run_cli("chromatic", "--graph", "3: 1-2", "--eval", "-1/2")
+        assert r.returncode == 2
+        assert b"expected one argument" in r.stderr
+
     def test_pretty(self):
         r = run_cli("chromatic", "--graph", "3: 1-2, 2-3, 1-3", "--pretty")
         assert r.stdout == b"X^3 - 3X^2 + 2X\n"
@@ -218,6 +227,26 @@ class TestContract:
         assert r.returncode == 2
         assert r.stdout == b""
         assert b"GRAPH_HOPF_MAX_N" in r.stderr
+
+    @pytest.mark.parametrize("args, env", [
+        (("chromatic", "--graph=1_0:"), None),
+        (("chromatic", "--graph=-1:"), None),
+        (("chromatic", "--graph", "3: 1-\u0662"), None),
+        (("chromatic", "--graph", "\u0663:"), None),
+        (("chromatic", "--graph", "3: 1-2", "--eval=\u0663"), None),
+        (("verify", "--suite", "counit", "--max-n", "\u0663"), None),
+        (("verify", "--suite", "counit", "--max-n", "+3"), None),
+        (("verify", "--suite", "counit", "--max-n", "2"), {"GRAPH_HOPF_MAX_N": "\u0663"}),
+    ], ids=["underscore", "signed-count", "arabic-edge", "arabic-count", "arabic-eval",
+            "arabic-max-n", "signed-max-n", "arabic-env-cap"])
+    def test_numbers_are_ascii_digits(self, args, env):
+        """Every number read at the boundary is a string of [0-9], with
+        whitespace around it allowed (and a sign, "/" or "." in --eval);
+        anything else exits 2 with an error and no output."""
+        r = run_cli(*args, env_extra=env)
+        assert r.returncode == 2
+        assert r.stdout == b""
+        assert r.stderr.startswith(b"error:")
 
     def test_zero_max_n_is_valid(self):
         r = run_cli("verify", "--suite", "counit", "--max-n", "0")

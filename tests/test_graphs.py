@@ -177,6 +177,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             parse_graph("1-2")
 
+    def test_parse_takes_only_ascii_digits(self):
+        """`int` also reads underscores, a sign and non-ASCII digits; the text
+        format reads a number as ASCII digits with whitespace around them."""
+        for text, message in [("1_0:", "bad vertex count"), ("+3:", "bad vertex count"),
+                              ("-1:", "bad vertex count"), ("\u0663:", "bad vertex count"),
+                              ("3: 1-\u0662", "bad edge"), ("3: 1-+2", "bad edge"),
+                              ("3: 1_0-2", "bad edge"), ("3: 1-2, 2-3 ", None)]:
+            if message is None:
+                assert parse_graph(text) == P3
+            else:
+                with pytest.raises(ValueError, match=f"^{message} "):
+                    parse_graph(text)
+
 
 class TestRestrict:
     def test_complete_restriction(self):

@@ -40,6 +40,12 @@ class TestRationalFormat:
         assert parse_rational("-0.25") == Fraction(-1, 4)
         assert parse_rational(" .5 ") == Fraction(1, 2)
 
+    def test_parse_takes_only_ascii_digits(self):
+        # `\d` and `Fraction` also read non-ASCII digits; the rule is [0-9]
+        for s in ["\u0663", "1/\u0662", "-\u0661.5", "1_0"]:
+            with pytest.raises(ValueError, match="^not an integer"):
+                parse_rational(s)
+
     def test_parse_rejects_exponents(self):
         # Fraction would compute 10**exp, unbounded for outside text
         for s in ["1e5", "2.5E-3", "1e+2"]:

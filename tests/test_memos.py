@@ -6,15 +6,24 @@ and result for the life of the process.  The functions below are the ones
 that have such a cache today; a new one fails this test, so that a bounded
 memo, or a memo that lives only as long as one call, is chosen instead.
 When one of them is bounded or removed, drop its name.  Every per-call memo
-goes through `graphs._memoised` (`block_map`, `least_blocks`, the recursions
-of `nested_forests` and `chromatic.block_sums`, the forest factors of
-`antipode_forest`, the block tables of `characters.act`, which every
+goes through `graphs._memoised` (`block_map`, through which
+`delta_small_graph` reads its blocks' form ids, `least_blocks`, the
+recursions of `nested_forests` and `chromatic.block_sums`, the forest factors
+of `antipode_forest`, the block tables of `characters.act`, which every
 convolution reads, the scopes of `verify`'s checks and the quotient lattices
-of `check_interval_isomorphism`);
-`lru_cache` is kept for the process-wide memos.  Three tables are written by
-hand: the block table inside `delta_small_graph`'s walk (read inline on every
-step of its inner loop), `Character._memo` (the benchmark reads its size) and
-the lattice's `_mobius` and `_joins`.
+of `check_interval_isomorphism`); `lru_cache` is kept for the process-wide
+memos.  Three tables are written by hand, each because `_memoised` measured
+slower or cannot serve (minimum ms over interleaved rounds in one process,
+Python 3.11, 2 vCPUs):
+- `Character._memo`: the benchmark reads its size;
+- the lattice's `_mobius` and `_joins`: as `_memoised` closures over the
+  lattice, every lattice holds a reference cycle, and
+  `check_interval_isomorphism(5)` took 85.7 -> 93.8 ms over 11 rounds;
+- `wsym.phi0_nc`'s list of readers by minima mask: a `_memoised` read per
+  set partition took 77.6 -> 86.9 ms over the 1,100 labelled graphs with at
+  most 5 vertices, faster in 3 of 9 rounds.
+A list that a walk reads by index, such as `graphs._neighbourhoods`, is built
+whole per graph and is not a memo.
 
 A module-level dict that starts empty is the same kind of memo, hidden from
 `cache_info`, from `verify --timings` and from the benchmark's cache metrics.

@@ -139,6 +139,10 @@ MUTANTS = {
     (bialgebra, "delta_small_graph", "if reach & m:", "if reach & m & -m:",
      "check_antipode_engines"):
         (6, "antipode engines disagree on 3: 1-3, 2-3"),
+    (graphs, "_neighbourhoods", "reach[i & i - 1] | ", "", "check_antipode_engines"):
+        (6, "antipode engines disagree on 3: 1-3, 2-3"),
+    (graphs, "_neighbourhoods", "reach[i & i - 1] | ", "", "check_wsym_action"):
+        (26, "chromatic element != acted packed-coloring morphism on 3: 1-3, 2-3"),
     (chromatic, "block_sums", "out[k + 1] += w * c", "out[k] += w * c", "check_chromatic_engines"):
         (18, "chromatic engines disagree on 1:"),
     (lattice, "AdmissibleLattice", "self.up[i] |= 1 << j", "self.up[i] |= 1 << i",
@@ -239,7 +243,9 @@ def test_one_line_mutants_of_the_fast_sides_are_caught(monkeypatch, mutant):
     only one vertex of the block for a neighbour, independent partitions
     all found as the one-block entry of the table, connected blocks that leave
     out the least vertex from the connectivity test, quotient edges that
-    look only at the least vertex of each earlier block, block sums that do not count the block
+    look only at the least vertex of each earlier block, a neighbourhood list
+    that holds each mask's least vertex's neighbours alone (seen through δ
+    and through the action), block sums that do not count the block
     they add, a signed chromatic character that is positive but 2^deg
     times too large, a canonical search that places each tied labeling's
     new vertex one position low, a bipartition sum whose right leg
