@@ -348,7 +348,8 @@ def assert_neighbourhoods_match(G):
     reach = graphs._neighbourhoods(G)
     assert len(reach) == 1 << G.n
     for m in range(0, 2 << G.n, 2):
-        assert reach[m >> 1] == reduce(operator.or_, (G.adj[v] for v in graphs._bits(m)), 0)
+        vertices = [v for v in range(1, G.n + 1) if m >> v & 1]
+        assert reach[m >> 1] == reduce(operator.or_, (G.adj[v] for v in vertices), 0)
 
 
 def test_neighbourhood_list_is_the_or_over_each_masks_vertices():
